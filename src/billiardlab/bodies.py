@@ -5,8 +5,9 @@ boundary), its gradient and Hessian, and a handful of geometric queries:
 exterior normals, the inverse Gauss map, chords, support functions and
 polar duals.  Closed-form paths are provided wherever the representation
 allows (ellipsoids, superellipses, radial and support-function bodies);
-the generic fallbacks are damped Newton with multistart seeding and
-ray-march bracketing followed by bisection and Newton polish.
+the generic fallbacks are damped Newton with multistart seeding, and
+ray-march or grid bracketing followed by the safeguarded Newton root
+kernel of ``solvers.find_root``, stopped on a step tolerance.
 
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
@@ -28,12 +29,12 @@ from .errors import (
     DomainError,
     OriginNotInteriorError,
 )
-from .jets import MPoly, Taylor1D
+from .jets import EPS, MPoly, Taylor1D
+from .solvers import find_root
 
 # tolerances used by the generic solvers
 GAUSS_TOL = 1e-12
 GAUSS_MAX_ITER = 100
-CHORD_RESIDUAL_TOL = 1e-12
 CHORD_MARCH_FRACTION = 1e-2
 TANGENCY_FRACTION = 1e-6
 BOUNDARY_TOL = 1e-8
@@ -206,7 +207,7 @@ class ConvexBody:
         """Boundary intersection of the ray from the interior point along s."""
         s = _unit(s)
         c = self.interior_point()
-        lo, hi = 0.0, self.bounding_radius()
+        hi = self.bounding_radius()
         f_hi = float(self.implicit(c + hi * s))
         k = 0
         while f_hi <= 0.0 and k < 60:
@@ -215,13 +216,7 @@ class ConvexBody:
             k += 1
         if f_hi <= 0.0:
             raise ConvergenceError("ray never leaves the body")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(self.implicit(c + mid * s)) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return c + 0.5 * (lo + hi) * s
+        return c + self._root_on_line(c, s, 0.0, hi, f_hi=f_hi) * s
 
     def _gauss_newton(self, u, p0):
         n = self.dim
@@ -302,7 +297,8 @@ class ConvexBody:
         return a + t * d
 
     def _march_to_exit(self, a, w, diam):
-        """Positive root of F(a + t w) = 0 by march, bisection, Newton."""
+        """Positive root of F(a + t w) = 0: march to a sign change, then
+        the root kernel."""
         step = CHORD_MARCH_FRACTION * diam
         kmax = int(math.ceil(1.2 * diam / step)) + 2
         ts = step * np.arange(1, kmax + 1)
@@ -311,27 +307,16 @@ class ConvexBody:
         if len(out) == 0:
             raise DegenerateChordError("ray never exits the body")
         k = int(out[0])
-        lo = 0.0 if k == 0 else ts[k - 1]
-        hi = ts[k]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(self.implicit(a + mid * w)) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        for _ in range(8):
-            f = float(self.implicit(a + t * w))
-            df = float(np.dot(self.implicit_grad(a + t * w), w))
-            if df == 0.0:
-                break
-            t_new = t - f / df
-            if not (lo - step <= t_new <= hi + step):
-                break
-            t = t_new
-            if abs(f) <= CHORD_RESIDUAL_TOL:
-                break
-        return t
+        # the chord enters the body, so F < 0 just after t = 0 even when
+        # the rounded residual of the boundary point a is positive
+        f_lo = vals[k - 1] if k else -1.0
+        return self._root_on_line(a, w, ts[k - 1] if k else 0.0, ts[k], f_lo, vals[k])
+
+    def _root_on_line(self, p, v, lo, hi, f_lo=None, f_hi=None):
+        """Crossing of the boundary by p + t v with t in a sign-change bracket."""
+        return find_root(lambda t: float(self.implicit(p + t * v)), lo, hi,
+                         df=lambda t: float(self.implicit_grad(p + t * v) @ v),
+                         xtol=EPS * self.bounding_radius(), f_lo=f_lo, f_hi=f_hi)
 
     def line_intersections(self, line: OrientedLine):
         """Entry and exit parameters (t_enter < t_exit) of an oriented line."""
@@ -344,31 +329,22 @@ class ConvexBody:
         t0, t1 = -b - math.sqrt(disc), -b + math.sqrt(disc)
         grid = np.linspace(t0, t1, 257)
         vals = self.implicit(p[None, :] + grid[:, None] * v[None, :])
-        inside = vals < 0.0
-        if not np.any(inside):
+        idx = np.nonzero(vals < 0.0)[0]
+        if len(idx):
+            i, j = idx[0], idx[-1]
+            return (self._root_on_line(p, v, grid[i - 1], grid[i], vals[i - 1], vals[i]),
+                    self._root_on_line(p, v, grid[j], grid[j + 1], vals[j], vals[j + 1]))
+        # the grid can step over a thin body; F is quasiconvex along the
+        # line, so its minimum is where the slope of F changes sign
+        try:
+            tm = find_root(lambda t: float(self.implicit_grad(p + t * v) @ v), t0, t1)
+        except ConvergenceError:
+            tm = t0  # F has no interior minimum on the segment
+        fm = float(self.implicit(p + tm * v))
+        if fm >= 0.0:
             raise DomainError("line misses the body")
-        idx = np.nonzero(inside)[0]
-        t_enter = self._refine_crossing(p, v, grid[idx[0] - 1], grid[idx[0]])
-        t_exit = self._refine_crossing(p, v, grid[idx[-1]], grid[idx[-1] + 1])
-        return t_enter, t_exit
-
-    def _refine_crossing(self, p, v, lo, hi):
-        f_lo = float(self.implicit(p + lo * v))
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            f_mid = float(self.implicit(p + mid * v))
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        for _ in range(6):
-            f = float(self.implicit(p + t * v))
-            df = float(np.dot(self.implicit_grad(p + t * v), v))
-            if df == 0.0:
-                break
-            t -= f / df
-        return t
+        return (self._root_on_line(p, v, t0, tm, f_hi=fm),
+                self._root_on_line(p, v, tm, t1, f_lo=fm))
 
     def last_intersection(self, line: OrientedLine):
         """Last boundary point met by the oriented line (its exit point)."""
@@ -716,17 +692,16 @@ class RadialBody2D(ConvexBody):
         return float(self.radial(np.array(math.atan2(s[1], s[0])))) * s
 
     def gauss_inverse(self, u):
-        # normal azimuth theta - arctan(r'/r) is strictly increasing in
-        # theta for convex bodies, so plain Newton from theta = target
-        # converges; a windowed bisection backs it up
+        # the normal azimuth theta - arctan(r'/r) is strictly increasing in
+        # theta for convex bodies and within pi/2 of theta, so the window
+        # target +- pi/2 brackets the root: gap < 0 below it, > 0 above it
         u = _unit(u)
         target = math.atan2(u[1], u[0])
 
         def gap(theta):
             r = float(self.radial(np.array(theta)))
             r1 = float(self.radial(np.array(theta), 1))
-            g = theta - math.atan2(r1, r) - target
-            return (g + math.pi) % (2.0 * math.pi) - math.pi
+            return theta - math.atan2(r1, r) - target
 
         def dgap(theta):
             r = float(self.radial(np.array(theta)))
@@ -734,27 +709,8 @@ class RadialBody2D(ConvexBody):
             r2 = float(self.radial(np.array(theta), 2))
             return 1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1)
 
-        theta = target
-        ok = False
-        for _ in range(60):
-            g = gap(theta)
-            if abs(g) < 1e-14:
-                ok = True
-                break
-            theta -= g / dgap(theta)
-        if not ok and abs(gap(theta)) > 1e-12:
-            lo, hi = target - math.pi / 2, target + math.pi / 2
-            while gap(lo) > 0.0:
-                lo -= 0.3
-            while gap(hi) < 0.0:
-                hi += 0.3
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if gap(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            theta = 0.5 * (lo + hi)
+        theta = find_root(gap, target - math.pi / 2, target + math.pi / 2,
+                          df=dgap, f_lo=-1.0, f_hi=1.0)
         p = self.boundary_point(np.array(theta))
         res = np.linalg.norm(_unit(self.implicit_grad(p)) - u)
         if res > 1e-9:

@@ -157,11 +157,9 @@ def _body_outline(body, n=256):
     return np.array([body.gauss_inverse(unit_vector([t], 2)) for t in thetas])
 
 
-def _write_svg(path, elements, radius):
+def _write_svg(path, elements, viewbox):
     path.parent.mkdir(parents=True, exist_ok=True)
-    pad = 1.1 * radius
-    doc = _svg_document(elements, (-pad, -pad, 2 * pad, 2 * pad))
-    path.write_text(doc, encoding="utf-8")
+    path.write_text(_svg_document(elements, viewbox), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,8 @@ def cmd_trace(cfg: ExperimentConfig):
             start = line.point.reshape(1, -1)
             poly = np.vstack([start, orbit.points])
             elements.append(_svg_polyline(poly, "crimson", 0.006 * K.diameter()))
-        _write_svg(cfg.out_dir / "orbit.svg", elements, K.bounding_radius())
+        pad = 1.1 * K.bounding_radius()
+        _write_svg(cfg.out_dir / "orbit.svg", elements, (-pad, -pad, 2 * pad, 2 * pad))
     if orbit is not None and orbit.status != "ok":
         print("status", orbit.status)
     return EXIT_OK
@@ -365,14 +364,11 @@ def cmd_sweep(cfg: ExperimentConfig):
         rows.append([_fmt(m), _fmt(worst)])
     _write_csv(cfg.out_dir / "sweep.csv", ["exponent", "residual"], rows)
     pts = [(float(r[0]), math.log10(max(float(r[1]), 1e-17))) for r in rows]
-    elements = [_svg_polyline(pts, "steelblue", 0.02)]
-    path = cfg.out_dir / "sweep.svg"
-    path.parent.mkdir(parents=True, exist_ok=True)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     vb = (min(xs) - 0.2, min(-y for y in ys) - 1.0,
           max(xs) - min(xs) + 0.4, max(ys) - min(ys) + 2.0)
-    path.write_text(_svg_document(elements, vb), encoding="utf-8")
+    _write_svg(cfg.out_dir / "sweep.svg", [_svg_polyline(pts, "steelblue", 0.02)], vb)
     print("sweep rows", len(rows))
     return EXIT_OK
 

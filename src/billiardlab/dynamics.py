@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bodies import (
     ConvexBody,
@@ -27,6 +26,7 @@ from .bodies import (
 )
 from .errors import DomainError, GrazingError, PreconditionError
 from .reflection import t_billiard_reflect
+from .solvers import least_squares
 
 
 def finsler_length(T: ConvexBody, dq):

@@ -355,30 +355,35 @@ def fd_derivative(f, x0, order=1, h=1e-3, halfwidth=None, richardson=True):
 # ---------------------------------------------------------------------------
 
 def fit_power_law(ts, ys, floor=None, min_points=3):
-    """Least-squares exponent/coefficient of |y| ~ |C| t^k on a grid.
+    """Least-squares exponent/coefficient of a decay |y| ~ |C| t^k on a grid.
 
-    Points with |y| below ``floor`` are discarded (round-off guard).  If
-    every point sits below 100 machine epsilons the two maps are treated
-    as identical and IndistinguishableError is raised.
+    Only the leading run of the grid is fitted: from the largest t down,
+    the points with |y| at least ``floor`` (round-off guard), the sign of
+    the first point and |y| below that of the previous point.  The first
+    point that breaks the run has reached the noise floor of whatever
+    computed y, so it and every smaller t are dropped.  If every point
+    sits below 100 machine epsilons the two maps are treated as identical
+    and IndistinguishableError is raised.
     """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    order = np.argsort(-np.asarray(ts, dtype=float))
+    t = np.asarray(ts, dtype=float)[order]
+    y = np.asarray(ys, dtype=float)[order]
     if floor is None:
         floor = 1e3 * EPS
-    if np.all(np.abs(ys) < 100.0 * EPS):
+    if np.all(np.abs(y) < 100.0 * EPS):
         raise IndistinguishableError(
             "difference below 100 eps on the whole grid; maps indistinguishable")
-    keep = np.abs(ys) >= floor
-    if keep.sum() < min_points:
+    ay = np.abs(y)
+    run = ((ay >= floor) & (np.sign(y) == np.sign(y[0]))
+           & np.concatenate([[True], ay[1:] < ay[:-1]]))
+    n = len(run) if run.all() else int(np.argmin(run))
+    if n < min_points:
         raise PrecisionError(
-            f"only {int(keep.sum())} grid points above the round-off floor")
-    t = ts[keep]
-    y = ys[keep]
-    A = np.column_stack([np.log(t), np.ones_like(t)])
-    sol, *_ = np.linalg.lstsq(A, np.log(np.abs(y)), rcond=None)
+            f"only {n} leading grid points above the noise floor")
+    A = np.column_stack([np.log(t[:n]), np.ones(n)])
+    sol, *_ = np.linalg.lstsq(A, np.log(ay[:n]), rcond=None)
     k, logc = sol
-    sign = 1.0 if np.median(np.sign(y)) >= 0 else -1.0
-    return float(k), float(sign * math.exp(logc))
+    return float(k), float(np.sign(y[0]) * math.exp(logc))
 
 
 def dyadic_grid(j_min=4, j_max=12):

@@ -33,6 +33,7 @@ from .jets import (
     graph_jet_from_parametric,
     taylor_from_derivatives,
 )
+from .solvers import find_root
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +126,10 @@ def conic_from_graph_coefficients(a, b, c):
 class ConicGraphBranch:
     """Branch y = h(x) of a conic through the origin tangent to the x-axis.
 
-    Evaluation is the stable closed-form quadratic solve; derivatives come
-    from truncated-Taylor Newton on the implicit equation, so they carry
-    no differencing noise.
+    Evaluation is the stable closed-form quadratic solve.  The first two
+    derivatives are closed forms from implicit differentiation; higher
+    ones come from truncated-Taylor Newton on the implicit equation
+    (``jet``), so none of them carries differencing noise.
     """
 
     def __init__(self, conic: ConicQuadric):
@@ -157,14 +159,9 @@ class ConicGraphBranch:
         for sign in (1.0, -1.0):
             r = 1.0
             if self._discriminant(sign * r) <= 0.0:
-                lo, hi = 0.0, r
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if self._discriminant(sign * mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                radius = min(radius, lo)
+                # the discriminant is by^2 > 0 at x = 0
+                radius = min(radius, find_root(
+                    lambda x: self._discriminant(sign * x), 0.0, r))
                 continue
             while self._discriminant(sign * r) > 0.0 and r < 1e6:
                 r *= 2.0
@@ -191,7 +188,17 @@ class ConicGraphBranch:
         return y.derivative_values()
 
     def derivative(self, x, order=1):
-        return self.jet(x, order)[order]
+        """h^(order) at x; orders 1 and 2 by implicit differentiation of
+        ayy y^2 + 2(axy x + by) y + axx x^2 = 0, higher ones from ``jet``."""
+        if order not in (1, 2):
+            return self.jet(x, order)[order]
+        x = np.asarray(x, dtype=float)
+        y = self.h(x)
+        D = self.ayy * y + self.axy * x + self.by
+        d1 = -(self.axx * x + self.axy * y) / D
+        if order == 1:
+            return d1
+        return -(self.axx + 2.0 * self.axy * d1 + self.ayy * d1 * d1) / D
 
 
 # ---------------------------------------------------------------------------
@@ -203,41 +210,12 @@ def _curve_range(curve):
     return 0.95 * r if r else 0.75
 
 
-def _newton_1d(fun, dfun, x0, lo, hi, target=0.0):
-    # bisection bracket followed by Newton polish to machine residual
-    flo = fun(lo) - target
-    fhi = fun(hi) - target
-    if flo * fhi > 0.0:
-        raise DomainError("root bracket failed")
-    a, b, fa = lo, hi, flo
-    for _ in range(70):
-        mid = 0.5 * (a + b)
-        fm = fun(mid) - target
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        d = dfun(x)
-        if d == 0.0:
-            break
-        step = (fun(x) - target) / d
-        x_new = x - step
-        if not (min(a, b) - abs(b - a) <= x_new <= max(a, b) + abs(b - a)):
-            break
-        x = x_new
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def slope_point(curve, t):
     """The x with h'(x) = t (h' is strictly increasing near the origin)."""
     X = _curve_range(curve)
-    return _newton_1d(lambda x: curve.derivative(np.asarray(x), 1),
-                      lambda x: curve.derivative(np.asarray(x), 2),
-                      0.0, -X, X, target=float(t))
+    t = float(t)
+    return find_root(lambda x: curve.derivative(x, 1) - t, -X, X,
+                     df=lambda x: curve.derivative(x, 2))
 
 
 def height_partner(curve, x0):
@@ -248,9 +226,8 @@ def height_partner(curve, x0):
     target = float(curve.h(np.asarray(x0)))
     X = _curve_range(curve)
     lo, hi = (-X, 0.0) if x0 > 0 else (0.0, X)
-    return _newton_1d(lambda x: curve.h(np.asarray(x)),
-                      lambda x: curve.derivative(np.asarray(x), 1),
-                      0.0, lo, hi, target=target)
+    return find_root(lambda x: curve.h(x) - target, lo, hi,
+                     df=lambda x: curve.derivative(x, 1), x0=-x0)
 
 
 def height_match(curve_a, curve_b, x):
@@ -261,9 +238,8 @@ def height_match(curve_a, curve_b, x):
     target = float(curve_b.h(np.asarray(x)))
     X = _curve_range(curve_a)
     lo, hi = (0.0, X) if x > 0 else (-X, 0.0)
-    return _newton_1d(lambda s: curve_a.h(np.asarray(s)),
-                      lambda s: curve_a.derivative(np.asarray(s), 1),
-                      x, lo, hi, target=target)
+    return find_root(lambda s: curve_a.h(s) - target, lo, hi,
+                     df=lambda s: curve_a.derivative(s, 1), x0=x)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +497,7 @@ def section_points(body, frame: PlanarSectionFrame, n_samples):
         hi = body.bounding_radius()
         while body.implicit(o + hi * w) < 0.0:
             hi *= 2.0
-        lo = 0.0
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            if body.implicit(o + mid * w) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r = 0.5 * (lo + hi)
+        r = body._root_on_line(o, w, 0.0, hi)
         pts.append([float(np.dot(o + r * w - frame.origin, frame.e1)),
                     float(np.dot(o + r * w - frame.origin, frame.e2))])
     return np.asarray(pts)

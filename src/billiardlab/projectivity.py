@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bodies import ConvexBody, _unit, rot90, tangent_frame
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 from .jets import fit_power_law
 from .osculation import height_partner, slope_point
 from .reflection import ParallelClass, parallel_chord_involution
+from .solvers import least_squares
 
 
 def rp_distance(a, b):

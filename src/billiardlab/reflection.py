@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bodies import ConvexBody, OrientedLine, _unit, legendre_point, polar_dual
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     GrazingError,
     SolverError,
 )
+from .solvers import find_root, least_squares
 
 # incidence angles below this (radians, small-angle regime) are grazing
 GRAZING_ANGLE = 1e-6
@@ -232,16 +232,7 @@ def _concurrency_2d(I, m, a, u):
     if len(change) == 0:
         raise SolverError("no transversal concurrency solution found")
     k = int(change[0])
-    lo, hi = grid[k], grid[k + 1]
-    flo = deflated(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = deflated(mid)
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+    theta = find_root(deflated, grid[k], grid[k + 1], f_lo=vals[k], f_hi=vals[k + 1])
     v = I.gauss_inverse(np.array([np.cos(theta), np.sin(theta)]))
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
@@ -253,16 +244,7 @@ def _boundary_of(I, u):
     u = np.asarray(u, dtype=float)
     if abs(I.boundary_residual(u)) < 1e-9:
         return u
-    t_lo, t_hi = 0.0, 1.0
-    while I.implicit(t_hi * u) < 0.0:
-        t_hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if I.implicit(mid * u) < 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi) * u
+    return I._boundary_in_direction(u)
 
 
 def _concurrency_nd(I, m, a, u):

@@ -425,6 +425,23 @@ def test_last_intersection_is_exit_point(ellipse):
     assert np.dot(line.direction, n) > 0
 
 
+def test_line_intersections_find_thin_bodies():
+    # the 257-point grid along a line steps over this body on about a
+    # third of the lines through interior points
+    base = bl.Superellipse(4.0)
+    thin = bl.LinearImageBody(base, np.diag([1.0, 0.002]))
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        w = base.gauss_inverse(rng.normal(size=2)) * rng.uniform(0.0, 0.95)
+        line = bl.OrientedLine(thin.B @ w, rng.normal(size=2))
+        t_enter, t_exit = thin.line_intersections(line)
+        assert t_enter < 0.0 < t_exit
+        for t in (t_enter, t_exit):
+            assert abs(thin.implicit(line.at(t))) <= 1e-9
+    with pytest.raises(DomainError):
+        thin.line_intersections(bl.OrientedLine([0.0, 0.01], [1.0, 0.0]))
+
+
 def test_generic_volume_quadrature_matches_exact(ellipse):
     generic = ConvexBody.volume(ellipse)
     assert abs(generic - ellipse.volume()) < 1e-8 * ellipse.volume()

@@ -112,6 +112,15 @@ def test_fit_power_law_recovers_exponent():
     assert abs(c + 2.5) < 1e-12
 
 
+def test_fit_power_law_drops_points_past_the_noise_floor():
+    ts = dyadic_grid(4, 12)
+    ys = 0.1 * ts ** 4
+    ys[-3:] = [2e-12, -3e-12, 1e-12]  # round-off: no longer decreasing, sign flips
+    k, c = fit_power_law(ts, ys)
+    assert abs(k - 4.0) < 1e-12
+    assert abs(c - 0.1) < 1e-12
+
+
 def test_fit_power_law_indistinguishable():
     ts = dyadic_grid(4, 8)
     with pytest.raises(IndistinguishableError):

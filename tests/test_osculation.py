@@ -68,6 +68,18 @@ def test_osculating_conic_matches_four_jet_of_ellipse(ellipse):
     assert np.max(np.abs(jc - jb)) <= 1e-10
 
 
+def test_conic_branch_closed_form_derivatives_match_taylor_jet(superellipse):
+    # slope and curvature by implicit differentiation against the
+    # Taylor-Newton jet, on osculating conics of Superellipse(4)
+    for theta in (0.3, 0.8, 1.2, 2.5, 4.0):
+        conic = bl.osculating_conic(bl.germ_at(superellipse, theta))
+        branch = bl.ConicGraphBranch(conic)
+        for x in np.linspace(-0.9, 0.9, 13) * min(branch.radius, 1.0):
+            jet = branch.jet(x, 2)
+            for order in (1, 2):
+                assert abs(branch.derivative(x, order) - jet[order]) <= 1e-12
+
+
 def test_osculating_conic_affinely_natural():
     # transform the curve by an affine map; the conic transforms along
     germ = bl.PlanarGerm([0, 0, 0.5, 0.1, -0.04, 0.01])

@@ -260,6 +260,18 @@ def test_deviation_distinct_projective_involutions_quadratic():
     assert abs(abs(C) - c) <= 0.1 * c
 
 
+def test_deviation_fit_stops_at_the_noise_floor():
+    # for this Superellipse(3.5) class the chord solver's noise floor
+    # (about 1e-12) is reached at t = 2^-10; fitting the points beyond
+    # it read 2.7-3.0 instead of the fourth-order law
+    from billiardlab.cli import _conic_deviation_fit
+    d = [0.831680156322, 0.555255002301]
+    body = bl.Superellipse(3.5)
+    sampler = bl.SphereInvolutionSampler.from_parallel_chord(body, d)
+    k, _ = _conic_deviation_fit(body, sampler)
+    assert abs(k - 4.0) <= 0.2
+
+
 def test_deviation_exponent_invariant_under_chart_rescale():
     c = 1e-2
     alpha = bl.PlanarGerm([0, 0, 0.5, 0, 0, c])
