@@ -3,8 +3,9 @@
 Every body exposes an implicit function F (negative inside, zero on the
 boundary), its gradient and Hessian, and a handful of geometric queries:
 exterior normals, the inverse Gauss map, chords, support functions and
-polar duals.  Closed-form paths are provided wherever the representation
-allows (ellipsoids, superellipses, radial and support-function bodies);
+their Hessians, gauge Hessians and polar duals.  Closed-form paths are
+provided wherever the representation allows (ellipsoids, superellipses,
+radial and support-function bodies, linear images and polars);
 the generic fallbacks are damped Newton with multistart seeding, and
 ray-march or grid bracketing followed by the safeguarded Newton root
 kernel of ``solvers.find_root``, stopped on a step tolerance.
@@ -16,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -275,6 +277,32 @@ class ConvexBody:
         """The boundary point attaining the support value in direction u."""
         return self.gauss_inverse(_unit(u))
 
+    def support_hess(self, u):
+        """Hessian of h at u != 0: the inverse shape operator at the support
+        point, on the tangent plane, divided by |u|."""
+        u = np.asarray(u, dtype=float)
+        x = self.support_point(u)
+        E = tangent_frame(u)
+        W = E @ self.implicit_hess(x) @ E.T / np.linalg.norm(self.implicit_grad(x))
+        return E.T @ np.linalg.solve(W, E) / np.linalg.norm(u)
+
+    def gauge_hess(self, x):
+        """Hessian at x != 0 of the gauge g of the body (g = 1 on the
+        boundary, 1-homogeneous, so the Hessian at x is that at the
+        boundary point p on its ray times |p| / |x|)."""
+        x = np.asarray(x, dtype=float)
+        p = self._boundary_in_direction(x)
+        G = self._gauge_hess_at(p, self.implicit_grad(p))
+        return G * (np.linalg.norm(p) / np.linalg.norm(x))
+
+    def _gauge_hess_at(self, p, grad):
+        """Gauge Hessian Q^T H Q / <grad F, p> at the boundary point p, with
+        grad = grad F(p), H the Hessian of F, Q = I - p nu^T and
+        nu = grad / <grad, p> (the gauge's gradient)."""
+        gp = float(grad @ p)
+        Q = np.eye(self.dim) - np.outer(p, grad / gp)
+        return Q.T @ self.implicit_hess(p) @ Q / gp
+
     # -- chords and line intersections ---------------------------------------
 
     def chord_second_intersection(self, a, d):
@@ -318,9 +346,9 @@ class ConvexBody:
                          df=lambda t: float(self.implicit_grad(p + t * v) @ v),
                          xtol=EPS * self.bounding_radius(), f_lo=f_lo, f_hi=f_hi)
 
-    def line_intersections(self, line: OrientedLine):
-        """Entry and exit parameters (t_enter < t_exit) of an oriented line."""
-        p, v = line.point, line.direction
+    def _crossing_brackets(self, p, v):
+        """Sign-change brackets (lo, hi, f_lo, f_hi) of the entry and the
+        exit crossing of the line p + t v."""
         R = self.bounding_radius()
         b = float(np.dot(p, v))
         disc = b * b + R * R * 1.1 - float(np.dot(p, p))
@@ -332,8 +360,8 @@ class ConvexBody:
         idx = np.nonzero(vals < 0.0)[0]
         if len(idx):
             i, j = idx[0], idx[-1]
-            return (self._root_on_line(p, v, grid[i - 1], grid[i], vals[i - 1], vals[i]),
-                    self._root_on_line(p, v, grid[j], grid[j + 1], vals[j], vals[j + 1]))
+            return ((grid[i - 1], grid[i], vals[i - 1], vals[i]),
+                    (grid[j], grid[j + 1], vals[j], vals[j + 1]))
         # the grid can step over a thin body; F is quasiconvex along the
         # line, so its minimum is where the slope of F changes sign
         try:
@@ -343,13 +371,19 @@ class ConvexBody:
         fm = float(self.implicit(p + tm * v))
         if fm >= 0.0:
             raise DomainError("line misses the body")
-        return (self._root_on_line(p, v, t0, tm, f_hi=fm),
-                self._root_on_line(p, v, tm, t1, f_lo=fm))
+        return (t0, tm, None, fm), (tm, t1, fm, None)
+
+    def line_intersections(self, line: OrientedLine):
+        """Entry and exit parameters (t_enter < t_exit) of an oriented line."""
+        p, v = line.point, line.direction
+        enter, exit_ = self._crossing_brackets(p, v)
+        return self._root_on_line(p, v, *enter), self._root_on_line(p, v, *exit_)
 
     def last_intersection(self, line: OrientedLine):
         """Last boundary point met by the oriented line (its exit point)."""
-        _, t_exit = self.line_intersections(line)
-        return line.at(t_exit)
+        p, v = line.point, line.direction
+        _, exit_ = self._crossing_brackets(p, v)
+        return line.at(self._root_on_line(p, v, *exit_))
 
     # -- volume ---------------------------------------------------------------
 
@@ -425,6 +459,16 @@ class Ellipsoid(ConvexBody):
     def support_point(self, u):
         return self.gauss_inverse(u)
 
+    def support_hess(self, u):
+        u = np.asarray(u, dtype=float)
+        w = self.A_inv @ u
+        h = math.sqrt(float(u @ w))
+        return self.A_inv / h - np.outer(w, w) / h ** 3
+
+    def _boundary_in_direction(self, s):
+        s = np.asarray(s, dtype=float)
+        return s / math.sqrt(float(s @ self.A @ s))
+
     def chord_second_intersection(self, a, d):
         a = self._require_boundary(a)
         d = _unit(d)
@@ -443,6 +487,9 @@ class Ellipsoid(ConvexBody):
             raise DomainError("line misses the ellipsoid")
         r = math.sqrt(disc)
         return (-qb - r) / qa, (-qb + r) / qa
+
+    def last_intersection(self, line: OrientedLine):
+        return line.at(self.line_intersections(line)[1])
 
     def volume(self, **_):
         unit_ball = math.pi ** (self.dim / 2.0) / math.gamma(self.dim / 2.0 + 1.0)
@@ -505,6 +552,10 @@ class Superellipse(ConvexBody):
     def implicit_hess(self, x):
         x = np.asarray(x, dtype=float)
         y = np.abs(x / self.a)
+        if self.m < 2.0:
+            # infinite on the axes, where the curvature is; the floor on
+            # |y_i| keeps it finite (and large)
+            y = np.maximum(y, EPS)
         return np.diag(self.m * (self.m - 1.0) / self.a ** 2 * y ** (self.m - 2.0))
 
     def bounding_radius(self):
@@ -524,6 +575,23 @@ class Superellipse(ConvexBody):
 
     def support_point(self, u):
         return self.gauss_inverse(u)
+
+    def support_hess(self, u):
+        # h = ||y||_q with y = a u and q = m / (m - 1); for m > 2 the Hessian
+        # is infinite at the flat normals (y_i = 0), where the floor on |y_i|
+        # keeps it finite
+        q = self.m / (self.m - 1.0)
+        y = self.a * np.asarray(u, dtype=float)
+        ay = np.abs(y)
+        h = float(np.sum(ay ** q)) ** (1.0 / q)
+        sig = np.sign(y) * ay ** (q - 1.0)
+        diag = np.maximum(ay, EPS * h) ** (q - 2.0) * h ** q
+        H = (q - 1.0) * h ** (1.0 - 2.0 * q) * (np.diag(diag) - np.outer(sig, sig))
+        return H * np.outer(self.a, self.a)
+
+    def _boundary_in_direction(self, s):
+        s = np.asarray(s, dtype=float)
+        return s / float(np.sum(np.abs(s / self.a) ** self.m)) ** (1.0 / self.m)
 
     def volume(self, **_):
         g = math.gamma(1.0 + 1.0 / self.m)
@@ -595,6 +663,36 @@ class Superellipse(ConvexBody):
         return ws[0] * scale, ws[1] * scale
 
 
+class TrigSeries:
+    """f(theta) = c_0 + sum_k (c_k cos k theta + s_k sin k theta).
+
+    The radial function of RadialBody2D and the support function of
+    SupportBody2D; ``jet`` gives f, f' and f'' from one cos/sin pass.
+    """
+
+    def __init__(self, cos_coeffs, sin_coeffs=()):
+        cc = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
+        sc = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
+        n = max(len(cc), len(sc))
+        self.cc = np.concatenate([cc, np.zeros(n - len(cc))])
+        self.sc = np.concatenate([sc, np.zeros(n - len(sc))])
+        k = np.arange(n, dtype=float)
+        # columns: f, f', f'' as combinations of cos k theta and sin k theta
+        self._on_cos = np.stack([self.cc, k * self.sc, -k * k * self.cc], axis=1)
+        self._on_sin = np.stack([self.sc, -k * self.cc, -k * k * self.sc], axis=1)
+        self._k = k
+
+    def jet(self, theta):
+        """(f, f', f'') at theta (vectorized)."""
+        kt = np.asarray(theta, dtype=float)[..., None] * self._k
+        out = np.cos(kt) @ self._on_cos + np.sin(kt) @ self._on_sin
+        return out[..., 0], out[..., 1], out[..., 2]
+
+    def __call__(self, theta, order=0):
+        """d^order/dtheta^order of f at theta, for order 0, 1 or 2."""
+        return self.jet(theta)[order]
+
+
 class RadialBody2D(ConvexBody):
     """Planar body with trigonometric-polynomial radial function.
 
@@ -607,11 +705,7 @@ class RadialBody2D(ConvexBody):
     dim = 2
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
-        self.cc = np.asarray(cos_coeffs, dtype=float)
-        sc = np.asarray(sin_coeffs, dtype=float)
-        if len(sc) < len(self.cc):
-            sc = np.concatenate([sc, np.zeros(len(self.cc) - len(sc))])
-        self.sc = sc
+        self.radial = TrigSeries(cos_coeffs, sin_coeffs)
         rs = self.radial(np.linspace(0, 2 * math.pi, 720, endpoint=False))
         if np.min(rs) <= 0.0:
             raise DomainError("radial function must be positive")
@@ -620,40 +714,25 @@ class RadialBody2D(ConvexBody):
         if np.min(ks) <= 0.0:
             raise ConvexityViolationError("radial body is not convex")
 
-    def radial(self, theta, order=0):
-        """d^order/dtheta^order of r at theta (vectorized)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta, dtype=float)
-        for k in range(len(self.cc)):
-            kk = float(k)
-            phase = order * math.pi / 2.0
-            if k == 0:
-                out = out + (self.cc[0] if order == 0 else 0.0)
-                continue
-            out = out + self.cc[k] * kk ** order * np.cos(kk * theta + phase)
-            out = out + self.sc[k] * kk ** order * np.sin(kk * theta + phase)
-        return out
-
     def boundary_point(self, theta):
         r = self.radial(theta)
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
     def boundary_curvature(self, theta):
-        r = self.radial(theta)
-        r1 = self.radial(theta, 1)
-        r2 = self.radial(theta, 2)
+        r, r1, r2 = self.radial.jet(theta)
         return (r * r + 2 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
     def position_jet(self, theta, order=5):
         """Taylor jets of the parametrized boundary at theta."""
         t = Taylor1D.variable(theta, order)
         r = Taylor1D.constant(0.0, order)
-        for k in range(len(self.cc)):
+        cc, sc = self.radial.cc, self.radial.sc
+        for k in range(len(cc)):
             if k == 0:
-                r = r + self.cc[0]
+                r = r + cc[0]
             else:
                 kt = t * float(k)
-                r = r + kt.cos() * self.cc[k] + kt.sin() * self.sc[k]
+                r = r + kt.cos() * cc[k] + kt.sin() * sc[k]
         return r * t.cos(), r * t.sin()
 
     def implicit(self, x):
@@ -665,20 +744,16 @@ class RadialBody2D(ConvexBody):
     def implicit_grad(self, x):
         x = np.asarray(x, dtype=float)
         rho = float(np.linalg.norm(x))
-        theta = math.atan2(x[1], x[0])
         e_r = x / rho
-        e_t = rot90(e_r)
-        r1 = float(self.radial(np.array(theta), 1))
-        return e_r - (r1 / rho) * e_t
+        r1 = float(self.radial(math.atan2(x[1], x[0]), 1))
+        return e_r - (r1 / rho) * rot90(e_r)
 
     def implicit_hess(self, x):
         x = np.asarray(x, dtype=float)
         rho = float(np.linalg.norm(x))
-        theta = math.atan2(x[1], x[0])
+        _, r1, r2 = self.radial.jet(math.atan2(x[1], x[0]))
         e_r = (x / rho).reshape(2, 1)
         e_t = rot90(x / rho).reshape(2, 1)
-        r1 = float(self.radial(np.array(theta), 1))
-        r2 = float(self.radial(np.array(theta), 2))
         H = (e_t @ e_t.T) / rho
         H = H - (r2 / rho ** 2) * (e_t @ e_t.T)
         H = H + (r1 / rho ** 2) * (e_r @ e_t.T + e_t @ e_r.T)
@@ -689,7 +764,7 @@ class RadialBody2D(ConvexBody):
 
     def _boundary_in_direction(self, s):
         s = _unit(s)
-        return float(self.radial(np.array(math.atan2(s[1], s[0])))) * s
+        return float(self.radial(math.atan2(s[1], s[0]))) * s
 
     def gauss_inverse(self, u):
         # the normal azimuth theta - arctan(r'/r) is strictly increasing in
@@ -697,16 +772,14 @@ class RadialBody2D(ConvexBody):
         # target +- pi/2 brackets the root: gap < 0 below it, > 0 above it
         u = _unit(u)
         target = math.atan2(u[1], u[0])
+        jet = functools.lru_cache(maxsize=1)(self.radial.jet)  # gap, then dgap
 
         def gap(theta):
-            r = float(self.radial(np.array(theta)))
-            r1 = float(self.radial(np.array(theta), 1))
+            r, r1, _ = jet(theta)
             return theta - math.atan2(r1, r) - target
 
         def dgap(theta):
-            r = float(self.radial(np.array(theta)))
-            r1 = float(self.radial(np.array(theta), 1))
-            r2 = float(self.radial(np.array(theta), 2))
+            r, r1, r2 = jet(theta)
             return 1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1)
 
         theta = find_root(gap, target - math.pi / 2, target + math.pi / 2,
@@ -729,45 +802,29 @@ class SupportBody2D(ConvexBody):
     dim = 2
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
-        self.cc = np.asarray(cos_coeffs, dtype=float)
-        sc = np.asarray(sin_coeffs, dtype=float)
-        if len(sc) < len(self.cc):
-            sc = np.concatenate([sc, np.zeros(len(self.cc) - len(sc))])
-        self.sc = sc
-        grid = np.linspace(0, 2 * math.pi, 720, endpoint=False)
-        h = self.h(grid)
-        rho = h + self.h(grid, 2)
+        self.h = TrigSeries(cos_coeffs, sin_coeffs)
+        h, _, h2 = self.h.jet(np.linspace(0, 2 * math.pi, 720, endpoint=False))
         if np.min(h) <= 0.0:
             raise OriginNotInteriorError("support function must be positive")
-        if np.min(rho) <= 0.0:
+        if np.min(h + h2) <= 0.0:
             raise ConvexityViolationError("support body has h + h'' <= 0")
         self._radius = float(np.max(h)) * 1.0001
-
-    def h(self, theta, order=0):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta, dtype=float)
-        for k in range(len(self.cc)):
-            if k == 0:
-                out = out + (self.cc[0] if order == 0 else 0.0)
-                continue
-            kk = float(k)
-            phase = order * math.pi / 2.0
-            out = out + self.cc[k] * kk ** order * np.cos(kk * theta + phase)
-            out = out + self.sc[k] * kk ** order * np.sin(kk * theta + phase)
-        return out
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
         nu = np.linalg.norm(u)
-        theta = math.atan2(u[1], u[0])
-        return nu * float(self.h(np.array(theta)))
+        return nu * float(self.h(math.atan2(u[1], u[0])))
 
     def support_point(self, u):
         u = _unit(u)
-        theta = math.atan2(u[1], u[0])
-        h = float(self.h(np.array(theta)))
-        h1 = float(self.h(np.array(theta), 1))
+        h, h1, _ = self.h.jet(math.atan2(u[1], u[0]))
         return h * u + h1 * rot90(u)
+
+    def support_hess(self, u):
+        u = np.asarray(u, dtype=float)
+        h, _, h2 = self.h.jet(math.atan2(u[1], u[0]))
+        t = rot90(u) / np.linalg.norm(u)
+        return (h + h2) * np.outer(t, t) / np.linalg.norm(u)
 
     def gauss_inverse(self, u):
         return self.support_point(u)
@@ -778,10 +835,9 @@ class SupportBody2D(ConvexBody):
         g = x[0] * np.cos(grid) + x[1] * np.sin(grid) - self.h(grid)
         theta = grid[int(np.argmax(g))]
         for _ in range(60):
-            g1 = -x[0] * math.sin(theta) + x[1] * math.cos(theta) \
-                - float(self.h(np.array(theta), 1))
-            g2 = -x[0] * math.cos(theta) - x[1] * math.sin(theta) \
-                - float(self.h(np.array(theta), 2))
+            _, h1, h2 = self.h.jet(theta)
+            g1 = -x[0] * math.sin(theta) + x[1] * math.cos(theta) - h1
+            g2 = -x[0] * math.cos(theta) - x[1] * math.sin(theta) - h2
             if g2 >= -1e-14:
                 break
             step = g1 / g2
@@ -795,7 +851,7 @@ class SupportBody2D(ConvexBody):
         if x.ndim == 1:
             theta = self._argmax_angle(x)
             return (x[0] * math.cos(theta) + x[1] * math.sin(theta)
-                    - float(self.h(np.array(theta))))
+                    - float(self.h(theta)))
         return np.array([self.implicit(row) for row in x])
 
     def implicit_grad(self, x):
@@ -805,8 +861,8 @@ class SupportBody2D(ConvexBody):
     def implicit_hess(self, x):
         theta = self._argmax_angle(np.asarray(x, dtype=float))
         u_t = np.array([-math.sin(theta), math.cos(theta)]).reshape(2, 1)
-        rho = float(self.h(np.array(theta))) + float(self.h(np.array(theta), 2))
-        return (u_t @ u_t.T) / rho
+        h, _, h2 = self.h.jet(theta)
+        return (u_t @ u_t.T) / (h + h2)
 
     def bounding_radius(self):
         return self._radius
@@ -848,6 +904,14 @@ class LinearImageBody(ConvexBody):
     def support_point(self, u):
         return self.gauss_inverse(u)
 
+    def support_hess(self, u):
+        H = self.base.support_hess(self.B.T @ np.asarray(u, dtype=float))
+        return self.B @ H @ self.B.T
+
+    def _boundary_in_direction(self, s):
+        s = np.asarray(s, dtype=float)
+        return self.B @ self.base._boundary_in_direction(self.B_inv @ s)
+
     def volume(self, **kw):
         return abs(float(np.linalg.det(self.B))) * self.base.volume(**kw)
 
@@ -878,15 +942,15 @@ class PolarBody(ConvexBody):
         return self.base.support_point(np.asarray(x, dtype=float))
 
     def implicit_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        n = self.dim
-        H = np.zeros((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            H[:, i] = (self.implicit_grad(x + e) - self.implicit_grad(x - e)) / (2 * h)
-        return 0.5 * (H + H.T)
+        return self.base.support_hess(x)
+
+    def support_hess(self, u):
+        # the support function of the polar is the gauge of the base
+        return self.base.gauge_hess(u)
+
+    def _boundary_in_direction(self, s):
+        s = np.asarray(s, dtype=float)
+        return s / self.base.support(s)
 
     def gauss_inverse(self, u):
         # Legendre involutivity: the polar boundary point with exterior

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiardlab as bl
+from billiardlab import bodies as bodies_module
 from billiardlab.bodies import ConvexBody, body_from_text
 from billiardlab.errors import (
     BoundaryMembershipError,
@@ -509,3 +510,117 @@ def test_body_file_errors_carry_line_numbers():
         body_from_text("kind = ellipsoid\ndim = nope\nmatrix = 1 0 0 1")
     with pytest.raises(BodyFileError, match="experiment|kind"):
         body_from_text("dim = 2")
+
+
+def test_last_intersection_solves_one_crossing(monkeypatch):
+    # the exit point needs one root solve, not the entry crossing as well
+    body = bl.Superellipse(3.5)
+    calls = []
+    real = bodies_module.find_root
+    monkeypatch.setattr(bodies_module, "find_root",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(3)
+    lines = [bl.OrientedLine(0.3 * rng.normal(size=2), rng.normal(size=2))
+             for _ in range(20)]
+    for line in lines:
+        q = body.last_intersection(line)
+        assert abs(body.implicit(q)) <= 1e-12
+        assert np.isclose(np.dot(q - line.point, line.direction),
+                          body.line_intersections(line)[1], atol=1e-12)
+    assert len(calls) == 20 + 2 * 20
+
+
+# ---------------------------------------------------------------------------
+# radial boundary points, support and gauge Hessians
+# ---------------------------------------------------------------------------
+
+def _hessian_bodies():
+    radial = bl.RadialBody2D([1.0, 0.0, 0.06, 0.02], [0.0, 0.03, 0.0, 0.01])
+    return [
+        bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])),
+        bl.Superellipse(3.0, semiaxes=[1.0, 0.6]),
+        bl.Superellipse(1.5, semiaxes=[1.0, 1.6]),
+        radial,
+        bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]),
+        bl.LinearImageBody(bl.Superellipse(4.0), np.array([[1.1, 0.25], [0.05, 0.9]])),
+        bl.PolarBody(radial),
+        bl.Ellipsoid(np.diag([1.0, 1.5625, 2.7778])),
+        bl.Superellipse(4.0, semiaxes=[1.0, 0.8, 1.2]),
+    ]
+
+
+@pytest.mark.parametrize("body", _hessian_bodies(), ids=lambda b: type(b).__name__)
+def test_boundary_in_direction_closed_forms_match_generic(body):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        s = rng.normal(size=body.dim)
+        p = body._boundary_in_direction(s)
+        generic = ConvexBody._boundary_in_direction(body, s)
+        assert np.allclose(p, generic, atol=1e-12)
+        assert np.linalg.norm(np.cross(p, s) if body.dim == 3
+                              else p[0] * s[1] - p[1] * s[0]) <= 1e-12
+        assert np.dot(p, s) > 0.0
+
+
+@pytest.mark.parametrize("body", _hessian_bodies(), ids=lambda b: type(b).__name__)
+def test_support_and_gauge_hessians_match_finite_differences(body):
+    # grad h is the support point; grad g on the ray of x is
+    # grad F / <grad F, p> at the boundary point p
+    def gauge_grad(x):
+        p = body._boundary_in_direction(x)
+        g = body.implicit_grad(p)
+        return g / float(g @ p)
+
+    rng = np.random.default_rng(18)
+    h = 1e-6
+    for _ in range(4):
+        u = rng.normal(size=body.dim)
+        for hess, grad in ((body.support_hess, body.support_point),
+                           (body.gauge_hess, gauge_grad)):
+            H = hess(u)
+            fd = np.column_stack([(grad(u + h * e) - grad(u - h * e)) / (2 * h)
+                                  for e in np.eye(body.dim)])
+            assert np.allclose(H, H.T, atol=1e-12)
+            assert np.allclose(H, fd, atol=1e-7 * max(1.0, np.max(np.abs(fd))))
+            # 1-homogeneous functions: the Hessian annihilates the point
+            assert np.linalg.norm(H @ u) <= 1e-9 * np.linalg.norm(H) * np.linalg.norm(u)
+
+
+def test_support_and_implicit_hessians_finite_on_the_axes():
+    # for exponent > 2 the support Hessian is infinite at the axis normals,
+    # and for exponent < 2 the Hessian of F is infinite at the axis points;
+    # both are reported as large but finite, without a floating-point warning
+    with np.errstate(all="raise"):
+        H = bl.Superellipse(4.0).support_hess(np.array([0.0, 2.0]))
+        H_F = bl.Superellipse(1.5).implicit_hess(np.array([1.0, 0.0]))
+    for M, i in ((H, 0), (H_F, 1)):
+        assert np.all(np.isfinite(M))
+        assert M[i, i] > 1e6
+
+
+def test_polar_body_implicit_hess_is_base_support_hessian():
+    # F = h_K - 1 on the polar of the ellipsoid {<Ax, x> <= 1}:
+    # grad^2 h_K(x) = M/h - M x x^T M / h^3 with M = A^-1, h = sqrt(x^T M x)
+    A = np.array([[0.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 2.0]])
+    polar = bl.PolarBody(bl.Ellipsoid(A))
+    M = np.linalg.inv(A)
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        x = rng.normal(size=3)
+        h = math.sqrt(x @ M @ x)
+        expected = M / h - np.outer(M @ x, M @ x) / h ** 3
+        assert np.allclose(polar.implicit_hess(x), expected, atol=1e-13)
+
+
+def test_trig_series_jet_matches_finite_differences():
+    f = bodies_module.TrigSeries([1.0, 0.1, 0.05, 0.0, 0.01], [0.0, 0.02, 0.0, 0.03])
+    theta = np.linspace(-3.0, 3.0, 13)
+    r, r1, r2 = f.jet(theta)
+    h = 1e-5
+    assert np.allclose(r1, (f(theta + h) - f(theta - h)) / (2 * h), atol=1e-9)
+    assert np.allclose(r2, (f(theta + h, 1) - f(theta - h, 1)) / (2 * h), atol=1e-9)
+    expected = (1.0 + 0.1 * np.cos(theta) + 0.05 * np.cos(2 * theta)
+                + 0.01 * np.cos(4 * theta) + 0.02 * np.sin(theta)
+                + 0.03 * np.sin(3 * theta))
+    assert np.allclose(r, expected, atol=1e-15)
+    assert float(f(0.4)) == pytest.approx(float(f(np.array([0.4]))[0]), abs=1e-16)

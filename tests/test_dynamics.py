@@ -1,11 +1,13 @@
 """Orbit iteration, lifted orbits, closed-orbit search, capacities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import billiardlab as bl
+from billiardlab import dynamics
 from billiardlab.errors import DomainError, PreconditionError
 
 from conftest import random_line
@@ -309,3 +311,146 @@ def test_viterbo_ratio_disk(disk):
 def test_finsler_length_uses_support_function(ellipse):
     v = np.array([0.7, -0.2])
     assert abs(bl.finsler_length(ellipse, v) - ellipse.support(v)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# closed_orbit_search: exact derivatives in the radial chart
+# ---------------------------------------------------------------------------
+
+def _symmetric_bodies():
+    """Centrally symmetric bodies of every family the capacity gate covers."""
+    return {
+        "ellipse": bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])),
+        "superellipse4": bl.Superellipse(4.0),
+        "superellipse3": bl.Superellipse(3.0, semiaxes=[1.0, 0.6]),
+        # the polar of Superellipse(4): infinite curvature on the axes
+        "superellipse4_polar": bl.Superellipse(4.0 / 3.0),
+        "radial": bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02], [0.0, 0.0, 0.02]),
+        "linear": bl.LinearImageBody(bl.Superellipse(4.0),
+                                     np.array([[1.1, 0.25], [0.05, 0.9]])),
+        "ellipsoid3": bl.Ellipsoid(np.diag(1.0 / np.array([1.0, 0.8, 0.6]) ** 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_symmetric_bodies()))
+def test_capacity_of_body_times_polar_is_four(name):
+    # c(K x K polar) = 4 for centrally symmetric K (Artstein-Avidan,
+    # Karasev, Ostrover 2014), attained by a two-bounce orbit
+    K = _symmetric_bodies()[name]
+    T = bl.polar_dual(K)
+    report = bl.capacity_estimate(K, T, K.dim + 1, multistarts=4)
+    assert abs(report.value - 4.0) <= 1e-6
+    scale = max(T.support(np.eye(K.dim)[0]), 1.0)
+    for m, action, stationarity in report.table:
+        assert action >= 4.0 - 1e-6, m
+        assert stationarity <= 1e-12 * scale * K.diameter(), m
+
+
+def _mp_symmetric_three_bounce_action(m, b):
+    """Stationary action of the 3-bounce orbit of Superellipse(m, [1, b])
+    with T its polar that has a vertex at (1, 0), by 40-digit arithmetic.
+
+    T-lengths are the K-gauge ||(dx, dy/b)||_m; the other two vertices are
+    (x, +-y) with x = -(1 - (y/b)^m)^(1/m).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        m, b = mp.mpf(m), mp.mpf(b)
+
+        def action(y):
+            x = -(1 - (y / b) ** m) ** (1 / m)
+            return 2 * (abs(x - 1) ** m + (y / b) ** m) ** (1 / m) + 2 * y / b
+
+        y = mp.findroot(lambda y: mp.diff(action, y), 0.8 * b)
+        return float(action(y))
+
+
+@pytest.mark.parametrize("m, b, multistarts, expected", [
+    (3.0, 0.6, 2, 5.28831939211420),
+    (4.0, 1.0, 4, 5.40531445438394),
+])
+def test_three_bounce_orbit_through_flat_point(m, b, multistarts, expected):
+    # the minimal 3-bounce orbit has a vertex at the flat point (1, 0),
+    # where the Gauss-angle chart is singular and the radial chart is not
+    reference = _mp_symmetric_three_bounce_action(m, b)
+    assert abs(reference - expected) <= 1e-13
+    K = bl.Superellipse(m, semiaxes=[1.0, b])
+    orbit = bl.closed_orbit_search(K, bl.polar_dual(K), 3, multistarts=multistarts)
+    assert orbit.status == "ok"
+    assert abs(orbit.action - reference) <= 1e-12 * reference
+    assert orbit.stationarity <= 1e-12
+
+
+def _stationarity_system(K, T, m, rng):
+    n_angles = K.dim - 1
+    angles = (0.3 + 2.0 * math.pi * np.arange(m) / m).reshape(m, 1)
+    if n_angles == 2:
+        angles = np.column_stack([angles[:, 0], rng.uniform(0.5, 2.6, size=m)])
+    frames, x0 = dynamics._seed_charts(K, angles)
+    return dynamics._StationaritySystem(K, T, frames), x0
+
+
+JACOBIAN_PAIRS = {
+    "ellipse": lambda: (bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])), None),
+    "superellipse": lambda: (bl.Superellipse(3.0, semiaxes=[1.0, 0.6]), None),
+    "radial": lambda: (bl.RadialBody2D([1.0, 0.0, 0.06, 0.0, 0.01],
+                                       [0.0, 0.0, 0.02]), None),
+    "linear": lambda: (bl.LinearImageBody(bl.Superellipse(4.0),
+                                          np.array([[1.1, 0.25], [0.05, 0.9]])), None),
+    "support": lambda: (bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]),
+                        bl.Ellipsoid(np.diag([1.0, 2.0]))),
+    "ellipsoid3": lambda: (bl.Ellipsoid(np.diag([1.0, 1.5625, 2.7778])), None),
+    "superellipse3d": lambda: (bl.Superellipse(4.0, dim=3), bl.Ball(1.0, dim=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_PAIRS))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_exact_jacobian_matches_central_differences(name, m):
+    K, T = JACOBIAN_PAIRS[name]()
+    T = bl.polar_dual(K) if T is None else T
+    rng = np.random.default_rng(60 + m)
+    system, x0 = _stationarity_system(K, T, m, rng)
+    x = x0 + rng.normal(scale=0.1, size=x0.shape)
+    jac = system.jacobian(x)
+    h = 1e-6
+    fd = np.empty_like(jac)
+    for j in range(len(x)):
+        e = np.zeros(len(x))
+        e[j] = h
+        fd[:, j] = (system.residual(x + e) - system.residual(x - e)) / (2 * h)
+    assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(fd))
+    # the Jacobian is the Hessian of the action in the chart angles
+    assert np.max(np.abs(jac - jac.T)) <= 1e-12 * np.max(np.abs(jac))
+
+
+def test_jacobian_finite_at_flat_normals_of_T():
+    # grad^2 h_T is infinite where a chord is parallel to a flat normal of
+    # T = Superellipse(4); the solver must still see finite numbers
+    K, T = bl.Ball(1.0), bl.Superellipse(4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for phis in ([math.pi / 2, -math.pi / 2], [0.0, 2.0, -2.0]):
+            m = len(phis)
+            system = dynamics._StationaritySystem(K, T, [np.eye(2)] * m)
+            assert np.all(np.isfinite(system.residual(np.array(phis))))
+            assert np.all(np.isfinite(system.jacobian(np.array(phis))))
+        orbit = bl.closed_orbit_search(K, T, 3)
+    assert orbit.status == "ok"
+    assert orbit.stationarity <= 1e-12 * K.diameter()
+
+
+def test_stationarity_is_the_reflection_law_defect(ellipse):
+    # Orbit.stationarity is chart-free: the tangential part of
+    # t_{i-1} - t_i at every vertex, t_i the touching point of T
+    T = bl.Ellipsoid(np.diag([1.0, 2.0]))
+    orbit = bl.closed_orbit_search(ellipse, T, 3, multistarts=4)
+    qs = orbit.points
+    touch = np.array([T.support_point(qs[(i + 1) % 3] - qs[i]) for i in range(3)])
+    worst = 0.0
+    for i in range(3):
+        n = ellipse.exterior_normal(qs[i])
+        w = touch[i - 1] - touch[i]
+        worst = max(worst, float(np.linalg.norm(w - np.dot(w, n) * n)))
+    assert orbit.stationarity == pytest.approx(worst, abs=1e-15)
+    assert orbit.stationarity <= 1e-12
