@@ -56,7 +56,7 @@ print()
 print("=== 4. Minkowski-Finsler reflection: two equivalent laws ===")
 I = bl.Ellipsoid(np.array([[0.8, 0.1], [0.1, 1.4]]))  # indicatrix
 mirror = np.array([0.3, 1.0]) / np.linalg.norm([0.3, 1.0])
-u = bl.reflection._boundary_of(I, np.array([0.9, -0.4]))
+u = I._boundary_in_direction(np.array([0.9, -0.4]))
 v_legendre = bl.finsler_reflect_legendre(I, mirror, u)
 v_concurrent = bl.finsler_reflect_concurrency(I, mirror, u)
 print("Legendre law   ", np.round(v_legendre, 9))

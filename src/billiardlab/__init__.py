@@ -20,14 +20,9 @@ from .bodies import (
     Superellipse,
     SupportBody2D,
     body_from_text,
-    chord_second_intersection,
-    exterior_normal,
-    gauss_inverse,
     legendre_point,
     load_body,
     polar_dual,
-    second_fundamental_form,
-    support_function,
     unit_vector,
 )
 from .dynamics import (

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     OriginNotInteriorError,
 )
-from .jets import EPS, MPoly, Taylor1D
+from .jets import EPS, JET_ORDER, MPoly, Taylor1D
 from .solvers import find_root
 
 # tolerances used by the generic solvers
@@ -40,6 +40,10 @@ GAUSS_MAX_ITER = 100
 CHORD_MARCH_FRACTION = 1e-2
 TANGENCY_FRACTION = 1e-6
 BOUNDARY_TOL = 1e-8
+SYMMETRY_TOL = 1e-9  # mirror_symmetric, relative to the bounding radius
+# quasi-Monte Carlo volume above dimension two: Halton points and seed
+VOLUME_SAMPLES = 2 ** 17
+VOLUME_SEED = 0
 
 
 def _unit(v):
@@ -120,9 +124,6 @@ class OrientedLine:
     def at(self, t):
         return self.point + t * self.direction
 
-    def reversed(self):
-        return OrientedLine(self.point, -self.direction)
-
 
 class ConvexBody:
     """Base class: generic algorithms over the implicit representation."""
@@ -153,9 +154,6 @@ class ConvexBody:
 
     def contains(self, x):
         return bool(self.implicit(np.asarray(x, dtype=float)) < 0.0)
-
-    def boundary_residual(self, p):
-        return float(self.implicit(np.asarray(p, dtype=float)))
 
     def _require_boundary(self, p, tol=BOUNDARY_TOL):
         p = np.asarray(p, dtype=float)
@@ -275,7 +273,7 @@ class ConvexBody:
 
     def support_point(self, u):
         """The boundary point attaining the support value in direction u."""
-        return self.gauss_inverse(_unit(u))
+        return self.gauss_inverse(u)
 
     def support_hess(self, u):
         """Hessian of h at u != 0: the inverse shape operator at the support
@@ -387,28 +385,22 @@ class ConvexBody:
 
     # -- volume ---------------------------------------------------------------
 
-    def volume(self, n_samples=2 ** 17, seed=0):
+    def volume(self):
         """Generic volume: boundary quadrature in 2D, quasi-Monte Carlo
-        indicator integration in higher dimension."""
+        indicator integration (VOLUME_SAMPLES, VOLUME_SEED) above."""
         if self.dim == 2:
             thetas = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
             pts = np.array([self.gauss_inverse(np.array([math.cos(t), math.sin(t)]))
                             for t in thetas])
-
-            def shoelace(P):
-                x, y = P[:, 0], P[:, 1]
-                xn, yn = np.roll(x, -1), np.roll(y, -1)
-                return float(0.5 * np.sum(x * yn - xn * y))
-
             # inscribed-polygon area has an O(N^-2) defect; extrapolate it out
-            fine = shoelace(pts)
-            coarse = shoelace(pts[::2])
+            fine = Polygon2D._signed_area(pts)
+            coarse = Polygon2D._signed_area(pts[::2])
             return (4.0 * fine - coarse) / 3.0
         from scipy.stats import qmc
 
         R = self.bounding_radius()
-        sampler = qmc.Halton(d=self.dim, scramble=True, seed=seed)
-        pts = (sampler.random(n_samples) * 2.0 - 1.0) * R
+        sampler = qmc.Halton(d=self.dim, scramble=True, seed=VOLUME_SEED)
+        pts = (sampler.random(VOLUME_SAMPLES) * 2.0 - 1.0) * R
         frac = float(np.mean(self.implicit(pts) < 0.0))
         return frac * (2.0 * R) ** self.dim
 
@@ -456,9 +448,6 @@ class Ellipsoid(ConvexBody):
         u = np.asarray(u, dtype=float)
         return math.sqrt(float(u @ self.A_inv @ u))
 
-    def support_point(self, u):
-        return self.gauss_inverse(u)
-
     def support_hess(self, u):
         u = np.asarray(u, dtype=float)
         w = self.A_inv @ u
@@ -491,15 +480,15 @@ class Ellipsoid(ConvexBody):
     def last_intersection(self, line: OrientedLine):
         return line.at(self.line_intersections(line)[1])
 
-    def volume(self, **_):
+    def volume(self):
         unit_ball = math.pi ** (self.dim / 2.0) / math.gamma(self.dim / 2.0 + 1.0)
         return unit_ball / math.sqrt(float(np.linalg.det(self.A)))
 
-    def position_jet(self, theta, order=5):
-        """Taylor jets of the Gauss-angle boundary parametrization (2D)."""
+    def position_jet(self, theta):
+        """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization."""
         if self.dim != 2:
             raise DomainError("position_jet is a planar parametrization")
-        t = Taylor1D.variable(float(theta), order)
+        t = Taylor1D.variable(float(theta), JET_ORDER)
         c, s = t.cos(), t.sin()
         wx = c * self.A_inv[0, 0] + s * self.A_inv[0, 1]
         wy = c * self.A_inv[1, 0] + s * self.A_inv[1, 1]
@@ -573,9 +562,6 @@ class Superellipse(ConvexBody):
         q = self.m / (self.m - 1.0)
         return float(np.sum(np.abs(self.a * u) ** q) ** (1.0 / q))
 
-    def support_point(self, u):
-        return self.gauss_inverse(u)
-
     def support_hess(self, u):
         # h = ||y||_q with y = a u and q = m / (m - 1); for m > 2 the Hessian
         # is infinite at the flat normals (y_i = 0), where the floor on |y_i|
@@ -593,7 +579,7 @@ class Superellipse(ConvexBody):
         s = np.asarray(s, dtype=float)
         return s / float(np.sum(np.abs(s / self.a) ** self.m)) ** (1.0 / self.m)
 
-    def volume(self, **_):
+    def volume(self):
         g = math.gamma(1.0 + 1.0 / self.m)
         gn = math.gamma(1.0 + self.dim / self.m)
         return float(np.prod(2.0 * self.a)) * g ** self.dim / gn
@@ -638,15 +624,15 @@ class Superellipse(ConvexBody):
             raise DegenerateChordError("tangential chord on superellipse")
         return a + t * d
 
-    def position_jet(self, theta, order=5):
-        """Taylor jets of the Gauss-angle boundary parametrization (2D).
+    def position_jet(self, theta):
+        """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.
 
         Valid away from the axis directions, where the normal components
         vanish and the fractional power loses smoothness.
         """
         if self.dim != 2:
             raise DomainError("position_jet is a planar parametrization")
-        t = Taylor1D.variable(float(theta), order)
+        t = Taylor1D.variable(float(theta), JET_ORDER)
         comps = [t.cos(), t.sin()]
         if any(abs(c.value) < 1e-8 for c in comps):
             raise DomainError("superellipse jets degenerate on the axes")
@@ -655,7 +641,7 @@ class Superellipse(ConvexBody):
             s = 1.0 if u_i.value > 0 else -1.0
             ws.append((u_i * (s * a_i)).pow(1.0 / (self.m - 1.0)) * (s * a_i))
         # sum |w_i/a_i|^m, with signs handled through the positive base
-        total = Taylor1D.constant(0.0, order)
+        total = Taylor1D.constant(0.0, JET_ORDER)
         for w_i, a_i in zip(ws, self.a):
             s = 1.0 if w_i.value > 0 else -1.0
             total = total + (w_i * (s / a_i)).pow(self.m)
@@ -722,10 +708,10 @@ class RadialBody2D(ConvexBody):
         r, r1, r2 = self.radial.jet(theta)
         return (r * r + 2 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
-    def position_jet(self, theta, order=5):
-        """Taylor jets of the parametrized boundary at theta."""
-        t = Taylor1D.variable(theta, order)
-        r = Taylor1D.constant(0.0, order)
+    def position_jet(self, theta):
+        """JET_ORDER Taylor jets of the parametrized boundary at theta."""
+        t = Taylor1D.variable(theta, JET_ORDER)
+        r = Taylor1D.constant(0.0, JET_ORDER)
         cc, sc = self.radial.cc, self.radial.sc
         for k in range(len(cc)):
             if k == 0:
@@ -901,9 +887,6 @@ class LinearImageBody(ConvexBody):
     def support(self, u):
         return self.base.support(self.B.T @ np.asarray(u, dtype=float))
 
-    def support_point(self, u):
-        return self.gauss_inverse(u)
-
     def support_hess(self, u):
         H = self.base.support_hess(self.B.T @ np.asarray(u, dtype=float))
         return self.B @ H @ self.B.T
@@ -912,8 +895,8 @@ class LinearImageBody(ConvexBody):
         s = np.asarray(s, dtype=float)
         return self.B @ self.base._boundary_in_direction(self.B_inv @ s)
 
-    def volume(self, **kw):
-        return abs(float(np.linalg.det(self.B))) * self.base.volume(**kw)
+    def volume(self):
+        return abs(float(np.linalg.det(self.B))) * self.base.volume()
 
 
 class PolarBody(ConvexBody):
@@ -924,9 +907,12 @@ class PolarBody(ConvexBody):
             raise OriginNotInteriorError("polar dual needs the origin inside")
         self.base = base
         self.dim = base.dim
-        # h_base >= inradius, so 1/inradius bounds the polar; pad generously
-        self._radius = 1.5 / min(
-            base.support(_unit(d)) for d in _compass_directions(self.dim))
+        # the hull of the base's nearer boundary points on +-e_i (at distances
+        # r_i) lies in the base and has inradius >= 1 / sqrt(sum r_i^-2), a
+        # lower bound on h_base; its reciprocal bounds the polar's reach
+        r = [min(np.linalg.norm(base._boundary_in_direction(s * e)) for s in (1.0, -1.0))
+             for e in np.eye(self.dim)]
+        self._radius = math.sqrt(sum(1.0 / ri ** 2 for ri in r))
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
@@ -1156,38 +1142,14 @@ def polar_dual(body):
     return PolarBody(body)
 
 
-def mirror_symmetric(body: ConvexBody, tol_points=32, tol=1e-9):
-    """Check central symmetry by sampling support values in +-u pairs."""
+def mirror_symmetric(body: ConvexBody, tol_points=32):
+    """Check central symmetry: sampled support values at +-u agree to SYMMETRY_TOL."""
     rng = np.random.default_rng(11)
     for _ in range(tol_points):
         u = _unit(rng.normal(size=body.dim))
-        if abs(body.support(u) - body.support(-u)) > tol * body.bounding_radius():
+        if abs(body.support(u) - body.support(-u)) > SYMMETRY_TOL * body.bounding_radius():
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation wrappers (flat spec-facing API)
-# ---------------------------------------------------------------------------
-
-def exterior_normal(body, p):
-    return body.exterior_normal(p)
-
-
-def gauss_inverse(body, u):
-    return body.gauss_inverse(u)
-
-
-def chord_second_intersection(body, a, d):
-    return body.chord_second_intersection(a, d)
-
-
-def second_fundamental_form(body, p):
-    return body.second_fundamental_form(p)
-
-
-def support_function(body, u):
-    return body.support(u)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .bodies import (
     OrientedLine,
     Polygon2D,
     Superellipse,
+    _floats,
+    _get,
     _unit,
     load_body,
     parse_body_text,
@@ -91,30 +93,15 @@ class ExperimentConfig:
             tol=cfg_tol if tol is None else float(tol),
         )
 
-    def get(self, key, conv=str, default=None, required=False):
-        if key not in self.values:
-            if required:
-                raise BodyFileError(f"config is missing required key '{key}'")
-            return default
-        value, lineno = self.values[key]
-        try:
-            return conv(value)
-        except ValueError as exc:
-            raise BodyFileError(f"line {lineno}: bad value for '{key}'") from exc
-
-    def floats(self, key, default=None, required=False):
-        return self.get(key, lambda s: np.array([float(t) for t in s.split()]),
-                        default=default, required=required)
-
     def body(self, key, required=True):
-        ref = self.get(key, str, required=required)
+        ref = _get(self.values, key, str, required=required)
         if ref is None:
             return None
         return load_body(self.base_dir / ref)
 
     def line(self):
-        p = self.floats("line_point", required=True)
-        d = self.floats("line_direction", required=True)
+        p = _get(self.values, "line_point", _floats, required=True)
+        d = _get(self.values, "line_direction", _floats, required=True)
         return OrientedLine(p, d)
 
 
@@ -190,7 +177,7 @@ def cmd_trace(cfg: ExperimentConfig):
     K = cfg.body("body_k")
     T = cfg.body("body_t")
     line = cfg.line()
-    steps = cfg.get("steps", int, default=0)
+    steps = _get(cfg.values, "steps", int, default=0)
     print("line", " ".join(_fmt(v) for v in line.point),
           " ".join(_fmt(v) for v in line.direction))
     orbit = iterate_t_billiard(K, T, line, steps) if steps > 0 else None
@@ -253,13 +240,13 @@ def _conic_deviation_fit(body, sampler):
 def cmd_projtest(cfg: ExperimentConfig):
     """Projectivity residuals and chart asymptotics per direction class."""
     body = cfg.body("body")
-    body_id = cfg.get("body", str)
-    classes = cfg.get("classes", int, default=20)
-    patch = cfg.get("patch_scale", float, default=0.3)
+    body_id = _get(cfg.values, "body", str)
+    classes = _get(cfg.values, "classes", int, default=20)
+    patch = _get(cfg.values, "patch_scale", float, default=0.3)
     plan_base = dict(
         patch_scale=patch,
-        n_quadruples=cfg.get("quadruples", int, default=40),
-        n_points=cfg.get("points", int, default=60),
+        n_quadruples=_get(cfg.values, "quadruples", int, default=40),
+        n_points=_get(cfg.values, "points", int, default=60),
     )
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -298,8 +285,8 @@ def cmd_osculate(cfg: ExperimentConfig):
         for i in range(M.shape[0]):
             for j in range(i, M.shape[1]):
                 coeff_rows.append(["quadric", i, j, _fmt(M[i, j])])
-        jmin = cfg.get("grid_jmin", int, default=4)
-        jmax = cfg.get("grid_jmax", int, default=12)
+        jmin = _get(cfg.values, "grid_jmin", int, default=4)
+        jmax = _get(cfg.values, "grid_jmax", int, default=12)
         fit = normal_field_gap(germ, quadric, dyadic_grid(jmin, jmax))
         fit_rows.append(["normal_gap", _fmt(fit.exponent), _fmt(fit.coefficient)])
         fit_rows.append(["angle_gap", _fmt(fit.angle_exponent),
@@ -326,8 +313,8 @@ def cmd_capacity(cfg: ExperimentConfig):
     """Minimal-action table over bounce counts plus the best orbit."""
     K = cfg.body("body_k")
     T = cfg.body("body_t")
-    m_max = cfg.get("m_max", int, default=5)
-    multistarts = cfg.get("multistarts", int, default=16)
+    m_max = _get(cfg.values, "m_max", int, default=5)
+    multistarts = _get(cfg.values, "multistarts", int, default=16)
     report = capacity_estimate(K, T, m_max, multistarts=multistarts,
                                seed=cfg.seed)
     _write_csv(cfg.out_dir / "capacity.csv",
@@ -347,9 +334,9 @@ def cmd_capacity(cfg: ExperimentConfig):
 
 def cmd_sweep(cfg: ExperimentConfig):
     """Projectivity residual along an ellipse-to-superellipse family."""
-    exponents = cfg.floats("exponents", default=np.linspace(2.0, 4.0, 9))
-    classes = cfg.get("classes", int, default=8)
-    patch = cfg.get("patch_scale", float, default=0.3)
+    exponents = _get(cfg.values, "exponents", _floats, default=np.linspace(2.0, 4.0, 9))
+    classes = _get(cfg.values, "classes", int, default=8)
+    patch = _get(cfg.values, "patch_scale", float, default=0.3)
     rng = np.random.default_rng(cfg.seed)
     dirs = _direction_classes(rng, 2, classes)
     rows = []

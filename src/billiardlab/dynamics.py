@@ -24,7 +24,6 @@ from .bodies import (
     Ellipsoid,
     OrientedLine,
     Polygon2D,
-    Superellipse,
     _unit,
     mirror_symmetric,
     polar_dual,
@@ -34,6 +33,8 @@ from .bodies import (
 from .errors import DomainError, GrazingError, PreconditionError
 from .reflection import t_billiard_reflect
 from .solvers import least_squares
+
+ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search solve
 
 
 def finsler_length(T: ConvexBody, dq):
@@ -55,9 +56,6 @@ class Orbit:
     # (P_i the tangent projection of K at vertex i, t_i the touching point of
     # T for segment i)
     stationarity: float | None = None
-
-    def n_bounces(self):
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def _seed_charts(K, angles_list):
 
 
 def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
-                        seed=0, max_iter=500):
+                        seed=0):
     """Minimal-action closed m-bounce orbit of the T-billiard in K.
 
     Closed orbits are the stationary polygons of the action
@@ -279,8 +277,8 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
     at each vertex is exactly the T-billiard reflection law.  Each vertex
     moves in a radial chart of K (the boundary point on the ray of a unit
     direction), and the stationarity system is solved by scipy's
-    trust-region reflective least squares with its exact Jacobian, from
-    uniform and perturbed multistart polygons (boundary points with
+    trust-region reflective least squares (exact Jacobian, ORBIT_MAX_NFEV)
+    from uniform and perturbed multistart polygons (boundary points with
     equally spaced exterior normals).  Degenerate polygons (consecutive
     points closer than the distinctness threshold) are rejected, and the
     least action among the orbits whose reflection-law defect
@@ -319,7 +317,7 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
         # and its iterates change from call to call.  The default gtol (on
         # |J^T f|) would stop with reflection-law defects near 1e-9.
         sol = least_squares(system.residual, x0, jac=system.jacobian, method="trf",
-                            max_nfev=max_iter, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                            max_nfev=ORBIT_MAX_NFEV, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         system.evaluate(sol.x)
         if system.degenerate:
             continue
@@ -397,8 +395,6 @@ def mahler_product(K):
     if isinstance(K, Ellipsoid):
         unit_ball = math.pi ** (K.dim / 2.0) / math.gamma(K.dim / 2.0 + 1.0)
         return unit_ball ** 2
-    if isinstance(K, Superellipse):
-        return K.volume() * polar_dual(K).volume()
     if not mirror_symmetric(K):
         raise DomainError("Mahler product needs a centrally symmetric body")
     return K.volume() * polar_dual(K).volume()

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import IndistinguishableError, PrecisionError
 
 EPS = np.finfo(float).eps
+JET_ORDER = 5  # truncation order of boundary and tangent-frame jets
+FIT_FLOOR = 1e3 * EPS  # fit_power_law: least |y| fitted (round-off guard)
+FIT_MIN_POINTS = 3  # fit_power_law: fewest points fitted
 
 
 class Taylor1D:
@@ -88,14 +91,6 @@ class Taylor1D:
 
     def __rtruediv__(self, other):
         return self.recip() * float(other)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers")
-        out = Taylor1D.constant(1.0, self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def recip(self):
         c = self.c
@@ -312,7 +307,7 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences with Richardson extrapolation
+# Finite-difference stencils
 # ---------------------------------------------------------------------------
 
 def stencil_weights(nodes, order):
@@ -327,57 +322,33 @@ def stencil_weights(nodes, order):
     return np.linalg.solve(V, rhs)
 
 
-def fd_derivative(f, x0, order=1, h=1e-3, halfwidth=None, richardson=True):
-    """Central finite difference of given order, Richardson extrapolated.
-
-    Returns (value, error_estimate); the estimate is the gap between the
-    two finest extrapolation levels.
-    """
-    if halfwidth is None:
-        halfwidth = (order + 1) // 2 + 1
-
-    def estimate(step):
-        nodes = np.arange(-halfwidth, halfwidth + 1) * step
-        w = stencil_weights(nodes, order)
-        return float(sum(wj * f(x0 + xj) for wj, xj in zip(w, nodes)))
-
-    d1 = estimate(h)
-    if not richardson:
-        return d1, abs(d1) * 1e-8
-    d2 = estimate(h / 2.0)
-    # symmetric stencils have even-power error; leading term h^2
-    extr = (4.0 * d2 - d1) / 3.0
-    return extr, abs(d2 - d1)
-
-
 # ---------------------------------------------------------------------------
 # Power-law fits  log|y| = log|C| + k log t
 # ---------------------------------------------------------------------------
 
-def fit_power_law(ts, ys, floor=None, min_points=3):
+def fit_power_law(ts, ys):
     """Least-squares exponent/coefficient of a decay |y| ~ |C| t^k on a grid.
 
     Only the leading run of the grid is fitted: from the largest t down,
-    the points with |y| at least ``floor`` (round-off guard), the sign of
+    the points with |y| at least FIT_FLOOR (round-off guard), the sign of
     the first point and |y| below that of the previous point.  The first
     point that breaks the run has reached the noise floor of whatever
-    computed y, so it and every smaller t are dropped.  If every point
-    sits below 100 machine epsilons the two maps are treated as identical
-    and IndistinguishableError is raised.
+    computed y, so it and every smaller t are dropped, and a run shorter
+    than FIT_MIN_POINTS raises PrecisionError.  If every point sits below
+    100 machine epsilons the two maps are treated as identical and
+    IndistinguishableError is raised.
     """
     order = np.argsort(-np.asarray(ts, dtype=float))
     t = np.asarray(ts, dtype=float)[order]
     y = np.asarray(ys, dtype=float)[order]
-    if floor is None:
-        floor = 1e3 * EPS
     if np.all(np.abs(y) < 100.0 * EPS):
         raise IndistinguishableError(
             "difference below 100 eps on the whole grid; maps indistinguishable")
     ay = np.abs(y)
-    run = ((ay >= floor) & (np.sign(y) == np.sign(y[0]))
+    run = ((ay >= FIT_FLOOR) & (np.sign(y) == np.sign(y[0]))
            & np.concatenate([[True], ay[1:] < ay[:-1]]))
     n = len(run) if run.all() else int(np.argmin(run))
-    if n < min_points:
+    if n < FIT_MIN_POINTS:
         raise PrecisionError(
             f"only {n} leading grid points above the noise floor")
     A = np.column_stack([np.log(t[:n]), np.ones(n)])

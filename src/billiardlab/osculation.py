@@ -27,6 +27,7 @@ from .errors import (
 )
 from .jets import (
     EPS,
+    JET_ORDER,
     MPoly,
     Taylor1D,
     fit_power_law,
@@ -34,6 +35,8 @@ from .jets import (
     taylor_from_derivatives,
 )
 from .solvers import find_root
+
+QUINTIC_PROBE = 0.04  # fifth_order_gap: unit-chart abscissa of the samples
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +84,12 @@ class ConicQuadric:
         xh = np.concatenate([x, [1.0]])
         return 2.0 * (self.matrix @ xh)[:-1]
 
-    def unit_normal(self, x, downward=True):
-        """Unit normal at a point of the quadric, oriented by its last
-        coordinate (negative last component when downward)."""
+    def unit_normal(self, x):
+        """Unit normal at a point of the quadric, oriented downward (last
+        component not positive)."""
         g = self.gradient(x)
         n = g / np.linalg.norm(g)
-        if downward and n[-1] > 0.0:
-            n = -n
-        if not downward and n[-1] < 0.0:
+        if n[-1] > 0.0:
             n = -n
         return n
 
@@ -105,11 +106,6 @@ class ConicQuadric:
         """Section by the coordinate plane spanned by the kept variables."""
         idx = list(keep) + [self.ambient_dim]
         return ConicQuadric(self.matrix[np.ix_(idx, idx)])
-
-    def coefficient_vector(self):
-        """Row-major upper triangle of the normalized matrix."""
-        iu = np.triu_indices(self.matrix.shape[0])
-        return self.matrix[iu].copy()
 
     def distance_to(self, other):
         return float(np.linalg.norm(self.matrix - other.matrix))
@@ -246,27 +242,32 @@ def height_match(curve_a, curve_b, x):
 # Osculating conic, affine curvature, sextactic points
 # ---------------------------------------------------------------------------
 
-def tangent_frame_jets(curve, x, order=5):
-    """Graph coefficients of the curve in the tangent frame at (x, h(x)).
+def _in_tangent_frame(xs, ys):
+    """(k, T, N): graph coefficients k of a parametric jet through the
+    origin in its frame of unit tangent T and N = T turned by +90 degrees."""
+    speed = math.hypot(xs.c[1], ys.c[1])
+    T = np.array([xs.c[1], ys.c[1]]) / speed
+    N = np.array([-T[1], T[0]])
+    xloc = xs * T[0] + ys * T[1]
+    yloc = xs * N[0] + ys * N[1]
+    return graph_jet_from_parametric(xloc, yloc), T, N
+
+
+def tangent_frame_jets(curve, x):
+    """Graph coefficients (to JET_ORDER) in the tangent frame at (x, h(x)).
 
     Returns k with y_loc = sum_{m >= 2} k[m] x_loc^m; the local frame is
     (T, N) with T the unit tangent and N the inward (upward) normal, so
     k[2] > 0 for convex arcs.
     """
-    jet = curve.jet(np.asarray(x), order) if hasattr(curve, "jet") else None
+    jet = curve.jet(np.asarray(x), JET_ORDER) if hasattr(curve, "jet") else None
     if jet is None:
         raise DomainError("curve object does not expose jets")
     # parametric jets of t -> (t, h(x + t)) re-expressed in the tangent frame
-    xs = Taylor1D.variable(0.0, order)
+    xs = Taylor1D.variable(0.0, JET_ORDER)
     ys = taylor_from_derivatives(jet)
     ys.c[0] = 0.0
-    hp = jet[1]
-    norm = math.hypot(1.0, hp)
-    T = np.array([1.0, hp]) / norm
-    N = np.array([-hp, 1.0]) / norm
-    xloc = xs * T[0] + ys * T[1]
-    yloc = xs * N[0] + ys * N[1]
-    return graph_jet_from_parametric(xloc, yloc)
+    return _in_tangent_frame(xs, ys)[0]
 
 
 def osculating_conic(curve, at_x=0.0):
@@ -279,7 +280,7 @@ def osculating_conic(curve, at_x=0.0):
         k = curve.coeffs
         k2, k3, k4 = k[2], (k[3] if len(k) > 3 else 0.0), (k[4] if len(k) > 4 else 0.0)
     else:
-        kk = tangent_frame_jets(curve, at_x, order=5)
+        kk = tangent_frame_jets(curve, at_x)
         k2, k3, k4 = kk[2], kk[3], kk[4]
     if k2 <= 1e-12:
         raise DegenerateDataError("osculating conic needs positive curvature")
@@ -294,15 +295,15 @@ def conic_quintic_coefficient(a, b, c):
     return a * b ** 3 + 3.0 * a * a * b * c
 
 
-def fifth_order_gap(curve, conic: ConicQuadric, probe=0.04):
+def fifth_order_gap(curve, conic: ConicQuadric):
     """Coefficient c of the x^5 discrepancy between curve and conic.
 
     The gap is reported in the unit-curvature chart h ~ x^2/2 (under the
     chart zoom h(x) -> h(lambda x)/lambda^2 it transforms as
     c -> lambda^3 c).  The value comes from the exact 5-jets; sampled
     discrepancies at two scales cross-check it by Richardson
-    extrapolation, and a disagreement beyond 5 percent raises
-    PrecisionError.
+    extrapolation (at QUINTIC_PROBE and its half), and a disagreement
+    beyond 5 percent raises PrecisionError.
     """
     branch = ConicGraphBranch(conic)
     jet_curve = curve.jet(np.asarray(0.0), 5)
@@ -318,16 +319,16 @@ def fifth_order_gap(curve, conic: ConicQuadric, probe=0.04):
         return lam * (float(curve.h(np.asarray(x_raw)))
                       - float(branch.h(np.asarray(x_raw))))
 
-    d1 = delta_normalized(probe)
-    d2 = delta_normalized(probe / 2.0)
+    d1 = delta_normalized(QUINTIC_PROBE)
+    d2 = delta_normalized(QUINTIC_PROBE / 2.0)
     if max(abs(d1), abs(d2)) < 100.0 * EPS and abs(gap) < 1e3 * EPS:
         return 0.0
-    c1 = d1 / probe ** 5
-    c2 = d2 / (probe / 2.0) ** 5
+    c1 = d1 / QUINTIC_PROBE ** 5
+    c2 = d2 / (QUINTIC_PROBE / 2.0) ** 5
     extrapolated = 2.0 * c2 - c1
     # the sampled estimates carry an O(probe^2) sixth-order bias; compare
     # them to the jet value at the scale of their own spread
-    budget = 0.05 * max(abs(gap), 2.0 * abs(c1 - c2), 1e3 * EPS / probe ** 5)
+    budget = 0.05 * max(abs(gap), 2.0 * abs(c1 - c2), 1e3 * EPS / QUINTIC_PROBE ** 5)
     if abs(extrapolated - gap) > budget:
         raise PrecisionError(
             f"quintic gap cross-check failed: jets {gap:.6e}, "
@@ -356,44 +357,40 @@ def affine_curvature(curve, x=0.0):
     Jets are taken in the tangent frame at the point, so the result is
     invariant under rotating the ambient coordinates.
     """
-    k = tangent_frame_jets(curve, x, order=5)
+    k = tangent_frame_jets(curve, x)
     d2, d3, d4, d5 = (2.0 * k[2], 6.0 * k[3], 24.0 * k[4], 120.0 * k[5])
     return affine_curvature_from_jet(d2, d3, d4, d5)
 
 
-def is_sextactic(curve, at_x=0.0, tol=1e-9):
-    """Whether the osculating conic has contact of order above five.
+def is_sextactic(curve, tol=1e-9):
+    """Whether the osculating conic at x = 0 has contact above order five.
 
     Returns (flag, gap) with the gap measured in the unit-curvature
     chart of the tangent frame at the point.
     """
-    if at_x == 0.0 and isinstance(curve, PlanarGerm):
+    if isinstance(curve, PlanarGerm):
         local = curve
     else:
-        k = tangent_frame_jets(curve, at_x, order=5)
+        k = tangent_frame_jets(curve, 0.0)
         local = PlanarGerm(k[:6], radius=_curve_range(curve))
     conic = osculating_conic(local)
     gap = fifth_order_gap(local, conic)
     return bool(abs(gap) <= tol), gap
 
 
-def germ_at(body, theta, order=5, with_frame=False):
+def germ_at(body, theta, with_frame=False):
     """Tangent-frame germ of a 2D body boundary at boundary parameter theta.
 
-    The body must expose ``position_jet``; the germ opens toward the
-    interior (positive curvature coefficient).  With ``with_frame`` the
-    base point and the (tangent, inward normal) frame are returned too.
+    The body must expose ``position_jet`` (JET_ORDER jets); the germ opens
+    toward the interior (positive curvature coefficient).  With
+    ``with_frame`` the base point and the (tangent, inward normal) frame
+    are returned too.
     """
-    xs, ys = body.position_jet(float(theta), order=order)
+    xs, ys = body.position_jet(float(theta))
     x0, y0 = xs.c[0], ys.c[0]
     xs = xs - x0
     ys = ys - y0
-    speed = math.hypot(xs.c[1], ys.c[1])
-    T = np.array([xs.c[1], ys.c[1]]) / speed
-    N = np.array([-T[1], T[0]])
-    xloc = xs * T[0] + ys * T[1]
-    yloc = xs * N[0] + ys * N[1]
-    k = graph_jet_from_parametric(xloc, yloc)
+    k, T, N = _in_tangent_frame(xs, ys)
     if k[2] < 0.0:
         k = -k
         N = -N
@@ -441,12 +438,6 @@ class PlanarSectionFrame:
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "e1", a)
         object.__setattr__(self, "e2", b)
-
-    def embed(self, xy):
-        xy = np.asarray(xy, dtype=float)
-        return (self.origin + np.outer(xy[..., 0], self.e1)
-                + np.outer(xy[..., 1], self.e2)) if xy.ndim > 1 else (
-            self.origin + xy[0] * self.e1 + xy[1] * self.e2)
 
 
 def fit_conic_2d(points):
@@ -650,7 +641,7 @@ def normal_field_gap(germ: GraphGerm, quadric: ConicQuadric, grid):
         p_gamma = np.zeros(nv + 1)
         p_gamma[0] = x1
         p_gamma[-1] = x1 * x1
-        n_gamma = quadric.unit_normal(p_gamma, downward=True)
+        n_gamma = quadric.unit_normal(p_gamma)
         x_beta = np.zeros(nv)
         x_beta[0] = zeta
         n_beta = germ.graph_normal(x_beta)

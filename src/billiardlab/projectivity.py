@@ -28,6 +28,11 @@ from .osculation import height_partner, slope_point
 from .reflection import ParallelClass, parallel_chord_involution
 from .solvers import least_squares
 
+COLLINEARITY_TOL = 1e-9  # cross_ratio: relative second singular value
+QUADRUPLE_MIN_SEPARATION = 0.15  # least angle gap / quarter patch width
+TWO_JET_STEP = 1e-2  # two_jet_at_fixed_point: coarser difference step
+TWO_JET_REL_TOL = 1e-4  # two_jet_at_fixed_point: tolerated disagreement
+
 
 def rp_distance(a, b):
     """Angle between the lines spanned by two nonzero vectors.
@@ -82,9 +87,6 @@ class ProjectiveMap:
         return float(np.linalg.norm(M2 - c * np.eye(M2.shape[0]))
                      / max(np.linalg.norm(M2), 1e-300))
 
-    def is_involution(self, tol=1e-8):
-        return self.involution_defect() <= tol
-
 
 # ---------------------------------------------------------------------------
 # Cross-ratio
@@ -112,12 +114,12 @@ def _to_homogeneous_scalar(t):
     return np.array([float(t), 1.0])
 
 
-def cross_ratio(p1, p2, p3, p4, collinearity_tol=1e-9):
+def cross_ratio(p1, p2, p3, p4):
     """Cross-ratio (p1, p2; p3, p4) of four collinear points.
 
     Scalars (np.inf allowed) are read in an affine chart of the line;
     point arrays are projected onto their common line first, and a
-    DomainError is raised if they are not collinear within tolerance.
+    DomainError is raised if they are not collinear (COLLINEARITY_TOL).
     The convention is ((p1-p3)(p2-p4)) / ((p1-p4)(p2-p3)), so
     (0, 1; 2, inf) = 2 and a harmonic quadruple has cross-ratio -1.
     """
@@ -131,7 +133,7 @@ def cross_ratio(p1, p2, p3, p4, collinearity_tol=1e-9):
     M = P - center
     _, svals, vt = np.linalg.svd(M, full_matrices=False)
     scale = max(svals[0], 1e-300)
-    if svals[1] > collinearity_tol * scale:
+    if svals[1] > COLLINEARITY_TOL * scale:
         raise DomainError("cross-ratio points are not collinear")
     ts = M @ vt[0]
     return cross_ratio_rp1([_to_homogeneous_scalar(t) for t in ts])
@@ -221,13 +223,12 @@ class SphereInvolutionSampler:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sampling recipe for projectivity testing."""
+    """Deterministic projectivity-test sampling (see QUADRUPLE_MIN_SEPARATION)."""
 
     patch_scale: float = 0.3
     n_quadruples: int = 40
     n_points: int = 60
     seed: int = 0
-    min_separation: float = 0.15
 
 
 def _chart_function(f):
@@ -242,10 +243,10 @@ def _chart_function(f):
 # Projectivity residual
 # ---------------------------------------------------------------------------
 
-def _sample_quadruple(rng, scale, min_sep, max_tries=200):
+def _sample_quadruple(rng, scale, max_tries=200):
     for _ in range(max_tries):
         t = np.sort(rng.uniform(-scale, scale, size=4))
-        if np.min(np.diff(t)) >= min_sep * 2.0 * scale / 4.0:
+        if np.min(np.diff(t)) >= QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0:
             return t
     raise SamplePlanError("could not sample a separated quadruple")
 
@@ -266,7 +267,7 @@ def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
         w = rot90(u0)
         worst = 0.0
         for _ in range(plan.n_quadruples):
-            angles = _sample_quadruple(rng, plan.patch_scale, plan.min_separation)
+            angles = _sample_quadruple(rng, plan.patch_scale)
             us = [math.cos(a) * u0 + math.sin(a) * w for a in angles]
             vs = [sampler(u) for u in us]
             cr_before = cross_ratio_rp1(us)
@@ -336,36 +337,16 @@ def fit_projective_involution(pairs, axis_normal):
     return model, best_rms
 
 
-def fit_mobius_involution(ts, fs):
-    """Best projective involution of RP^1 fixing t = 0: t -> -t/(1+ct).
-
-    Returns (c, rms residual) from a pointwise estimate polished by
-    Levenberg-Marquardt.
-    """
-    ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    keep = (np.abs(ts) > 1e-12) & (np.abs(fs) > 1e-12)
-    if keep.sum() < 2:
-        raise DegenerateDataError("too few usable samples for a Mobius fit")
-    c0 = float(np.median(-(ts[keep] + fs[keep]) / (fs[keep] * ts[keep])))
-
-    def residuals(c):
-        return fs + ts / (1.0 + c[0] * ts)
-
-    sol = least_squares(residuals, np.array([c0]), method="lm")
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    return float(sol.x[0]), rms
-
-
 # ---------------------------------------------------------------------------
 # Jets of involutions at the fixed point
 # ---------------------------------------------------------------------------
 
-def two_jet_at_fixed_point(f, scale=1e-2, rel_tol=1e-4):
+def two_jet_at_fixed_point(f):
     """Coefficients (a1, a2) of f(t) = a1 t + a2 t^2 + O(t^3) at t = 0.
 
-    Richardson-extrapolated central differences at two step sizes; a
-    disagreement beyond rel_tol raises PrecisionError (noisy sampler).
+    Richardson-extrapolated central differences at TWO_JET_STEP and its
+    half; a disagreement beyond TWO_JET_REL_TOL raises PrecisionError
+    (noisy sampler).
     """
     g = _chart_function(f)
 
@@ -378,13 +359,13 @@ def two_jet_at_fixed_point(f, scale=1e-2, rel_tol=1e-4):
     def richardson(d, h):
         return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
-    a1_coarse = richardson(d1, scale)
-    a1_fine = richardson(d1, scale / 2.0)
-    a2_coarse = richardson(d2, scale) / 2.0
-    a2_fine = richardson(d2, scale / 2.0) / 2.0
-    if abs(a1_fine - a1_coarse) > rel_tol * max(1.0, abs(a1_fine)):
+    a1_coarse = richardson(d1, TWO_JET_STEP)
+    a1_fine = richardson(d1, TWO_JET_STEP / 2.0)
+    a2_coarse = richardson(d2, TWO_JET_STEP) / 2.0
+    a2_fine = richardson(d2, TWO_JET_STEP / 2.0) / 2.0
+    if abs(a1_fine - a1_coarse) > TWO_JET_REL_TOL * max(1.0, abs(a1_fine)):
         raise PrecisionError("first-jet extrapolations disagree")
-    if abs(a2_fine - a2_coarse) > rel_tol * max(1.0, abs(a2_fine)):
+    if abs(a2_fine - a2_coarse) > TWO_JET_REL_TOL * max(1.0, abs(a2_fine)):
         raise PrecisionError("second-jet extrapolations disagree")
     return float(a1_fine), float(a2_fine)
 

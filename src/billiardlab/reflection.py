@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, OrientedLine, _unit, legendre_point, polar_dual
+from .bodies import (ConvexBody, OrientedLine, _unit, legendre_point,
+                     mirror_symmetric, polar_dual)
 from .errors import (
-    DegenerateChordError,
     DomainError,
     GrazingError,
     SolverError,
@@ -27,6 +27,7 @@ from .solvers import find_root, least_squares
 # incidence angles below this (radians, small-angle regime) are grazing
 GRAZING_ANGLE = 1e-6
 _PERP_TOL = 1e-13
+TRANSVERSAL_MARGIN = 1e-8  # least |<field, normal>| at a projective bounce
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,9 @@ class ParallelClass:
 
 @dataclass(frozen=True)
 class TransversalField:
-    """Line field transversal to a hypersurface: Q -> unit vector (up to sign)."""
+    """Line field Q -> unit vector (up to sign), transversal by TRANSVERSAL_MARGIN."""
 
     func: Callable[[np.ndarray], np.ndarray]
-    margin: float = 1e-8
 
     def at(self, q):
         return _unit(self.func(np.asarray(q, dtype=float)))
@@ -129,7 +129,7 @@ def projective_billiard_map(body: ConvexBody, field: TransversalField,
     if inc <= GRAZING_ANGLE:
         raise GrazingError(f"grazing incidence at {q}")
     nu = field.at(q)
-    if abs(float(np.dot(nu, n))) < field.margin:
+    if abs(float(np.dot(nu, n))) < TRANSVERSAL_MARGIN:
         raise DomainError("transversal field violates its margin")
     out = projective_billiard_reflect(q, n, nu, OrientedLine(q, line.direction))
     if float(np.dot(out.direction, n)) > 0.0:
@@ -142,14 +142,7 @@ def projective_billiard_map(body: ConvexBody, field: TransversalField,
 # ---------------------------------------------------------------------------
 
 def _require_symmetric(I: ConvexBody):
-    for k in range(I.dim):
-        u = np.zeros(I.dim)
-        u[k] = 1.0
-        if abs(I.support(u) - I.support(-u)) > 1e-9 * I.bounding_radius():
-            raise DomainError(
-                "Finsler reflection laws require a centrally symmetric indicatrix")
-    u = _unit(np.arange(1.0, I.dim + 1.0))
-    if abs(I.support(u) - I.support(-u)) > 1e-9 * I.bounding_radius():
+    if not mirror_symmetric(I, tol_points=I.dim + 1):
         raise DomainError(
             "Finsler reflection laws require a centrally symmetric indicatrix")
 
@@ -220,7 +213,7 @@ def _concurrency_2d(I, m, a, u):
     # one of them is u itself, so deflate it: gap / sin((theta-theta_u)/2)
     # changes sign exactly once more on the circle, even when the roots
     # nearly merge (p_star close to the boundary at near-grazing incidence)
-    n_u = I.exterior_normal(_boundary_of(I, u))
+    n_u = I.exterior_normal(u)
     theta_u = float(np.arctan2(n_u[1], n_u[0]))
 
     def deflated(theta):
@@ -239,22 +232,12 @@ def _concurrency_2d(I, m, a, u):
     return v
 
 
-def _boundary_of(I, u):
-    """Boundary point of the indicatrix along the ray of u (u itself if on it)."""
-    u = np.asarray(u, dtype=float)
-    if abs(I.boundary_residual(u)) < 1e-9:
-        return u
-    return I._boundary_in_direction(u)
-
-
 def _concurrency_nd(I, m, a, u):
     # affine frame of the codimension-two plane (tangent at u) n (hyperplane)
     M = np.stack([a, m])
     w0, *_ = np.linalg.lstsq(M, np.array([1.0, 0.0]), rcond=None)
     _, _, vt = np.linalg.svd(M)
     E = vt[2:]  # directions spanning the codim-2 plane
-
-    n_angles = I.dim - 1
 
     def residuals(angles):
         azimuth, polars = angles[0], angles[1:]
@@ -265,8 +248,8 @@ def _concurrency_nd(I, m, a, u):
         dv = legendre_point(I, v)
         return np.concatenate([[np.dot(dv, w0) - 1.0], E @ dv])
 
-    v_seed = euclidean_reflect(m, _boundary_of(I, u))
-    n_seed = I.exterior_normal(_boundary_of(I, v_seed))
+    v_seed = euclidean_reflect(m, I._boundary_in_direction(u))
+    n_seed = I.exterior_normal(I._boundary_in_direction(v_seed))
     seed = np.array([np.arctan2(n_seed[1], n_seed[0]),
                      np.arccos(np.clip(n_seed[2], -1.0, 1.0))])
     sol = least_squares(residuals, seed, xtol=1e-15, ftol=1e-15, gtol=1e-15)

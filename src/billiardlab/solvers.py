@@ -60,6 +60,10 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
             d = df(x)
             if d != 0.0:
                 x_new = x - fx / d
+                # converged even if it rounds onto the bracket end that x
+                # became (the rounded residual at the root has either sign)
+                if abs(x_new - x) <= tol:
+                    return x_new
                 if not (min(neg, pos) < x_new < max(neg, pos)
                         and abs(x_new - x) <= 0.5 * prev_step):
                     x_new = None

@@ -530,6 +530,74 @@ def test_last_intersection_solves_one_crossing(monkeypatch):
     assert len(calls) == 20 + 2 * 20
 
 
+def test_exit_crossing_takes_few_evaluations(monkeypatch):
+    # a converged Newton step that rounds onto the end of its bracket must
+    # end the search: bisecting on down to 2 eps costs 13.4 evaluations of
+    # F per exit crossing on these lines, where 3.9 suffice
+    body = bl.Superellipse(3.5)
+    evals = []
+    real = bodies_module.find_root
+
+    def counting(f, *args, **kwargs):
+        return real(lambda t: evals.append(1) or f(t), *args, **kwargs)
+
+    monkeypatch.setattr(bodies_module, "find_root", counting)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        body.last_intersection(bl.OrientedLine(0.3 * rng.normal(size=2),
+                                               rng.normal(size=2)))
+    assert len(evals) <= 5 * 20
+
+
+def _thin_polar():
+    c, s = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
+    B = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 0.08])
+    return bl.PolarBody(bl.LinearImageBody(bl.Superellipse(4.0), B))
+
+
+def test_thin_polar_line_queries():
+    # the polar reaches 12.5 from the origin along the base's thin axis
+    polar = _thin_polar()
+    for phi in np.linspace(0.0, 2.0 * math.pi, 60, endpoint=False):
+        line = bl.OrientedLine(np.zeros(2), bl.unit_vector(phi, 2))
+        q = polar.last_intersection(line)
+        t_enter, t_exit = polar.line_intersections(line)
+        assert np.linalg.norm(line.at(t_exit) - q) <= 1e-9 * np.linalg.norm(q)
+        back = polar.chord_second_intersection(q, line.direction)
+        assert np.linalg.norm(back - line.at(t_enter)) <= 1e-9 * np.linalg.norm(q)
+
+
+_RADIUS_EXTRAS = {
+    "support": lambda: bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]),
+    "linear_image": lambda: bl.LinearImageBody(
+        bl.Superellipse(4.0), np.array([[1.1, 0.25], [0.05, 0.9]])),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "disk", "ellipse", "ellipse_rot", "superellipse", "radial_blob",
+    "radial_symmetric", "ball3", "ellipsoid3", "superellipsoid3",
+    "polar radial_blob", "polar support", "polar linear_image", "thin polar"])
+def test_bounding_radius_bounds_the_boundary(request, name):
+    if name == "thin polar":
+        body = _thin_polar()
+    elif name.startswith("polar "):
+        base = name.split()[1]
+        body = bl.PolarBody(_RADIUS_EXTRAS[base]() if base in _RADIUS_EXTRAS
+                            else request.getfixturevalue(base))
+    else:
+        body = request.getfixturevalue(name)
+    if body.dim == 2:
+        dirs = [bl.unit_vector(a, 2)
+                for a in np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)]
+    else:
+        dirs = [bl.unit_vector([a, p], 3)
+                for a in np.linspace(0.0, 2.0 * math.pi, 60, endpoint=False)
+                for p in np.linspace(0.0, math.pi, 60)]
+    reach = max(np.linalg.norm(body._boundary_in_direction(s)) for s in dirs)
+    assert body.bounding_radius() >= reach * (1.0 - 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # radial boundary points, support and gauge Hessians
 # ---------------------------------------------------------------------------

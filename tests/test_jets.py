@@ -10,7 +10,6 @@ from billiardlab.jets import (
     MPoly,
     Taylor1D,
     dyadic_grid,
-    fd_derivative,
     fit_power_law,
     graph_jet_from_parametric,
     stencil_weights,
@@ -96,12 +95,6 @@ def test_stencil_weights_reproduce_derivatives():
     # exact for cubics: f = x^3 has zero second derivative at 0
     assert abs(np.dot(w, nodes ** 3)) < 1e-12
     assert abs(np.dot(w, nodes ** 2) - 2.0) < 1e-12
-
-
-def test_fd_derivative_matches_exact():
-    val, err = fd_derivative(math.sin, 0.4, order=3, h=1e-2)
-    assert abs(val + math.cos(0.4)) < 1e-8
-    assert err < 1e-6
 
 
 def test_fit_power_law_recovers_exponent():

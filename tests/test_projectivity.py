@@ -287,19 +287,8 @@ def test_deviation_exponent_invariant_under_chart_rescale():
 
 
 # ---------------------------------------------------------------------------
-# Mobius fit helper and samplers
+# Samplers
 # ---------------------------------------------------------------------------
-
-def test_fit_mobius_involution_recovers_parameter():
-    from billiardlab.projectivity import fit_mobius_involution
-    c = -0.42
-    ts = np.linspace(-0.2, 0.2, 21)
-    ts = ts[np.abs(ts) > 1e-3]
-    fs = -ts / (1.0 + c * ts)
-    c_fit, rms = fit_mobius_involution(ts, fs)
-    assert abs(c_fit - c) <= 1e-10
-    assert rms <= 1e-12
-
 
 def test_sampler_involution_property(superellipse):
     rng = np.random.default_rng(38)

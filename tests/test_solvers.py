@@ -23,6 +23,21 @@ def test_root_kernel_converges_to_machine_precision():
     assert abs(x - 0.5 * math.pi) <= 1e-15 * 0.5 * math.pi
 
 
+def test_root_kernel_returns_a_converged_newton_step():
+    # near pi/2 the Newton step lands on the root with a residual whose
+    # sign moves the bracket end onto the iterate; the step must still end
+    # the search rather than fall back to bisection
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return math.cos(x)
+
+    x = find_root(f, 1.0, 2.0, df=lambda x: -math.sin(x))
+    assert x == 0.5 * math.pi
+    assert len(evals) <= 6
+
+
 def test_root_kernel_stays_inside_bracket_when_newton_jumps_out():
     # arctan is nearly flat far from its root: the Newton step from x = 4
     # lands near -20, far outside [-1, 5]
