@@ -10,6 +10,16 @@ the generic fallbacks are damped Newton with multistart seeding, and
 ray-march or grid bracketing followed by the safeguarded Newton root
 kernel of ``solvers.find_root``, stopped on a step tolerance.
 
+Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
+``support_point``, ``support`` and ``exterior_normal`` take one vector or
+an (N, d) array of rows, and ``chord_second_intersections`` solves N
+chords at once, reporting tangential rows in a mask.  Ellipsoids,
+superellipses and linear images write their closed forms once over rows
+(chords too for ellipsoids and even exponents), and a single vector is
+the one-row case; the other representations and chords map their
+one-vector methods over the rows (``_rowwise`` and the base
+``chord_second_intersections``).
+
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
 threads.
@@ -46,12 +56,52 @@ VOLUME_SAMPLES = 2 ** 17
 VOLUME_SEED = 0
 
 
+# Row helpers.  numpy's matmul takes the same BLAS kernel for each row of a
+# stack as for a single vector, so these give every row the bits that the
+# one-vector expression (np.dot, M @ v) gives it.
+
+def _dot(a, b):
+    """Inner products along the last axis, as np.dot gives them for two
+    vectors; b may be one vector against the rows of a."""
+    if a.ndim == 1:
+        return a @ b
+    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+
+
+def _apply(M, v):
+    """M @ v for one vector or for each row of v."""
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[:, :, None])[:, :, 0]
+
+
 def _unit(v):
+    """v / |v| for one vector, or for each row of an (N, d) array."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    n = np.sqrt(_dot(v, v))
+    if v.ndim > 1:
+        n = n[:, None]
+        zero = not n.all()
+    else:
+        zero = n == 0.0  # a scalar: cheaper than all()
+    if zero:
         raise ValueError("zero vector has no direction")
     return v / n
+
+
+def _rowwise(query):
+    """Row form of a query written for one vector: the rows of x (paired
+    with the rows of any further array arguments) go through it one at a
+    time.  This is where the bodies without a closed row form loop."""
+
+    @functools.wraps(query)
+    def rows(self, x, *more):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return query(self, x, *more)
+        return np.array([query(self, *row) for row in zip(x, *more)])
+
+    return rows
 
 
 def unit_vector(angles, dim):
@@ -64,6 +114,16 @@ def unit_vector(angles, dim):
         s = math.sin(pol)
         return np.array([math.cos(az) * s, math.sin(az) * s, math.cos(pol)])
     raise DomainError(f"no angle chart for dimension {dim}")
+
+
+def _horner(coeffs, t):
+    """Values and first derivatives of the polynomials with coefficient
+    rows ``coeffs`` (highest power first) at the t of each row."""
+    value, slope = coeffs[..., 0], np.zeros_like(t)
+    for c in np.moveaxis(coeffs[..., 1:], -1, 0):
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
 
 
 def rot90(v):
@@ -156,16 +216,23 @@ class ConvexBody:
         return bool(self.implicit(np.asarray(x, dtype=float)) < 0.0)
 
     def _require_boundary(self, p, tol=BOUNDARY_TOL):
+        """p, once every point (one or (N, d) rows) is checked to be on the
+        boundary; the first one that is not raises."""
         p = np.asarray(p, dtype=float)
-        r = abs(self.implicit(p))
-        scale = max(1.0, float(np.linalg.norm(self.implicit_grad(p))))
-        if r > tol * scale * max(1.0, self.bounding_radius()):
-            raise BoundaryMembershipError(
-                f"point {p} not on boundary (residual {r:.3e})")
+        r = np.abs(self.implicit(p))
+        bound = tol * max(1.0, self.bounding_radius())
+        if (r > bound).any():  # the bound scales by max(1, |grad F|) >= 1
+            g = self.implicit_grad(p)
+            off = r > bound * np.maximum(1.0, np.sqrt((g * g).sum(-1)))
+            if off.any():
+                i = np.flatnonzero(off)[0]
+                raise BoundaryMembershipError(
+                    f"point {p.reshape(-1, self.dim)[i]} not on boundary "
+                    f"(residual {np.ravel(r)[i]:.3e})")
         return p
 
     def exterior_normal(self, p):
-        """Unit exterior normal at a boundary point."""
+        """Unit exterior normal at a boundary point (or at each row)."""
         p = self._require_boundary(p)
         return _unit(self.implicit_grad(p))
 
@@ -185,6 +252,7 @@ class ConvexBody:
 
     # -- inverse Gauss map ---------------------------------------------------
 
+    @_rowwise
     def gauss_inverse(self, u):
         """Boundary point whose exterior normal is u (damped Newton,
         multistart from compass seed directions)."""
@@ -264,6 +332,7 @@ class ConvexBody:
 
     # -- support function ----------------------------------------------------
 
+    @_rowwise
     def support(self, u):
         """h(u) = max over the body of <x, u> (1-homogeneous in u)."""
         u = np.asarray(u, dtype=float)
@@ -321,6 +390,33 @@ class ConvexBody:
             raise DegenerateChordError(
                 f"chord at {a} along {d} is tangential (|t|={abs(t):.2e})")
         return a + t * d
+
+    def chord_second_intersections(self, a, d):
+        """Row form of chord_second_intersection over (N, dim) base points a
+        and directions d (one direction or one per row).
+
+        Returns (b, tangential): tangential rows are flagged in the mask
+        instead of raising, and keep b = a.  Bodies without a closed row
+        form solve the chords one at a time; the closed forms also take a
+        single chord, which is how their chord_second_intersection runs.
+        """
+        a = np.asarray(a, dtype=float)
+        b = a.copy()
+        tangential = np.zeros(len(a), dtype=bool)
+        for i, di in enumerate(np.broadcast_to(d, a.shape)):
+            try:
+                b[i] = self.chord_second_intersection(a[i], di)
+            except DegenerateChordError:
+                tangential[i] = True
+        return b, tangential
+
+    def _one_chord(self, a, d):
+        """chord_second_intersection of a body whose closed row form also
+        takes a single chord (the one-row case): the mask raises."""
+        b, tangential = self.chord_second_intersections(a, d)
+        if tangential:
+            raise DegenerateChordError(f"chord at {a} along {d} is tangential")
+        return b
 
     def _march_to_exit(self, a, w, diam):
         """Positive root of F(a + t w) = 0: march to a sign change, then
@@ -441,12 +537,12 @@ class Ellipsoid(ConvexBody):
 
     def gauss_inverse(self, u):
         u = _unit(u)
-        w = self.A_inv @ u
-        return w / math.sqrt(float(np.dot(w, u)))
+        w = _apply(self.A_inv, u)
+        return w / np.sqrt(_dot(w, u))[..., None]
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
-        return math.sqrt(float(u @ self.A_inv @ u))
+        return np.sqrt(_dot(u @ self.A_inv, u))
 
     def support_hess(self, u):
         u = np.asarray(u, dtype=float)
@@ -459,12 +555,13 @@ class Ellipsoid(ConvexBody):
         return s / math.sqrt(float(s @ self.A @ s))
 
     def chord_second_intersection(self, a, d):
+        return self._one_chord(a, d)
+
+    def chord_second_intersections(self, a, d):
         a = self._require_boundary(a)
         d = _unit(d)
-        t = -2.0 * float(a @ self.A @ d) / float(d @ self.A @ d)
-        if abs(t) < TANGENCY_FRACTION * self.diameter():
-            raise DegenerateChordError("tangential chord on ellipsoid")
-        return a + t * d
+        t = -2.0 * _dot(a @ self.A, d) / _dot(d @ self.A, d)
+        return a + t[..., None] * d, abs(t) < TANGENCY_FRACTION * self.diameter()
 
     def line_intersections(self, line: OrientedLine):
         p, v = line.point, line.direction
@@ -528,6 +625,12 @@ class Superellipse(ConvexBody):
         else:
             reach = float(np.max(self.a))
         self._radius = max(reach, float(np.max(self.a))) * 1.0001
+        # even integer exponents: F along a line is a polynomial, whose
+        # coefficients are binomial sums over the axes
+        self._even = self.m.is_integer() and self.m >= 2 and int(self.m) % 2 == 0
+        if self._even:
+            m = int(self.m)
+            self._binomial = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
@@ -554,13 +657,15 @@ class Superellipse(ConvexBody):
         # grad F at p is proportional to u componentwise; invert the odd power
         u = _unit(u)
         w = self.a * np.sign(u) * np.abs(self.a * u) ** (1.0 / (self.m - 1.0))
-        scale = np.sum(np.abs(w / self.a) ** self.m) ** (1.0 / self.m)
+        scale = (abs(w / self.a) ** self.m).sum(-1, keepdims=True) ** (1.0 / self.m)
         return w / scale
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
         q = self.m / (self.m - 1.0)
-        return float(np.sum(np.abs(self.a * u) ** q) ** (1.0 / q))
+        # kept as an array, one vector takes the same (array) power as the rows
+        h = (abs(self.a * u) ** q).sum(-1, keepdims=True) ** (1.0 / q)
+        return h[..., 0][()]
 
     def support_hess(self, u):
         # h = ||y||_q with y = a u and q = m / (m - 1); for m > 2 the Hessian
@@ -585,44 +690,44 @@ class Superellipse(ConvexBody):
         return float(np.prod(2.0 * self.a)) * g ** self.dim / gn
 
     def chord_second_intersection(self, a, d):
-        if not float(self.m).is_integer() or self.m < 2 or int(self.m) % 2:
+        if not self._even:
             # odd or fractional exponents keep the absolute values in the
             # implicit function; fall back to the bracketing solver
             return super().chord_second_intersection(a, d)
-        # exact route for even polynomial exponents: F along the line is a
+        return self._one_chord(a, d)
+
+    def chord_second_intersections(self, a, d):
+        if not self._even:
+            return super().chord_second_intersections(a, d)
+        # exact route for even polynomial exponents: F along a line is a
         # degree-m polynomial with an exact root at t = 0; deflating that
         # root keeps the other intersection well conditioned even for
         # near-tangential chords, where bisection on F loses digits
         a = self._require_boundary(a)
         d = _unit(d)
         m = int(self.m)
-        coeffs = np.zeros(m + 1)
-        for ai, di, scale in zip(a, d, self.a):
-            base = np.zeros(m + 1)
-            for k in range(m + 1):
-                base[k] = (math.comb(m, k) * (ai / scale) ** (m - k)
-                           * (di / scale) ** k)
-            coeffs += base
-        coeffs[0] -= 1.0  # exact residual of the boundary point
-        deflated = coeffs[1:]
-        roots = np.roots(deflated[::-1])
-        real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+        k = np.arange(m + 1)
+        # coefficients of t^k, summed over the axes
+        coeffs = (self._binomial * (a / self.a)[..., None] ** (m - k)
+                  * (d / self.a)[..., None] ** k).sum(-2)
+        deflated = coeffs[..., :0:-1]  # t^(m-1) ... t^0: the root t = 0 removed
+        # the roots are the eigenvalues of the companion matrices, built as
+        # np.roots builds them
+        companion = np.zeros(a.shape[:-1] + (m - 1, m - 1))
+        companion[..., 0, :] = -deflated[..., 1:] / deflated[..., :1]
+        companion[..., 1:, :-1] = np.eye(m - 2)
+        roots = np.linalg.eigvals(companion)
         threshold = TANGENCY_FRACTION * self.diameter()
-        candidates = sorted(t for t in real if abs(t) > 1e-3 * threshold)
-        if not candidates:
-            raise DegenerateChordError("tangential chord on superellipse")
-        t = min(candidates, key=abs)
-        # Newton polish on the deflated polynomial
-        dpoly = np.polyder(np.poly1d(deflated[::-1]))
-        poly = np.poly1d(deflated[::-1])
+        real = abs(roots.imag) < 1e-9 * (1.0 + abs(roots.real))
+        candidates = np.where(real & (abs(roots.real) > 1e-3 * threshold), roots.real, np.inf)
+        t = np.take_along_axis(candidates, abs(candidates).argmin(-1)[..., None], -1)[..., 0]
+        found = t < np.inf
+        t = np.where(found, t, 0.0)
+        # Newton polish on the deflated polynomial; a zero slope stops it
         for _ in range(4):
-            dv = dpoly(t)
-            if dv == 0.0:
-                break
-            t -= poly(t) / dv
-        if abs(t) < threshold:
-            raise DegenerateChordError("tangential chord on superellipse")
-        return a + t * d
+            value, slope = _horner(deflated, t)
+            t = t - np.divide(value, slope, out=np.zeros_like(t), where=found & (slope != 0.0))
+        return a + t[..., None] * d, abs(t) < threshold
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.
@@ -727,6 +832,7 @@ class RadialBody2D(ConvexBody):
         theta = np.arctan2(x[..., 1], x[..., 0])
         return rho - self.radial(theta)
 
+    @_rowwise
     def implicit_grad(self, x):
         x = np.asarray(x, dtype=float)
         rho = float(np.linalg.norm(x))
@@ -752,6 +858,7 @@ class RadialBody2D(ConvexBody):
         s = _unit(s)
         return float(self.radial(math.atan2(s[1], s[0]))) * s
 
+    @_rowwise
     def gauss_inverse(self, u):
         # the normal azimuth theta - arctan(r'/r) is strictly increasing in
         # theta for convex bodies and within pi/2 of theta, so the window
@@ -798,9 +905,9 @@ class SupportBody2D(ConvexBody):
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
-        nu = np.linalg.norm(u)
-        return nu * float(self.h(math.atan2(u[1], u[0])))
+        return np.sqrt(_dot(u, u)) * self.h(np.arctan2(u[..., 1], u[..., 0]))
 
+    @_rowwise
     def support_point(self, u):
         u = _unit(u)
         h, h1, _ = self.h.jet(math.atan2(u[1], u[0]))
@@ -832,16 +939,15 @@ class SupportBody2D(ConvexBody):
                 break
         return theta
 
+    @_rowwise
     def implicit(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            theta = self._argmax_angle(x)
-            return (x[0] * math.cos(theta) + x[1] * math.sin(theta)
-                    - float(self.h(theta)))
-        return np.array([self.implicit(row) for row in x])
+        theta = self._argmax_angle(x)
+        return (x[0] * math.cos(theta) + x[1] * math.sin(theta)
+                - float(self.h(theta)))
 
+    @_rowwise
     def implicit_grad(self, x):
-        theta = self._argmax_angle(np.asarray(x, dtype=float))
+        theta = self._argmax_angle(x)
         return np.array([math.cos(theta), math.sin(theta)])
 
     def implicit_hess(self, x):
@@ -867,10 +973,11 @@ class LinearImageBody(ConvexBody):
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
-        return self.base.implicit(x @ self.B_inv.T)
+        return self.base.implicit(_apply(self.B_inv, x))
 
     def implicit_grad(self, x):
-        return self.B_inv.T @ self.base.implicit_grad(self.B_inv @ np.asarray(x, float))
+        x = np.asarray(x, dtype=float)
+        return self.base.implicit_grad(_apply(self.B_inv, x)) @ self.B_inv
 
     def implicit_hess(self, x):
         H = self.base.implicit_hess(self.B_inv @ np.asarray(x, float))
@@ -880,12 +987,10 @@ class LinearImageBody(ConvexBody):
         return self._radius
 
     def gauss_inverse(self, u):
-        u = _unit(u)
-        p = self.base.gauss_inverse(_unit(self.B.T @ u))
-        return self.B @ p
+        return _apply(self.B, self.base.gauss_inverse(_unit(_unit(u) @ self.B)))
 
     def support(self, u):
-        return self.base.support(self.B.T @ np.asarray(u, dtype=float))
+        return self.base.support(np.asarray(u, dtype=float) @ self.B)
 
     def support_hess(self, u):
         H = self.base.support_hess(self.B.T @ np.asarray(u, dtype=float))
@@ -916,12 +1021,10 @@ class PolarBody(ConvexBody):
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            n = np.linalg.norm(x)
-            if n == 0.0:
-                return -1.0
-            return self.base.support(x) - 1.0
-        return np.array([self.implicit(row) for row in x])
+        origin = ~np.any(x, axis=-1)
+        # the base's support takes no zero vector; the origin reads -1
+        h = self.base.support(np.where(origin[..., None], 1.0, x))
+        return np.where(origin, -1.0, h - 1.0)[()]
 
     def implicit_grad(self, x):
         # gradient of the support function is the touching point of the base
@@ -938,6 +1041,7 @@ class PolarBody(ConvexBody):
         s = np.asarray(s, dtype=float)
         return s / self.base.support(s)
 
+    @_rowwise
     def gauss_inverse(self, u):
         # Legendre involutivity: the polar boundary point with exterior
         # normal u is n(p)/<n(p), p> for p the base boundary point on the

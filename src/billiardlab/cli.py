@@ -82,8 +82,8 @@ class ExperimentConfig:
         if "experiment" not in values:
             raise BodyFileError("config is missing the 'experiment' key")
         experiment = values["experiment"][0]
-        cfg_seed = int(values["seed"][0]) if "seed" in values else 0
-        cfg_tol = float(values["tol"][0]) if "tol" in values else 1e-7
+        cfg_seed = _get(values, "seed", int, default=0)
+        cfg_tol = _get(values, "tol", float, default=1e-7)
         return cls(
             experiment=experiment,
             values=values,

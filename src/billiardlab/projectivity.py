@@ -15,9 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, _unit, rot90, tangent_frame
+from .bodies import ConvexBody, _apply, _unit, rot90, tangent_frame
 from .errors import (
-    DegenerateChordError,
     DegenerateDataError,
     DomainError,
     PrecisionError,
@@ -35,15 +34,16 @@ TWO_JET_REL_TOL = 1e-4  # two_jet_at_fixed_point: tolerated disagreement
 
 
 def rp_distance(a, b):
-    """Angle between the lines spanned by two nonzero vectors.
+    """Angle between the lines spanned by two nonzero vectors (or by the
+    matching rows of two (N, n) arrays).
 
     Computed from chord lengths, so it stays accurate near zero where
     acos of the inner product loses all precision.
     """
     a = _unit(a)
     b = _unit(b)
-    chord = min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
-    return 2.0 * math.asin(min(1.0, 0.5 * chord))
+    chord = np.minimum(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
 
 
 class ProjectiveMap:
@@ -74,9 +74,10 @@ class ProjectiveMap:
         return cls(M, axis_normal=m, center=P)
 
     def apply(self, u):
-        v = self.matrix @ np.asarray(u, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0:
+        """Normalized image of a vector, or of each row of an (N, n) array."""
+        v = _apply(self.matrix, np.asarray(u, dtype=float))
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        if np.any(n == 0.0):
             raise DegenerateDataError("vector maps to zero (indeterminate point)")
         return v / n
 
@@ -93,17 +94,18 @@ class ProjectiveMap:
 # ---------------------------------------------------------------------------
 
 def cross_ratio_rp1(quadruple):
-    """Cross-ratio of four points of RP^1 given as homogeneous 2-vectors."""
+    """Cross-ratio of four points of RP^1 given as homogeneous 2-vectors;
+    an (N, 4, 2) array gives the cross-ratios of N quadruples."""
     U = np.asarray(quadruple, dtype=float)
-    if U.shape != (4, 2):
+    if U.shape[-2:] != (4, 2):
         raise DomainError("expected four homogeneous 2-vectors")
 
     def det(i, j):
-        return U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0]
+        return U[..., i, 0] * U[..., j, 1] - U[..., i, 1] * U[..., j, 0]
 
     d13, d24, d14, d23 = det(0, 2), det(1, 3), det(0, 3), det(1, 2)
-    scale = np.max(np.abs(U))
-    if abs(d14) < 1e-14 * scale ** 2 or abs(d23) < 1e-14 * scale ** 2:
+    floor = 1e-14 * np.max(np.abs(U), axis=(-2, -1)) ** 2
+    if np.any(np.abs(d14) < floor) or np.any(np.abs(d23) < floor):
         raise DegenerateDataError("cross-ratio of coincident points")
     return (d13 * d24) / (d14 * d23)
 
@@ -145,7 +147,11 @@ def cross_ratio(p1, p2, p3, p4):
 
 @dataclass
 class SphereInvolutionSampler:
-    """Black-box involution of a sphere patch with a known fixed vector."""
+    """Black-box involution of a sphere patch with a known fixed vector.
+
+    ``func`` maps an (N, dim) array of unit directions to their images;
+    calling the sampler on one vector is its one-row case.
+    """
 
     func: Callable[[np.ndarray], np.ndarray]
     fixed_vector: np.ndarray
@@ -159,7 +165,10 @@ class SphereInvolutionSampler:
             self.axis_normal = _unit(self.axis_normal)
 
     def __call__(self, u):
-        return self.func(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            return self.func(u[None, :])[0]
+        return self.func(u)
 
     @classmethod
     def from_parallel_chord(cls, body: ConvexBody, cls_or_direction, name=""):
@@ -172,10 +181,7 @@ class SphereInvolutionSampler:
         fixed = tangent_frame(d)[0] if body.dim > 2 else rot90(d)
 
         def f(u):
-            try:
-                return parallel_chord_involution(body, pc, u)
-            except DegenerateChordError:
-                return _unit(u)
+            return parallel_chord_involution(body, pc, u)
 
         return cls(f, fixed, body.dim, axis_normal=d,
                    name=name or f"R_L[{type(body).__name__}]")
@@ -189,7 +195,7 @@ class SphereInvolutionSampler:
         slope chart it is t -> h'(partner(x)) with h'(x) = t.
         """
 
-        def f(u):
+        def one(u):
             u = _unit(u)
             if u[1] <= 0.0:
                 raise DomainError("direction outside the germ normal patch")
@@ -198,6 +204,9 @@ class SphereInvolutionSampler:
             x_other = height_partner(curve, x)
             tp = float(curve.derivative(np.asarray(x_other), 1))
             return _unit(np.array([-tp, 1.0]))
+
+        def f(us):  # each direction is its own root solve
+            return np.array([one(u) for u in us])
 
         return cls(f, np.array([0.0, 1.0]), 2,
                    axis_normal=np.array([1.0, 0.0]),
@@ -212,7 +221,7 @@ class SphereInvolutionSampler:
 
         def g(t):
             u = u0 + float(t) * w
-            v = self.func(u / np.linalg.norm(u))
+            v = self(u / np.linalg.norm(u))
             denom = float(np.dot(v, u0))
             if denom == 0.0:
                 raise DomainError("image left the chart")
@@ -263,56 +272,47 @@ def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
         raise SamplePlanError("sample plan too small")
     rng = np.random.default_rng(plan.seed)
     u0 = sampler.fixed_vector
+    # every sample is drawn first, then the sampler maps them all at once
     if sampler.dim == 2:
         w = rot90(u0)
-        worst = 0.0
-        for _ in range(plan.n_quadruples):
-            angles = _sample_quadruple(rng, plan.patch_scale)
-            us = [math.cos(a) * u0 + math.sin(a) * w for a in angles]
-            vs = [sampler(u) for u in us]
-            cr_before = cross_ratio_rp1(us)
-            cr_after = cross_ratio_rp1(vs)
-            worst = max(worst, abs(cr_before - cr_after))
-        return worst
+        angles = np.array([_sample_quadruple(rng, plan.patch_scale)
+                           for _ in range(plan.n_quadruples)])[..., None]
+        us = np.cos(angles) * u0 + np.sin(angles) * w
+        vs = sampler(us.reshape(-1, 2)).reshape(us.shape)
+        return float(np.max(np.abs(cross_ratio_rp1(us) - cross_ratio_rp1(vs))))
     if sampler.axis_normal is None:
         raise SamplePlanError("higher-dimensional residual needs the fixed "
                               "hyperplane of the direction class")
     frame = tangent_frame(u0)
     spread = math.tan(plan.patch_scale)
-    pairs = []
-    for _ in range(plan.n_points):
-        t = rng.uniform(-spread, spread, size=sampler.dim - 1)
-        u = _unit(u0 + frame.T @ t)
-        pairs.append((u, sampler(u)))
-    _, residual = fit_projective_involution(pairs, sampler.axis_normal)
+    t = rng.uniform(-spread, spread, size=(plan.n_points, sampler.dim - 1))
+    us = _unit(u0 + t @ frame)
+    _, residual = fit_projective_involution(np.stack([us, sampler(us)], axis=1),
+                                            sampler.axis_normal)
     return residual
 
 
 def fit_projective_involution(pairs, axis_normal):
     """Best harmonic homology fixing the given hyperplane pointwise.
 
+    ``pairs`` is a sequence of (u, image of u) or an (N, 2, n) array.
     The center is first recovered linearly (it lies on every line
     joining a point to its image), then polished by least squares on the
     projective distances.  Returns (ProjectiveMap, rms residual).
     """
     m = _unit(axis_normal)
-    us = np.asarray([p[0] for p in pairs], dtype=float)
-    vs = np.asarray([p[1] for p in pairs], dtype=float)
+    pairs = np.asarray(pairs, dtype=float)
+    us, vs = pairs[:, 0], pairs[:, 1]
     n = us.shape[1]
     if len(us) < n:
         raise DegenerateDataError("need at least dim independent pairs")
-    Q = np.zeros((n, n))
-    used = 0
-    for u, v in zip(us, vs):
-        u = _unit(u)
-        v = _unit(v)
-        if abs(abs(float(np.dot(u, v))) - 1.0) < 1e-12:
-            continue  # fixed directions put no constraint on the center
-        span = np.linalg.qr(np.column_stack([u, v]))[0]
-        Q += np.eye(n) - span @ span.T
-        used += 1
-    if used < 2:
+    U, V = _unit(us), _unit(vs)
+    # fixed directions put no constraint on the center
+    moving = np.abs(np.abs(np.sum(U * V, axis=-1)) - 1.0) >= 1e-12
+    if np.count_nonzero(moving) < 2:
         raise DegenerateDataError("pairs are rank deficient (all fixed)")
+    span = np.linalg.qr(np.stack([U[moving], V[moving]], axis=-1))[0]
+    Q = np.sum(np.eye(n) - span @ np.swapaxes(span, -1, -2), axis=0)
     evals, evecs = np.linalg.eigh(Q)
     center0 = evecs[:, 0]
 
@@ -321,11 +321,7 @@ def fit_projective_involution(pairs, axis_normal):
         if norm < 1e-12 or abs(float(np.dot(m, P_raw))) < 1e-12 * norm:
             return np.full(len(us), 1.0)
         model = ProjectiveMap.harmonic_homology(P_raw, m)
-        out = np.zeros(len(us))
-        for i, (u, v) in enumerate(zip(us, vs)):
-            w = model.apply(u)
-            out[i] = math.sin(rp_distance(w, v))
-        return out
+        return np.sin(rp_distance(model.apply(us), vs))
 
     best = center0
     best_rms = float(np.sqrt(np.mean(residuals(center0) ** 2)))

@@ -66,16 +66,25 @@ def parallel_chord_involution(T: ConvexBody, cls: ParallelClass, u):
 
     Sends the exterior normal at one end of a chord parallel to
     cls.direction to the normal at the other end; directions orthogonal
-    to the class are fixed.  Near-tangential chords raise
+    to the class are fixed.  A near-tangential chord raises
     DegenerateChordError (callers may treat those directions as fixed).
+    u may also be an (N, d) array of directions, mapped in one pass of
+    the body's row forms; there the tangential rows map to themselves.
     """
     u = _unit(u)
     d = cls.direction
-    if abs(float(np.dot(u, d))) < _PERP_TOL:
-        return u
-    a = T.gauss_inverse(u)
-    b = T.chord_second_intersection(a, d)
-    return T.exterior_normal(b)
+    if u.ndim == 1:  # without the row bookkeeping, which each billiard bounce would pay
+        if abs(float(np.dot(u, d))) < _PERP_TOL:
+            return u
+        return T.exterior_normal(T.chord_second_intersection(T.gauss_inverse(u), d))
+    out = u.copy()
+    live = abs(u @ d) >= _PERP_TOL
+    if live.any():
+        b, tangential = T.chord_second_intersections(T.gauss_inverse(u[live]), d)
+        live[live] = ~tangential
+        if live.any():
+            out[live] = T.exterior_normal(b[~tangential])
+    return out
 
 
 def t_billiard_reflect(K: ConvexBody, T: ConvexBody, line: OrientedLine):

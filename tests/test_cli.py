@@ -187,6 +187,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
+    write(tmp_path, "disk.body", DISK)
+    for key, line in (("seed", 3), ("tol", 4)):
+        cfg = write(tmp_path, f"{key}.cfg", (
+            "experiment = projtest\nbody = disk.body\n"
+            + ("seed = abc\nclasses = 1\n" if key == "seed"
+               else "classes = 1\ntol = tight\n")))
+        rc = main(["projtest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: bad value for '{key}'" in err
+
+
 def test_numeric_failures_exit_two(tmp_path, capsys):
     write(tmp_path, "disk.body", DISK)
     cfg = write(tmp_path, "r.cfg", (

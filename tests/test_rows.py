@@ -1,0 +1,131 @@
+"""Row forms: (N, d) arrays through the body queries, the parallel-chord
+involution, its samplers and the projectivity residual."""
+
+import math
+
+import numpy as np
+import pytest
+
+import billiardlab as bl
+from billiardlab.errors import DegenerateChordError
+
+# the row path and the one-vector calls agree to a few ulp
+ROW_TOL = 1e-15
+
+FAMILIES = {
+    "ellipse": lambda: bl.Ellipsoid(np.array([[1.7, 0.3], [0.3, 0.9]])),
+    "ellipsoid3": lambda: bl.Ellipsoid(np.diag([0.25, 1.0, 0.5])),
+    "superellipse4": lambda: bl.Superellipse(4.0),
+    "superellipse4_3d": lambda: bl.Superellipse(4.0, dim=3),
+    "superellipse3.5": lambda: bl.Superellipse(3.5),
+    "radial": lambda: bl.RadialBody2D([1.0, 0.0, 0.08, 0.02], [0.0, 0.0, 0.0, 0.02]),
+    "linear_image": lambda: bl.LinearImageBody(bl.Superellipse(4.0),
+                                               [[1.1, 0.25], [0.05, 0.9]]),
+}
+
+
+def assert_rows_match(rows, singles):
+    singles = np.asarray(singles, dtype=float)
+    assert rows.shape == singles.shape
+    assert np.max(np.abs(rows - singles)) <= ROW_TOL * np.max(np.abs(singles))
+
+
+def unit_rows(rng, n, dim):
+    U = rng.normal(size=(n, dim))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_body_row_forms_match_one_vector_calls(name):
+    body = FAMILIES[name]()
+    rng = np.random.default_rng(21)
+    U = unit_rows(rng, 30, body.dim)
+    P = body.gauss_inverse(U)
+    assert_rows_match(P, [body.gauss_inverse(u) for u in U])
+    assert_rows_match(body.exterior_normal(P), [body.exterior_normal(p) for p in P])
+    assert_rows_match(body.support(U), [body.support(u) for u in U])
+    assert_rows_match(body.implicit_grad(P), [body.implicit_grad(p) for p in P])
+    d = bl.ParallelClass(rng.normal(size=body.dim)).direction
+    B, tangential = body.chord_second_intersections(P, d)
+    singles = []
+    for p in P:
+        try:
+            singles.append(body.chord_second_intersection(p, d))
+        except DegenerateChordError:
+            singles.append(p)
+    assert_rows_match(B, singles)
+    assert not tangential.any()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_involution_and_sampler_rows_match_one_vector_calls(name):
+    body = FAMILIES[name]()
+    rng = np.random.default_rng(22)
+    U = unit_rows(rng, 30, body.dim)
+    cls = bl.ParallelClass(rng.normal(size=body.dim))
+    V = bl.parallel_chord_involution(body, cls, U)
+    assert_rows_match(V, [bl.parallel_chord_involution(body, cls, u) for u in U])
+    sampler = bl.SphereInvolutionSampler.from_parallel_chord(body, cls)
+    assert_rows_match(sampler(U), [sampler(u) for u in U])
+    assert_rows_match(sampler(U), V)
+
+
+@pytest.mark.parametrize("body", [bl.Ball(1.0), bl.Superellipse(4.0), bl.Superellipse(3.5)],
+                         ids=["disk", "superellipse4", "superellipse3.5"])
+def test_tangential_rows_map_to_themselves(body):
+    cls = bl.ParallelClass([1.0, 1.0])
+    orthogonal = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    tangential = orthogonal + 1e-10 * cls.direction
+    tangential /= np.linalg.norm(tangential)
+    regular = np.array([0.6, 0.8])
+    U = np.array([regular, tangential, orthogonal, -regular])
+    with pytest.raises(DegenerateChordError):
+        bl.parallel_chord_involution(body, cls, tangential)
+    sampler = bl.SphereInvolutionSampler.from_parallel_chord(body, cls)
+    V = sampler(U)
+    # fixed rows come back as their input, normalized once more
+    assert np.max(np.abs(V[1] - tangential)) <= ROW_TOL
+    assert np.max(np.abs(V[2] - orthogonal)) <= ROW_TOL
+    assert np.array_equal(sampler(tangential), V[1])
+    # these bodies are symmetric under the mirror (x, y) -> (-y, -x), which
+    # maps each chord of the class onto itself
+    for k in (0, 3):
+        assert np.linalg.norm(V[k] + U[k][::-1]) <= 1e-12
+        assert np.array_equal(V[k], bl.parallel_chord_involution(body, cls, U[k]))
+
+
+def counted(sampler):
+    calls = []
+
+    def func(U):
+        calls.append(U.shape)
+        return sampler.func(U)
+
+    wrapped = bl.SphereInvolutionSampler(func, sampler.fixed_vector, sampler.dim,
+                                         axis_normal=sampler.axis_normal)
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("body, d", [(bl.Superellipse(4.0), [0.3, 1.0]),
+                                     (bl.Ellipsoid(np.diag([0.25, 1.0, 0.5])),
+                                      [0.2, 0.5, 1.0])], ids=["2d", "3d"])
+def test_projectivity_residual_evaluates_its_sampler_once(body, d):
+    sampler = bl.SphereInvolutionSampler.from_parallel_chord(body, d)
+    wrapped, calls = counted(sampler)
+    plan = bl.SamplePlan(patch_scale=0.3, n_quadruples=40, n_points=60, seed=4)
+    residual = bl.projectivity_residual(wrapped, plan)
+    rows = 4 * plan.n_quadruples if body.dim == 2 else plan.n_points
+    assert calls == [(rows, body.dim)]
+    assert residual == bl.projectivity_residual(sampler, plan)
+
+
+def test_polar_implicit_batch_matches_rows():
+    base = bl.LinearImageBody(bl.Superellipse(4.0), [[1.1, 0.25], [0.05, 0.9]])
+    for polar in (bl.PolarBody(base), bl.PolarBody(bl.RadialBody2D([1.0, 0.0, 0.08]))):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(50, 2))
+        X[[3, 17]] = 0.0
+        values = polar.implicit(X)
+        assert np.array_equal(values, [polar.implicit(x) for x in X])
+        assert values[3] == values[17] == -1.0
+        assert polar.implicit(np.zeros(2)) == -1.0
