@@ -7,8 +7,10 @@ their Hessians, gauge Hessians and polar duals.  Closed-form paths are
 provided wherever the representation allows (ellipsoids, superellipses,
 radial and support-function bodies, linear images and polars);
 the generic fallbacks are damped Newton with multistart seeding, and
-ray-march or grid bracketing followed by the safeguarded Newton root
-kernel of ``solvers.find_root``, stopped on a step tolerance.
+one ray-exit solver (``ConvexBody._exit``) for every line crossing: a
+fixed-step march from an interior point to the padded bounding sphere,
+then the safeguarded Newton root kernel of ``solvers.find_root``,
+stopped on a step tolerance.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -41,8 +43,8 @@ from .errors import (
     DomainError,
     OriginNotInteriorError,
 )
-from .jets import EPS, JET_ORDER, MPoly, Taylor1D
-from .solvers import find_root
+from .jets import JET_ORDER, MPoly, Taylor1D
+from .solvers import EPS, find_root
 
 # tolerances used by the generic solvers
 GAUSS_TOL = 1e-12
@@ -275,16 +277,7 @@ class ConvexBody:
         """Boundary intersection of the ray from the interior point along s."""
         s = _unit(s)
         c = self.interior_point()
-        hi = self.bounding_radius()
-        f_hi = float(self.implicit(c + hi * s))
-        k = 0
-        while f_hi <= 0.0 and k < 60:
-            hi *= 2.0
-            f_hi = float(self.implicit(c + hi * s))
-            k += 1
-        if f_hi <= 0.0:
-            raise ConvergenceError("ray never leaves the body")
-        return c + self._root_on_line(c, s, 0.0, hi, f_hi=f_hi) * s
+        return c + self._exit(c, s, float(self.implicit(c))) * s
 
     def _gauss_newton(self, u, p0):
         n = self.dim
@@ -381,12 +374,11 @@ class ConvexBody:
         """
         a = self._require_boundary(a)
         d = _unit(d)
-        diam = self.diameter()
         g = float(np.dot(self.implicit_grad(a), d))
         sign = -1.0 if g > 0.0 else 1.0
-        t = self._march_to_exit(a, sign * d, diam)
-        t *= sign
-        if abs(t) < TANGENCY_FRACTION * diam:
+        # the chord enters the body, so F < 0 just after a
+        t = sign * self._exit(a, sign * d, -1.0)
+        if abs(t) < TANGENCY_FRACTION * self.diameter():
             raise DegenerateChordError(
                 f"chord at {a} along {d} is tangential (|t|={abs(t):.2e})")
         return a + t * d
@@ -418,46 +410,57 @@ class ConvexBody:
             raise DegenerateChordError(f"chord at {a} along {d} is tangential")
         return b
 
-    def _march_to_exit(self, a, w, diam):
-        """Positive root of F(a + t w) = 0: march to a sign change, then
-        the root kernel."""
-        step = CHORD_MARCH_FRACTION * diam
-        kmax = int(math.ceil(1.2 * diam / step)) + 2
-        ts = step * np.arange(1, kmax + 1)
-        vals = self.implicit(a[None, :] + ts[:, None] * w[None, :])
+    def _sphere_chord(self, p, v):
+        """Parameters (t0 < t1) where the line p + t v meets the bounding
+        sphere padded to radius^2 = 1.1 R^2."""
+        b = float(np.dot(p, v))
+        disc = b * b + 1.1 * self.bounding_radius() ** 2 - float(np.dot(p, p))
+        if disc <= 0.0:
+            raise DomainError("line misses the body")
+        r = math.sqrt(disc)
+        return -b - r, -b + r
+
+    def _exit(self, p, v, f_p):
+        """The t > 0 at which the ray p + t v leaves the body.
+
+        f_p < 0 is F(p) for an interior p, or -1 for a boundary p that v
+        enters (F < 0 just past p even when the rounded F(p) is positive).
+        One vectorized march in steps of CHORD_MARCH_FRACTION of the
+        diameter, out to the padded bounding sphere, brackets the first
+        sign change of F; the root kernel solves it.  A ray that never
+        leaves raises ConvergenceError.
+        """
+        step = CHORD_MARCH_FRACTION * self.diameter()
+        n = math.ceil(self._sphere_chord(p, v)[1] / step)  # the last point is outside
+        ts = step * np.arange(1, n + 1)
+        vals = self.implicit(p + ts[:, None] * v)
         out = np.nonzero(vals >= 0.0)[0]
         if len(out) == 0:
-            raise DegenerateChordError("ray never exits the body")
+            raise ConvergenceError("ray never leaves the body")
         k = int(out[0])
-        # the chord enters the body, so F < 0 just after t = 0 even when
-        # the rounded residual of the boundary point a is positive
-        f_lo = vals[k - 1] if k else -1.0
-        return self._root_on_line(a, w, ts[k - 1] if k else 0.0, ts[k], f_lo, vals[k])
+        lo, f_lo = (ts[k - 1], vals[k - 1]) if k else (0.0, f_p)
+        return self._root_on_line(p, v, lo, ts[k], f_lo, vals[k])
 
-    def _root_on_line(self, p, v, lo, hi, f_lo=None, f_hi=None):
+    def _root_on_line(self, p, v, lo, hi, f_lo, f_hi):
         """Crossing of the boundary by p + t v with t in a sign-change bracket."""
         return find_root(lambda t: float(self.implicit(p + t * v)), lo, hi,
                          df=lambda t: float(self.implicit_grad(p + t * v) @ v),
                          xtol=EPS * self.bounding_radius(), f_lo=f_lo, f_hi=f_hi)
 
-    def _crossing_brackets(self, p, v):
-        """Sign-change brackets (lo, hi, f_lo, f_hi) of the entry and the
-        exit crossing of the line p + t v."""
-        R = self.bounding_radius()
-        b = float(np.dot(p, v))
-        disc = b * b + R * R * 1.1 - float(np.dot(p, p))
-        if disc <= 0.0:
-            raise DomainError("line misses the body")
-        t0, t1 = -b - math.sqrt(disc), -b + math.sqrt(disc)
-        grid = np.linspace(t0, t1, 257)
-        vals = self.implicit(p[None, :] + grid[:, None] * v[None, :])
-        idx = np.nonzero(vals < 0.0)[0]
-        if len(idx):
-            i, j = idx[0], idx[-1]
-            return ((grid[i - 1], grid[i], vals[i - 1], vals[i]),
-                    (grid[j], grid[j + 1], vals[j], vals[j + 1]))
-        # the grid can step over a thin body; F is quasiconvex along the
-        # line, so its minimum is where the slope of F changes sign
+    def _inside_on(self, p, v):
+        """(t, f) with f < 0 standing for F at the point p + t v of the line:
+        (0, F(p)) for an interior p, (0, -1) for a boundary p that v
+        enters, else the minimum of F along the line; a line that misses
+        the body raises DomainError."""
+        f = float(self.implicit(p))
+        if f < 0.0:
+            return 0.0, f
+        if (f <= BOUNDARY_TOL * max(1.0, self.bounding_radius())
+                and float(self.implicit_grad(p) @ v) < 0.0):
+            return 0.0, -1.0
+        # a thin body can lie between march points, and F is quasiconvex
+        # along the line, so its minimum is where the slope of F changes sign
+        t0, t1 = self._sphere_chord(p, v)
         try:
             tm = find_root(lambda t: float(self.implicit_grad(p + t * v) @ v), t0, t1)
         except ConvergenceError:
@@ -465,19 +468,21 @@ class ConvexBody:
         fm = float(self.implicit(p + tm * v))
         if fm >= 0.0:
             raise DomainError("line misses the body")
-        return (t0, tm, None, fm), (tm, t1, fm, None)
+        return tm, fm
 
     def line_intersections(self, line: OrientedLine):
         """Entry and exit parameters (t_enter < t_exit) of an oriented line."""
         p, v = line.point, line.direction
-        enter, exit_ = self._crossing_brackets(p, v)
-        return self._root_on_line(p, v, *enter), self._root_on_line(p, v, *exit_)
+        t, f = self._inside_on(p, v)
+        q = p + t * v
+        return t - self._exit(q, -v, f), t + self._exit(q, v, f)
 
     def last_intersection(self, line: OrientedLine):
         """Last boundary point met by the oriented line (its exit point)."""
         p, v = line.point, line.direction
-        _, exit_ = self._crossing_brackets(p, v)
-        return line.at(self._root_on_line(p, v, *exit_))
+        t, f = self._inside_on(p, v)
+        q = p + t * v
+        return q + self._exit(q, v, f) * v
 
     # -- volume ---------------------------------------------------------------
 

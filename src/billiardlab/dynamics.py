@@ -31,7 +31,7 @@ from .bodies import (
     unit_vector,
 )
 from .errors import DomainError, GrazingError, PreconditionError
-from .reflection import t_billiard_reflect
+from .reflection import GRAZING_ANGLE, t_billiard_reflect
 from .solvers import least_squares
 
 ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search solve
@@ -127,7 +127,7 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
         try:
             q_next = K.last_intersection(OrientedLine(q, direction))
             n_K = K.exterior_normal(q_next)
-            if float(np.dot(direction, n_K)) <= 1e-6:
+            if float(np.dot(direction, n_K)) <= GRAZING_ANGLE:
                 raise GrazingError("grazing in lifted orbit")
             p_next = T.chord_second_intersection(p, n_K)
         except GrazingError:

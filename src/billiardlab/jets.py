@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .errors import IndistinguishableError, PrecisionError
+from .solvers import EPS
 
-EPS = np.finfo(float).eps
 JET_ORDER = 5  # truncation order of boundary and tangent-frame jets
 FIT_FLOOR = 1e3 * EPS  # fit_power_law: least |y| fitted (round-off guard)
 FIT_MIN_POINTS = 3  # fit_power_law: fewest points fitted

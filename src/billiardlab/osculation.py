@@ -26,7 +26,6 @@ from .errors import (
     SamplePlanError,
 )
 from .jets import (
-    EPS,
     JET_ORDER,
     MPoly,
     Taylor1D,
@@ -34,7 +33,7 @@ from .jets import (
     graph_jet_from_parametric,
     taylor_from_derivatives,
 )
-from .solvers import find_root
+from .solvers import EPS, find_root
 
 QUINTIC_PROBE = 0.04  # fifth_order_gap: unit-chart abscissa of the samples
 
@@ -473,7 +472,8 @@ def fit_conic_2d(points):
 def section_points(body, frame: PlanarSectionFrame, n_samples):
     """Points of the planar section sampled by rays inside the plane."""
     o = frame.origin
-    if body.implicit(o) >= 0.0:
+    f_o = float(body.implicit(o))
+    if f_o >= 0.0:
         # walk toward the deepest nearby in-plane point
         grid = np.linspace(-body.bounding_radius(), body.bounding_radius(), 101)
         vals = np.array([[body.implicit(o + s * frame.e1 + t * frame.e2)
@@ -482,13 +482,11 @@ def section_points(body, frame: PlanarSectionFrame, n_samples):
         if vals[k] >= 0.0:
             raise DomainError("plane does not meet the body")
         o = o + grid[k[1]] * frame.e1 + grid[k[0]] * frame.e2
+        f_o = vals[k]
     pts = []
     for phi in np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False):
         w = math.cos(phi) * frame.e1 + math.sin(phi) * frame.e2
-        hi = body.bounding_radius()
-        while body.implicit(o + hi * w) < 0.0:
-            hi *= 2.0
-        r = body._root_on_line(o, w, 0.0, hi)
+        r = body._exit(o, w, f_o)
         pts.append([float(np.dot(o + r * w - frame.origin, frame.e1)),
                     float(np.dot(o + r * w - frame.origin, frame.e2))])
     return np.asarray(pts)

@@ -16,8 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .bodies import (ConvexBody, OrientedLine, _unit, legendre_point,
-                     mirror_symmetric, polar_dual)
+                     mirror_symmetric, polar_dual, unit_vector)
 from .errors import (
+    ConvergenceError,
     DomainError,
     GrazingError,
     SolverError,
@@ -215,7 +216,7 @@ def _concurrency_2d(I, m, a, u):
     p_star = np.linalg.solve(M, np.array([1.0, 0.0]))
 
     def gap(theta):
-        v = I.gauss_inverse(np.array([np.cos(theta), np.sin(theta)]))
+        v = I.gauss_inverse(unit_vector(theta, 2))
         return float(np.dot(legendre_point(I, v), p_star)) - 1.0
 
     # the tangency angles seen from p_star are the two roots of gap();
@@ -228,14 +229,11 @@ def _concurrency_2d(I, m, a, u):
     def deflated(theta):
         return gap(theta) / math.sin(0.5 * (theta - theta_u))
 
-    grid = theta_u + np.linspace(1e-4, 2.0 * np.pi - 1e-4, 257)
-    vals = np.array([deflated(t) for t in grid])
-    change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-    if len(change) == 0:
-        raise SolverError("no transversal concurrency solution found")
-    k = int(change[0])
-    theta = find_root(deflated, grid[k], grid[k + 1], f_lo=vals[k], f_hi=vals[k + 1])
-    v = I.gauss_inverse(np.array([np.cos(theta), np.sin(theta)]))
+    try:
+        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4)
+    except ConvergenceError as exc:
+        raise SolverError("no transversal concurrency solution found") from exc
+    v = I.gauss_inverse(unit_vector(theta, 2))
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v
@@ -249,11 +247,7 @@ def _concurrency_nd(I, m, a, u):
     E = vt[2:]  # directions spanning the codim-2 plane
 
     def residuals(angles):
-        azimuth, polars = angles[0], angles[1:]
-        vec = np.array([np.cos(azimuth) * np.sin(polars[0]),
-                        np.sin(azimuth) * np.sin(polars[0]),
-                        np.cos(polars[0])])
-        v = I.gauss_inverse(vec)
+        v = I.gauss_inverse(unit_vector(angles, 3))
         dv = legendre_point(I, v)
         return np.concatenate([[np.dot(dv, w0) - 1.0], E @ dv])
 
@@ -264,10 +258,7 @@ def _concurrency_nd(I, m, a, u):
     sol = least_squares(residuals, seed, xtol=1e-15, ftol=1e-15, gtol=1e-15)
     if not sol.success or np.linalg.norm(sol.fun) > 1e-9:
         raise SolverError("concurrency solve did not converge")
-    azimuth, polar = sol.x
-    v = I.gauss_inverse(np.array([np.cos(azimuth) * np.sin(polar),
-                                  np.sin(azimuth) * np.sin(polar),
-                                  np.cos(polar)]))
+    v = I.gauss_inverse(unit_vector(sol.x, 3))
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v

@@ -12,6 +12,7 @@ from billiardlab import bodies as bodies_module
 from billiardlab.bodies import ConvexBody, body_from_text
 from billiardlab.errors import (
     BoundaryMembershipError,
+    ConvergenceError,
     ConvexityViolationError,
     DegenerateChordError,
     DomainError,
@@ -112,7 +113,6 @@ class _BrokenHessianBody(bl.ConvexBody):
 
 
 def test_gauss_inverse_divergence_reports_iterations_and_residual():
-    from billiardlab.errors import ConvergenceError
     body = _BrokenHessianBody()
     with pytest.raises(ConvergenceError) as err:
         bl.ConvexBody.gauss_inverse(body, np.array([0.6, 0.8]))
@@ -427,8 +427,8 @@ def test_last_intersection_is_exit_point(ellipse):
 
 
 def test_line_intersections_find_thin_bodies():
-    # the 257-point grid along a line steps over this body on about a
-    # third of the lines through interior points
+    # this body is thinner than one step of the exit march, so its
+    # crossings lie between the march points
     base = bl.Superellipse(4.0)
     thin = bl.LinearImageBody(base, np.diag([1.0, 0.002]))
     rng = np.random.default_rng(2)
@@ -441,6 +441,62 @@ def test_line_intersections_find_thin_bodies():
             assert abs(thin.implicit(line.at(t))) <= 1e-9
     with pytest.raises(DomainError):
         thin.line_intersections(bl.OrientedLine([0.0, 0.01], [1.0, 0.0]))
+
+
+def test_generic_line_queries_match_ellipse_closed_forms(ellipse_rot):
+    # the generic crossings against the quadratic formula, for lines from
+    # base points outside K (hitting it ahead or behind) and from boundary
+    # points along entering directions where the rounded F is positive
+    E = ellipse_rot
+    rng = np.random.default_rng(8)
+    lines = []
+    while len(lines) < 30:
+        p = rng.uniform(-4.0, 4.0, size=2)
+        if E.implicit(p) > 0.0:
+            target = E.gauss_inverse(rng.normal(size=2)) * rng.uniform(0.0, 0.9)
+            lines.append(bl.OrientedLine(p, rng.choice([-1.0, 1.0]) * (target - p)))
+    boundary = 0
+    while boundary < 30:
+        n = unit(rng.normal(size=2))
+        p = E.gauss_inverse(n)
+        if E.implicit(p) > 0.0:
+            boundary += 1
+            w = -n + rng.uniform(-2.0, 2.0) * bodies_module.rot90(n)
+            lines.append(bl.OrientedLine(p, w))
+    for line in lines:
+        assert np.allclose(ConvexBody.line_intersections(E, line),
+                           E.line_intersections(line), rtol=0.0, atol=1e-12)
+        assert np.allclose(ConvexBody.last_intersection(E, line),
+                           E.last_intersection(line), rtol=0.0, atol=1e-12)
+
+
+def test_boundary_exit_takes_no_line_grid(monkeypatch):
+    # one march over at most 2 sqrt(1.1) R of line (the padded bounding
+    # sphere), then a few root-kernel evaluations
+    body = bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02])
+    n = unit([0.3, -1.0])
+    p = body.gauss_inverse(n)
+    points = []
+    real = bl.SupportBody2D.implicit
+    monkeypatch.setattr(bl.SupportBody2D, "implicit", lambda self, x: (
+        points.append(len(np.atleast_2d(x))) or real(self, x)))
+    q = body.last_intersection(bl.OrientedLine(p, -n + 0.5 * bodies_module.rot90(n)))
+    step = bodies_module.CHORD_MARCH_FRACTION * body.diameter()
+    assert sum(points) <= math.ceil(2.2 * body.bounding_radius() / step) + 10
+    assert abs(real(body, q)) <= 1e-12
+
+
+def test_ray_that_never_exits_raises_convergence_error():
+    # a failed exit solve, not a tangential chord for the row form to mask
+    class Understated(bl.Superellipse):
+        def bounding_radius(self):
+            return 0.3
+
+    body = Understated(3.5)
+    with pytest.raises(ConvergenceError):
+        ConvexBody._boundary_in_direction(body, np.array([1.0, 0.0]))
+    with pytest.raises(ConvergenceError):
+        body.chord_second_intersections(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
 
 
 def test_generic_volume_quadrature_matches_exact(ellipse):

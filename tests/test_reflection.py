@@ -312,6 +312,21 @@ def test_finsler_laws_agree_in_three_dimensions(ellipsoid3):
     assert worst <= 1e-8
 
 
+def test_planar_concurrency_law_takes_no_angle_scan(ellipse, monkeypatch):
+    # one bisection on the circle of normal angles: about 55 solves for
+    # the gap, each one gauss_inverse
+    u = ellipse.gauss_inverse(unit([0.6, 0.8]))
+    m = unit([1.0, 0.3])
+    expected = bl.finsler_reflect_legendre(ellipse, m, u)
+    calls = []
+    real = bl.Ellipsoid.gauss_inverse
+    monkeypatch.setattr(bl.Ellipsoid, "gauss_inverse",
+                        lambda self, w: calls.append(1) or real(self, w))
+    v = bl.finsler_reflect_concurrency(ellipse, m, u)
+    assert np.linalg.norm(v - expected) <= 1e-8
+    assert len(calls) <= 80
+
+
 def test_finsler_parallel_branch_gives_antipode(ellipse):
     # tangent plane at u parallel to the mirror: the antipode comes back
     u = ellipse.gauss_inverse(np.array([0.0, 1.0]))
