@@ -18,9 +18,10 @@ an (N, d) array of rows, and ``chord_second_intersections`` solves N
 chords at once, reporting tangential rows in a mask.  Ellipsoids,
 superellipses and linear images write their closed forms once over rows
 (chords too for ellipsoids and even exponents), and a single vector is
-the one-row case; the other representations and chords map their
-one-vector methods over the rows (``_rowwise`` and the base
-``chord_second_intersections``).
+the one-row case; the other representations map their one-vector
+methods over the rows (``_rowwise``).  Every other chord is one row
+``_exit``: one march on a shared grid, then one row root solve.  A row
+keeps its one-chord bits where F acts elementwise (not radial bodies).
 
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
@@ -388,19 +389,16 @@ class ConvexBody:
         and directions d (one direction or one per row).
 
         Returns (b, tangential): tangential rows are flagged in the mask
-        instead of raising, and keep b = a.  Bodies without a closed row
-        form solve the chords one at a time; the closed forms also take a
-        single chord, which is how their chord_second_intersection runs.
+        instead of raising, and keep b = a.  Generic chords are one row
+        ``_exit``; the closed forms also take a single chord (the one-row case).
         """
-        a = np.asarray(a, dtype=float)
-        b = a.copy()
-        tangential = np.zeros(len(a), dtype=bool)
-        for i, di in enumerate(np.broadcast_to(d, a.shape)):
-            try:
-                b[i] = self.chord_second_intersection(a[i], di)
-            except DegenerateChordError:
-                tangential[i] = True
-        return b, tangential
+        a = self._require_boundary(a)
+        d = np.broadcast_to(_unit(d), a.shape)
+        sign = np.where(_dot(self.implicit_grad(a), d) > 0.0, -1.0, 1.0)
+        # the chords enter the body, so F < 0 just after a
+        t = sign * self._exit(a, sign[:, None] * d, -1.0)
+        tangential = abs(t) < TANGENCY_FRACTION * self.diameter()
+        return np.where(tangential[:, None], a, a + t[:, None] * d), tangential
 
     def _one_chord(self, a, d):
         """chord_second_intersection of a body whose closed row form also
@@ -421,31 +419,55 @@ class ConvexBody:
         return -b - r, -b + r
 
     def _exit(self, p, v, f_p):
-        """The t > 0 at which the ray p + t v leaves the body.
+        """The t > 0 at which the ray p + t v leaves the body, or the t of
+        each row of (N, d) arrays p and v.
 
         f_p < 0 is F(p) for an interior p, or -1 for a boundary p that v
         enters (F < 0 just past p even when the rounded F(p) is positive).
         One vectorized march in steps of CHORD_MARCH_FRACTION of the
         diameter, out to the padded bounding sphere, brackets the first
-        sign change of F; the root kernel solves it.  A ray that never
-        leaves raises ConvergenceError.
+        sign change of F; the root kernel solves it.  Rows share one march
+        grid, each masked past its own sphere exit, and one row root solve.
+        A ray that never leaves raises ConvergenceError.
         """
         step = CHORD_MARCH_FRACTION * self.diameter()
-        n = math.ceil(self._sphere_chord(p, v)[1] / step)  # the last point is outside
-        ts = step * np.arange(1, n + 1)
-        vals = self.implicit(p + ts[:, None] * v)
-        out = np.nonzero(vals >= 0.0)[0]
-        if len(out) == 0:
+        if p.ndim == 1:
+            n = math.ceil(self._sphere_chord(p, v)[1] / step)  # the last point is outside
+            ts = step * np.arange(1, n + 1)
+            vals = self.implicit(p + ts[:, None] * v)
+            out = np.nonzero(vals >= 0.0)[0]
+            if len(out) == 0:
+                raise ConvergenceError("ray never leaves the body")
+            k = int(out[0])
+            lo, f_lo = (ts[k - 1], vals[k - 1]) if k else (0.0, f_p)
+            return self._root_on_line(p, v, lo, ts[k], f_lo, vals[k])
+        b = _dot(p, v)  # the rows' sphere exits, as _sphere_chord gives them
+        disc = b * b + 1.1 * self.bounding_radius() ** 2 - _dot(p, p)
+        if (disc <= 0.0).any():
+            raise DomainError("line misses the body")
+        n = np.ceil((-b + np.sqrt(disc)) / step).astype(int)
+        ts = step * np.arange(1, n.max(initial=1) + 1)  # no rows: an empty solve
+        row, col = np.nonzero(np.arange(len(ts)) < n[:, None])
+        vals = np.full((len(p), len(ts)), np.nan)  # NaN past each row's sphere exit
+        vals[row, col] = self.implicit(p[row] + ts[col, None] * v[row])
+        out = vals >= 0.0
+        if not out.any(axis=1).all():
             raise ConvergenceError("ray never leaves the body")
-        k = int(out[0])
-        lo, f_lo = (ts[k - 1], vals[k - 1]) if k else (0.0, f_p)
-        return self._root_on_line(p, v, lo, ts[k], f_lo, vals[k])
+        k, rows = out.argmax(axis=1), np.arange(len(p))
+        return self._root_on_line(p, v, np.where(k > 0, ts[k - 1], 0.0), ts[k],
+                                  np.where(k > 0, vals[rows, k - 1], f_p), vals[rows, k])
 
     def _root_on_line(self, p, v, lo, hi, f_lo, f_hi):
-        """Crossing of the boundary by p + t v with t in a sign-change bracket."""
-        return find_root(lambda t: float(self.implicit(p + t * v)), lo, hi,
-                         df=lambda t: float(self.implicit_grad(p + t * v) @ v),
-                         xtol=EPS * self.bounding_radius(), f_lo=f_lo, f_hi=f_hi)
+        """Crossing of the boundary by p + t v with t in a sign-change
+        bracket, or by each row's line with t in its row's bracket."""
+        xtol = EPS * self.bounding_radius()
+        if p.ndim == 1:
+            return find_root(lambda t: float(self.implicit(p + t * v)), lo, hi,
+                             df=lambda t: float(self.implicit_grad(p + t * v) @ v),
+                             xtol=xtol, f_lo=f_lo, f_hi=f_hi)
+        return find_root(lambda t, i: self.implicit(p[i] + t[:, None] * v[i]), lo, hi,
+                         df=lambda t, i: _dot(self.implicit_grad(p[i] + t[:, None] * v[i]), v[i]),
+                         xtol=xtol, f_lo=f_lo, f_hi=f_hi)
 
     def _inside_on(self, p, v):
         """(t, f) with f < 0 standing for F at the point p + t v of the line:

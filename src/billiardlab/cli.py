@@ -23,6 +23,7 @@ from .bodies import (
     OrientedLine,
     Polygon2D,
     Superellipse,
+    _dot,
     _floats,
     _get,
     _unit,
@@ -229,10 +230,9 @@ def _conic_deviation_fit(body, sampler):
     conic = osculating_conic(germ)
     twin = SphereInvolutionSampler.from_planar_curve(ConicGraphBranch(conic))
 
-    def chart(t):
-        u = t * T - N
-        v = sampler(u / np.linalg.norm(u))
-        return -float(np.dot(v, T)) / float(np.dot(v, N))
+    def chart(t):  # the grid in one sampler call
+        v = sampler(_unit(t[:, None] * T - N))
+        return -_dot(v, T) / _dot(v, N)
 
     return deviation_exponent(chart, twin.chart_map(), dyadic_grid(4, 12))
 

@@ -206,23 +206,27 @@ def _curve_range(curve):
 
 
 def slope_point(curve, t):
-    """The x with h'(x) = t (h' is strictly increasing near the origin)."""
+    """The x with h'(x) = t (h' is strictly increasing near the origin),
+    for one t or for each t of an array in one row solve."""
     X = _curve_range(curve)
-    t = float(t)
-    return find_root(lambda x: curve.derivative(x, 1) - t, -X, X,
-                     df=lambda x: curve.derivative(x, 2))
+    t = np.asarray(t, dtype=float)
+    x = find_root(lambda x, i: curve.derivative(x, 1) - t.flat[i], np.full(t.size, -X), X,
+                  df=lambda x, i: curve.derivative(x, 2))
+    return x.reshape(t.shape)[()]
 
 
 def height_partner(curve, x0):
-    """The point on the opposite branch with the same height as x0."""
-    x0 = float(x0)
-    if x0 == 0.0:
-        return 0.0
-    target = float(curve.h(np.asarray(x0)))
+    """The point on the opposite branch with the same height as x0, for
+    one x0 or for each x0 of an array in one row solve."""
     X = _curve_range(curve)
-    lo, hi = (-X, 0.0) if x0 > 0 else (0.0, X)
-    return find_root(lambda x: curve.h(x) - target, lo, hi,
-                     df=lambda x: curve.derivative(x, 1), x0=-x0)
+    x0 = np.asarray(x0, dtype=float)
+    start = x0.reshape(-1)
+    target = curve.h(start)
+    # a row at x0 = 0 starts on its root: f(lo = 0) = h(0) - h(0) = 0
+    right = start > 0.0
+    x = find_root(lambda x, i: curve.h(x) - target[i], np.where(right, -X, 0.0),
+                  np.where(right, 0.0, X), df=lambda x, i: curve.derivative(x, 1), x0=-start)
+    return x.reshape(x0.shape)[()]
 
 
 def height_match(curve_a, curve_b, x):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, _apply, _unit, rot90, tangent_frame
+from .bodies import ConvexBody, _apply, _dot, _unit, rot90, tangent_frame
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -195,37 +195,32 @@ class SphereInvolutionSampler:
         slope chart it is t -> h'(partner(x)) with h'(x) = t.
         """
 
-        def one(u):
-            u = _unit(u)
-            if u[1] <= 0.0:
+        def f(us):
+            us = _unit(us)
+            if (us[:, 1] <= 0.0).any():
                 raise DomainError("direction outside the germ normal patch")
-            t = -u[0] / u[1]
-            x = slope_point(curve, t)
-            x_other = height_partner(curve, x)
-            tp = float(curve.derivative(np.asarray(x_other), 1))
-            return _unit(np.array([-tp, 1.0]))
-
-        def f(us):  # each direction is its own root solve
-            return np.array([one(u) for u in us])
+            x = slope_point(curve, -us[:, 0] / us[:, 1])
+            tp = curve.derivative(height_partner(curve, x), 1)
+            return _unit(np.stack([-tp, np.ones_like(tp)], axis=-1))
 
         return cls(f, np.array([0.0, 1.0]), 2,
                    axis_normal=np.array([1.0, 0.0]),
                    name=name or f"R_L[{type(curve).__name__}]")
 
     def chart_map(self):
-        """Scalar involution in the gnomonic chart at the fixed vector."""
+        """Scalar involution in the gnomonic chart at the fixed vector; it
+        maps one t, or an array of t with one sampler call."""
         u0 = self.fixed_vector
         if self.dim != 2:
             raise DomainError("scalar chart is only defined on S^1")
         w = rot90(u0)
 
         def g(t):
-            u = u0 + float(t) * w
-            v = self(u / np.linalg.norm(u))
-            denom = float(np.dot(v, u0))
-            if denom == 0.0:
+            v = self(_unit(u0 + np.asarray(t, dtype=float)[..., None] * w))
+            denom = _dot(v, u0)
+            if np.any(denom == 0.0):
                 raise DomainError("image left the chart")
-            return float(np.dot(v, w)) / denom
+            return _dot(v, w) / denom
 
         return g
 
@@ -371,7 +366,9 @@ def deviation_exponent(f, g, grid):
 
     Returns (exponent, signed coefficient) of |f(t) - g(t)| ~ |C| t^k on
     the grid; grids entirely below the round-off floor raise
-    IndistinguishableError (the maps agree).
+    IndistinguishableError (the maps agree).  Each chart (a callable
+    acting elementwise, or a sampler's chart_map) maps the whole grid in
+    one call.
     """
     if isinstance(f, SphereInvolutionSampler) and isinstance(g, SphereInvolutionSampler):
         if rp_distance(f.fixed_vector, g.fixed_vector) > 1e-9:
@@ -379,5 +376,4 @@ def deviation_exponent(f, g, grid):
     fc = _chart_function(f)
     gc = _chart_function(g)
     grid = np.asarray(grid, dtype=float)
-    deltas = np.array([fc(t) - gc(t) for t in grid])
-    return fit_power_law(grid, deltas)
+    return fit_power_law(grid, fc(grid) - gc(grid))

@@ -9,6 +9,7 @@ Euclidean ones.  All functions are pure; bodies are never mutated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bodies import (ConvexBody, OrientedLine, _unit, legendre_point,
-                     mirror_symmetric, polar_dual, unit_vector)
+                     mirror_symmetric, polar_dual, rot90, unit_vector)
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -215,9 +216,14 @@ def _concurrency_2d(I, m, a, u):
     M = np.stack([a, m])
     p_star = np.linalg.solve(M, np.array([1.0, 0.0]))
 
+    @functools.lru_cache(maxsize=1)  # f, then df, at one theta
     def gap(theta):
-        v = I.gauss_inverse(unit_vector(theta, 2))
-        return float(np.dot(legendre_point(I, v), p_star)) - 1.0
+        # the gap <e, p*> / h(e) - 1 and, as grad h(e) = v = gauss_inverse(e),
+        # its slope <e', p*> / h - <e, p*> <v, e'> / h^2 with e' = rot90(e)
+        e = unit_vector(theta, 2)
+        v = I.gauss_inverse(e)
+        h, ep, e1 = float(e @ v), float(e @ p_star), rot90(e)
+        return v, ep / h - 1.0, float(e1 @ p_star) / h - ep * float(v @ e1) / (h * h)
 
     # the tangency angles seen from p_star are the two roots of gap();
     # one of them is u itself, so deflate it: gap / sin((theta-theta_u)/2)
@@ -227,13 +233,19 @@ def _concurrency_2d(I, m, a, u):
     theta_u = float(np.arctan2(n_u[1], n_u[0]))
 
     def deflated(theta):
-        return gap(theta) / math.sin(0.5 * (theta - theta_u))
+        return gap(theta)[1] / math.sin(0.5 * (theta - theta_u))
+
+    def d_deflated(theta):
+        _, g, slope = gap(theta)
+        s, c = math.sin(0.5 * (theta - theta_u)), math.cos(0.5 * (theta - theta_u))
+        return slope / s - 0.5 * g * c / (s * s)
 
     try:
-        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4)
+        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4,
+                          df=d_deflated)
     except ConvergenceError as exc:
         raise SolverError("no transversal concurrency solution found") from exc
-    v = I.gauss_inverse(unit_vector(theta, 2))
+    v = gap(theta)[0]
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v

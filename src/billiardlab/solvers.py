@@ -1,8 +1,9 @@
-"""The scalar root kernel and lazy access to scipy's least-squares solver.
+"""The root kernel and lazy access to scipy's least-squares solver.
 
-``find_root`` is the package's one scalar root finder: boundary
-crossings, inverse slopes, height partners and bracketed angle searches
-all go through it.  ``least_squares`` forwards to scipy and imports
+``find_root`` is the package's one root finder: boundary crossings,
+inverse slopes, height partners and bracketed angle searches all go
+through it, one scalar bracket at a time or an array of brackets (one
+per row) in one solve.  ``least_squares`` forwards to scipy and imports
 ``scipy.optimize`` on first use, because that import costs most of the
 time of ``import billiardlab`` and only three solves need it.
 """
@@ -18,7 +19,8 @@ ROOT_MAX_ITER = 200
 
 
 def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
-    """Root of a scalar function that changes sign on [lo, hi].
+    """Root of a scalar function that changes sign on [lo, hi], or of each
+    row of an array of such brackets.
 
     Safeguarded Newton: with a derivative ``df`` the Newton step from
     the current iterate is taken when it lands inside the sign-change
@@ -30,7 +32,14 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     value of the same sign.  A function without a sign change on the
     bracket, or one that does not converge in ROOT_MAX_ITER steps,
     raises ConvergenceError.
+
+    Array brackets (``lo`` or ``hi`` of ndim 1; ``f_lo``, ``f_hi``, ``x0``
+    and ``xtol`` per row or shared) are solved together, with f and df
+    called elementwise as f(x, rows) on the rows still searching.  Each
+    row gets the bits of its scalar solve; a failing row raises.
     """
+    if getattr(lo, "ndim", 0) or getattr(hi, "ndim", 0):  # np.ndim, without its cost on a float
+        return _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi)
     f_lo = f(lo) if f_lo is None else f_lo
     f_hi = f(hi) if f_hi is None else f_hi
     if f_lo == 0.0:
@@ -75,6 +84,53 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
         prev_step, x = step, x_new
     raise ConvergenceError(f"root search did not converge near {x:.17g}",
                            iterations=ROOT_MAX_ITER, residual=abs(fx))
+
+
+def _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi):
+    """find_root over rows: the scalar loop, run on the compressed arrays
+    of the rows that are still searching."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    every = np.arange(lo.size)
+    f_lo = f(lo, every) if f_lo is None else np.broadcast_to(f_lo, lo.shape)
+    f_hi = f(hi, every) if f_hi is None else np.broadcast_to(f_hi, lo.shape)
+    root = np.where(f_lo == 0.0, lo, hi)  # rows that start on a root
+    rows = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    bad = rows[(f_lo[rows] < 0.0) == (f_hi[rows] < 0.0)]
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(f"no sign change on [{lo[i]:.17g}, {hi[i]:.17g}]", iterations=0,
+                               residual=min(abs(f_lo[i]), abs(f_hi[i])))
+    lo, hi, left = lo[rows], hi[rows], f_lo[rows] < 0.0
+    neg, pos = np.where(left, lo, hi), np.where(left, hi, lo)
+    x0 = np.broadcast_to(np.nan if x0 is None else x0, root.shape)[rows]
+    x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, 0.5 * (lo + hi))
+    prev_step, xtol = abs(hi - lo), np.broadcast_to(xtol, root.shape)[rows]
+    for _ in range(ROOT_MAX_ITER):
+        if not rows.size:
+            return root
+        fx = f(x, rows)
+        neg, pos = np.where(fx < 0.0, x, neg), np.where(fx < 0.0, pos, x)
+        tol = xtol + 2.0 * EPS * abs(x)
+        done = (fx == 0.0) | (abs(pos - neg) <= tol)
+        x_new, newton = 0.5 * (neg + pos), np.zeros_like(done)
+        if df is not None:
+            d = df(x, rows)
+            slope = ~done & (d != 0.0)
+            x_n = x - np.divide(fx, d, out=np.zeros_like(x), where=slope)
+            newton = slope & (abs(x_n - x) <= tol)  # a converged Newton step
+            take = (slope & (np.minimum(neg, pos) < x_n) & (x_n < np.maximum(neg, pos))
+                    & (abs(x_n - x) <= 0.5 * prev_step))
+            x_new = np.where(newton | take, x_n, x_new)
+        step = abs(x_new - x)
+        stop = newton | ~done & ((step <= tol) | (x_new == x))
+        root[rows[done]], root[rows[stop]] = x[done], x_new[stop]
+        keep = ~(done | stop)
+        rows, x, neg, pos, xtol = rows[keep], x_new[keep], neg[keep], pos[keep], xtol[keep]
+        prev_step, fx = step[keep], fx[keep]
+    if rows.size:
+        raise ConvergenceError(f"root search did not converge near {x[0]:.17g}",
+                               iterations=ROOT_MAX_ITER, residual=float(np.max(abs(fx))))
+    return root
 
 
 def least_squares(*args, **kwargs):

@@ -497,6 +497,12 @@ def test_ray_that_never_exits_raises_convergence_error():
         ConvexBody._boundary_in_direction(body, np.array([1.0, 0.0]))
     with pytest.raises(ConvergenceError):
         body.chord_second_intersections(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
+    # several rows, with a direction each, go through one row march
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ConvergenceError):
+        body.chord_second_intersections(a, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ConvergenceError):
+        ConvexBody._exit(body, np.zeros((2, 2)), np.eye(2), np.array([-1.0, -1.0]))
 
 
 def test_generic_volume_quadrature_matches_exact(ellipse):

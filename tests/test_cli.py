@@ -1,6 +1,10 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
 import csv
+import hashlib
+from pathlib import Path
+
+import pytest
 
 from billiardlab.cli import main
 
@@ -208,3 +212,37 @@ def test_numeric_failures_exit_two(tmp_path, capsys):
     rc = main(["reflect", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+# SHA-256 of every CSV that the demo configs write.  A change that moves a
+# digit of a demo output updates this table and says so in CHANGES.md.
+DEMO_CSV_SHA256 = {
+    ("capacity_disk.cfg", "capacity.csv"):
+        "644e2c899f1e1211a09dd27da4cdcc89e160acdbc79e8b8d5e4e78fb832a9cd1",
+    ("capacity_disk.cfg", "orbit.csv"):
+        "5358335daff823b9a799c1881556e0c87805b2ccf2424bf79bcd46d1cc109c6f",
+    ("osculate_germ.cfg", "fits.csv"):
+        "7d329e1ab37d5487aa7b61fa2a8da001a58e1bf11df12eead5a14247784de899",
+    ("osculate_germ.cfg", "osculate.csv"):
+        "13f4558caa0e13645cc732dfc951f6414a0238b99d3ea22ba9ae3ee9e2a5b884",
+    ("projtest_ellipse.cfg", "projtest.csv"):
+        "8e66e6c777d24bee2b15f3b5c5b2bbcc46b5f77a97b98e7279e34b2b75364a5e",
+    ("projtest_superellipse.cfg", "projtest.csv"):
+        "6d5c737e73a85befef78c844bcb57730fc16204670336ecc976ca8fb01803ffa",
+    ("sweep_family.cfg", "sweep.csv"):
+        "acc3d103061d79354170bc3598b51bcd9848bc6758fd8860afda15b44343099f",
+    ("trace_ellipse.cfg", "orbit.csv"):
+        "956ad22fb0462634bd38727624d31aac35e95a07b995c515c8f6dfdfa7206314",
+}
+
+
+@pytest.mark.parametrize("config", sorted({c for c, _ in DEMO_CSV_SHA256}))
+def test_demo_config_csvs_are_byte_identical(config, tmp_path, capsys):
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    experiment = next(line.split("=", 1)[1].strip() for line in text.splitlines()
+                      if line.startswith("experiment"))
+    assert main([experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    written = {(config, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*.csv")}
+    assert written == {key: h for key, h in DEMO_CSV_SHA256.items() if key[0] == config}

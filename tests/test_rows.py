@@ -1,5 +1,6 @@
-"""Row forms: (N, d) arrays through the body queries, the parallel-chord
-involution, its samplers and the projectivity residual."""
+"""Row forms: (N, d) arrays through the body queries, the generic chord
+solve, the parallel-chord involution, its samplers, their charts and the
+projectivity residual."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 import billiardlab as bl
 from billiardlab.errors import DegenerateChordError
+from billiardlab.jets import dyadic_grid, fit_power_law
 
 # the row path and the one-vector calls agree to a few ulp
 ROW_TOL = 1e-15
@@ -117,6 +119,86 @@ def test_projectivity_residual_evaluates_its_sampler_once(body, d):
     rows = 4 * plan.n_quadruples if body.dim == 2 else plan.n_points
     assert calls == [(rows, body.dim)]
     assert residual == bl.projectivity_residual(sampler, plan)
+
+
+GENERIC_CHORD_BODIES = {
+    "superellipse3.5": lambda: bl.Superellipse(3.5),
+    "superellipse3": lambda: bl.Superellipse(3.0),
+    "superellipse3.5_3d": lambda: bl.Superellipse(3.5, dim=3),
+    "linear_image3.5": lambda: bl.LinearImageBody(bl.Superellipse(3.5),
+                                                  [[1.1, 0.25], [0.05, 0.9]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CHORD_BODIES))
+def test_generic_row_chords_keep_the_one_chord_bits(name):
+    body = GENERIC_CHORD_BODIES[name]()
+    rng = np.random.default_rng(24)
+    P = body.gauss_inverse(unit_rows(rng, 60, body.dim))
+    for d in (bl.ParallelClass(rng.normal(size=body.dim)).direction,
+              unit_rows(rng, 60, body.dim)):
+        B, tangential = body.chord_second_intersections(P, d)
+        D = np.broadcast_to(d, P.shape)
+        assert not tangential.any()
+        assert np.array_equal(B, [body.chord_second_intersection(p, e) for p, e in zip(P, D)])
+    B, tangential = body.chord_second_intersections(P[:0], P[0])
+    assert B.shape == (0, body.dim) and tangential.shape == (0,)
+
+
+def test_generic_row_chords_take_one_march_and_one_root_solve(monkeypatch):
+    # 160 Superellipse(3.5) chords cost what the slowest of them costs alone:
+    # one boundary check, one march and its root iterations.  That is 50
+    # implicit calls here, where one chord bisects from its noise floor,
+    # against 1,044 when each chord marched and solved on its own.
+    body = bl.Superellipse(3.5)
+    P = body.gauss_inverse(unit_rows(np.random.default_rng(25), 160, 2))
+    d = [0.8317, 0.5553]
+    calls = []
+    real = bl.Superellipse.implicit
+    monkeypatch.setattr(bl.Superellipse, "implicit",
+                        lambda self, x: calls.append(1) or real(self, x))
+    alone = []
+    for p in P:
+        calls.clear()
+        body.chord_second_intersection(p, d)
+        alone.append(len(calls))
+    calls.clear()
+    body.chord_second_intersections(P, d)
+    assert len(calls) <= max(alone)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (bl.SphereInvolutionSampler.from_parallel_chord(bl.Superellipse(3.5), [0.3, 1.0]),
+             bl.SphereInvolutionSampler.from_parallel_chord(bl.Superellipse(4.0), [0.3, 1.0])),
+    lambda: (bl.SphereInvolutionSampler.from_planar_curve(bl.PlanarGerm([0, 0, 0.5, 0, 0, 1e-2])),
+             bl.SphereInvolutionSampler.from_planar_curve(bl.PlanarGerm([0, 0, 0.5])))],
+    ids=["parallel_chord", "planar_curve"])
+def test_deviation_exponent_evaluates_each_sampler_once(make):
+    f, g = make()
+    grid = dyadic_grid(4, 12)
+    (wf, f_calls), (wg, g_calls) = counted(f), counted(g)
+    k, C = bl.deviation_exponent(wf, wg, grid)
+    assert f_calls == g_calls == [(len(grid), 2)]
+    # the grid in one call gives every point the bits of its own call
+    fc, gc = f.chart_map(), g.chart_map()
+    assert np.array_equal(fc(grid), [fc(t) for t in grid])
+    assert np.array_equal(gc(grid), [gc(t) for t in grid])
+    assert (k, C) == fit_power_law(grid, np.array([fc(t) - gc(t) for t in grid]))
+
+
+def test_planar_curve_sampler_rows_keep_their_one_row_bits(monkeypatch):
+    from billiardlab import projectivity
+    curve = bl.PlanarGerm([0, 0, 0.5, 0, 0, 1e-2])
+    sampler = bl.SphereInvolutionSampler.from_planar_curve(curve)
+    t = np.linspace(-0.4, 0.4, 33)
+    U = np.stack([-t, np.ones_like(t)], axis=1) / np.sqrt(1.0 + t * t)[:, None]
+    solves = []
+    real = projectivity.slope_point
+    monkeypatch.setattr(projectivity, "slope_point",
+                        lambda c, s: solves.append(np.shape(s)) or real(c, s))
+    V = sampler(U)
+    assert solves == [(33,)]
+    assert np.array_equal(V, [sampler(u) for u in U])
 
 
 def test_polar_implicit_batch_matches_rows():

@@ -1,4 +1,4 @@
-"""The scalar root kernel and the lazy scipy import."""
+"""The root kernel, one bracket or an array of them, and the lazy scipy import."""
 
 import math
 import os
@@ -65,6 +65,66 @@ def test_root_kernel_reports_non_convergence():
         find_root(lambda x: x - 1e-80, -1.0, 1.0)
     assert err.value.iterations == ROOT_MAX_ITER
     assert find_root(lambda x: x - 1e-80, -1.0, 1.0, df=lambda x: 1.0) == 1e-80
+
+
+def random_cubics(n, seed):
+    """Rows of f(x) = (x^2 + a) x - b, some with three real roots, and
+    brackets [lo, hi] (in either order) on which each changes sign."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    lo, hi = rng.uniform(-3.0, -2.0, n), rng.uniform(2.0, 3.0, n)
+    flip = rng.random(n) < 0.5
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    return a, b, lo, hi
+
+
+def test_row_solve_gives_each_row_its_scalar_bits():
+    n = 200
+    a, b, lo, hi = random_cubics(n, 31)
+    x0 = np.random.default_rng(32).uniform(-3.5, 3.5, n)  # some outside the bracket
+    x0[::7], x0[3::7] = lo[::7], hi[3::7]  # and some on its ends
+    for with_df in (False, True):
+        for ends in (False, True):
+            for start in (None, x0):
+                kw = {}
+                if ends:  # any value of the right sign stands for f at the ends
+                    kw = dict(f_lo=np.sign(lo), f_hi=np.sign(hi))
+                rows = find_root(lambda x, i: (x * x + a[i]) * x - b[i], lo, hi,
+                                 df=(lambda x, i: 3.0 * x * x + a[i]) if with_df else None,
+                                 x0=start, **kw)
+                for k in range(n):
+                    one = find_root(lambda x: (x * x + a[k]) * x - b[k], lo[k], hi[k],
+                                    df=(lambda x: 3.0 * x * x + a[k]) if with_df else None,
+                                    x0=None if start is None else start[k],
+                                    **{key: value[k] for key, value in kw.items()})
+                    assert rows[k] == one, (with_df, ends, start is None, k)
+
+
+def test_row_solve_agrees_with_scipy_elementwise_root():
+    elementwise = pytest.importorskip("scipy.optimize.elementwise")
+    a, b, lo, hi = random_cubics(200, 33)
+    a = np.abs(a) + 0.5  # one simple root per row, so both solvers find the same one
+    for df in (None, lambda x, i: 3.0 * x * x + a[i]):
+        rows = find_root(lambda x, i: (x * x + a[i]) * x - b[i], lo, hi, df=df)
+        ref = elementwise.find_root(lambda x, a, b: (x * x + a) * x - b,
+                                    (np.minimum(lo, hi), np.maximum(lo, hi)), args=(a, b))
+        assert ref.success.all()
+        assert np.all(np.abs(rows - ref.x) <= 4.0 * np.finfo(float).eps * np.abs(ref.x))
+
+
+def test_row_solve_raises_for_a_failing_row():
+    lo, hi = np.array([0.0, -1.0, 0.0]), np.array([3.0, 1.0, 2.0])
+    with pytest.raises(ConvergenceError) as err:  # row 1 has no sign change
+        find_root(lambda x, i: x * x - np.array([2.0, -1.0, 1.0])[i], lo, hi)
+    assert err.value.iterations == 0
+    # row 1 needs about 265 halvings, more than the iteration budget
+    shift = np.array([2.0, 1e-80, 1.0])
+    with pytest.raises(ConvergenceError) as err:
+        find_root(lambda x, i: x - shift[i], np.array([0.0, -1.0, 0.0]), hi)
+    assert err.value.iterations == ROOT_MAX_ITER
+    x = find_root(lambda x, i: x - shift[i], np.array([0.0, -1.0, 0.0]), hi,
+                  df=lambda x, i: np.ones_like(x))
+    assert np.array_equal(x, shift)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
