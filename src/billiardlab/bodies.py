@@ -14,12 +14,17 @@ stopped on a step tolerance.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
-an (N, d) array of rows, and ``chord_second_intersections`` solves N
-chords at once, reporting tangential rows in a mask.  Ellipsoids,
-superellipses and linear images write their closed forms once over rows
-(chords too for ellipsoids and even exponents), and a single vector is
-the one-row case; the other representations map their one-vector
-methods over the rows (``_rowwise``).  Every other chord is one row
+an (N, d) array of rows, and so do the closed-orbit search's
+``_boundary_in_direction``, ``implicit_hess``, ``support_hess``,
+``gauge_hess`` and ``_gauge_hess_at``; ``chord_second_intersections``
+solves N chords at once, reporting tangential rows in a mask.
+Ellipsoids, superellipses and linear images write their closed forms
+once over rows (chords too for ellipsoids and even exponents), polar
+bodies build theirs from their base's rows, and a single vector is the
+one-row case; the other representations map their one-vector methods
+over the rows (``_rowwise``).  The rows of the closed-orbit search's
+queries get bits that do not depend on the other rows of the call, so
+each multistart polygon is solved as if alone.  Every other chord is one row
 ``_exit``: one march on a shared grid, then one row root solve.  A row
 keeps its one-chord bits where F acts elementwise (not radial bodies).
 
@@ -45,7 +50,7 @@ from .errors import (
     OriginNotInteriorError,
 )
 from .jets import JET_ORDER, MPoly, Taylor1D
-from .solvers import EPS, find_root
+from .solvers import EPS, _dot, find_root
 
 # tolerances used by the generic solvers
 GAUSS_TOL = 1e-12
@@ -59,17 +64,9 @@ VOLUME_SAMPLES = 2 ** 17
 VOLUME_SEED = 0
 
 
-# Row helpers.  numpy's matmul takes the same BLAS kernel for each row of a
-# stack as for a single vector, so these give every row the bits that the
-# one-vector expression (np.dot, M @ v) gives it.
-
-def _dot(a, b):
-    """Inner products along the last axis, as np.dot gives them for two
-    vectors; b may be one vector against the rows of a."""
-    if a.ndim == 1:
-        return a @ b
-    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
-
+# Row helpers (with ``solvers._dot``).  numpy's matmul takes the same BLAS
+# kernel for each row of a stack as for a single vector, so these give every
+# row the bits that the one-vector expression (np.dot, M @ v) gives it.
 
 def _apply(M, v):
     """M @ v for one vector or for each row of v."""
@@ -274,6 +271,7 @@ class ConvexBody:
         raise ConvergenceError(
             f"gauss_inverse failed for u={u}", iterations=last[0], residual=last[1])
 
+    @_rowwise
     def _boundary_in_direction(self, s):
         """Boundary intersection of the ray from the interior point along s."""
         s = _unit(s)
@@ -338,6 +336,7 @@ class ConvexBody:
         """The boundary point attaining the support value in direction u."""
         return self.gauss_inverse(u)
 
+    @_rowwise
     def support_hess(self, u):
         """Hessian of h at u != 0: the inverse shape operator at the support
         point, on the tangent plane, divided by |u|."""
@@ -354,15 +353,15 @@ class ConvexBody:
         x = np.asarray(x, dtype=float)
         p = self._boundary_in_direction(x)
         G = self._gauge_hess_at(p, self.implicit_grad(p))
-        return G * (np.linalg.norm(p) / np.linalg.norm(x))
+        return G * (np.sqrt(_dot(p, p)) / np.sqrt(_dot(x, x)))[..., None, None]
 
     def _gauge_hess_at(self, p, grad):
-        """Gauge Hessian Q^T H Q / <grad F, p> at the boundary point p, with
-        grad = grad F(p), H the Hessian of F, Q = I - p nu^T and
-        nu = grad / <grad, p> (the gauge's gradient)."""
-        gp = float(grad @ p)
-        Q = np.eye(self.dim) - np.outer(p, grad / gp)
-        return Q.T @ self.implicit_hess(p) @ Q / gp
+        """Gauge Hessian Q^T H Q / <grad F, p> at the boundary point p (or at
+        each row), with grad = grad F(p), H the Hessian of F, Q = I - p nu^T
+        and nu = grad / <grad, p> (the gauge's gradient)."""
+        gp = _dot(grad, p)[..., None, None]
+        Q = np.eye(self.dim) - p[..., :, None] * (grad[..., None, :] / gp)
+        return np.swapaxes(Q, -1, -2) @ self.implicit_hess(p) @ Q / gp
 
     # -- chords and line intersections ---------------------------------------
 
@@ -557,7 +556,8 @@ class Ellipsoid(ConvexBody):
         return 2.0 * np.asarray(x, dtype=float) @ self.A
 
     def implicit_hess(self, x):
-        return 2.0 * self.A
+        H = 2.0 * self.A
+        return H if np.ndim(x) == 1 else np.broadcast_to(H, np.shape(x)[:-1] + H.shape)
 
     def bounding_radius(self):
         return self._radius
@@ -573,13 +573,13 @@ class Ellipsoid(ConvexBody):
 
     def support_hess(self, u):
         u = np.asarray(u, dtype=float)
-        w = self.A_inv @ u
-        h = math.sqrt(float(u @ w))
-        return self.A_inv / h - np.outer(w, w) / h ** 3
+        w = _apply(self.A_inv, u)
+        h = np.sqrt(_dot(u, w))[..., None, None]
+        return self.A_inv / h - w[..., :, None] * w[..., None, :] / h ** 3
 
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)
-        return s / math.sqrt(float(s @ self.A @ s))
+        return s / np.sqrt(_dot(s @ self.A, s))[..., None]
 
     def chord_second_intersection(self, a, d):
         return self._one_chord(a, d)
@@ -675,7 +675,8 @@ class Superellipse(ConvexBody):
             # infinite on the axes, where the curvature is; the floor on
             # |y_i| keeps it finite (and large)
             y = np.maximum(y, EPS)
-        return np.diag(self.m * (self.m - 1.0) / self.a ** 2 * y ** (self.m - 2.0))
+        diag = self.m * (self.m - 1.0) / self.a ** 2 * y ** (self.m - 2.0)
+        return diag[..., None] * np.eye(self.dim)
 
     def bounding_radius(self):
         return self._radius
@@ -701,15 +702,20 @@ class Superellipse(ConvexBody):
         q = self.m / (self.m - 1.0)
         y = self.a * np.asarray(u, dtype=float)
         ay = np.abs(y)
-        h = float(np.sum(ay ** q)) ** (1.0 / q)
+        h = (ay ** q).sum(-1, keepdims=True) ** (1.0 / q)
         sig = np.sign(y) * ay ** (q - 1.0)
         diag = np.maximum(ay, EPS * h) ** (q - 2.0) * h ** q
-        H = (q - 1.0) * h ** (1.0 - 2.0 * q) * (np.diag(diag) - np.outer(sig, sig))
+        H = ((q - 1.0) * h[..., None] ** (1.0 - 2.0 * q)
+             * (diag[..., None] * np.eye(self.dim) - sig[..., :, None] * sig[..., None, :]))
         return H * np.outer(self.a, self.a)
 
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)
-        return s / float(np.sum(np.abs(s / self.a) ** self.m)) ** (1.0 / self.m)
+        # one vector takes the scalar power, rows the array power (they round
+        # differently, and the one-vector callers keep their bits)
+        if s.ndim == 1:
+            return s / float(np.sum(np.abs(s / self.a) ** self.m)) ** (1.0 / self.m)
+        return s / (abs(s / self.a) ** self.m).sum(-1, keepdims=True) ** (1.0 / self.m)
 
     def volume(self):
         g = math.gamma(1.0 + 1.0 / self.m)
@@ -867,6 +873,7 @@ class RadialBody2D(ConvexBody):
         r1 = float(self.radial(math.atan2(x[1], x[0]), 1))
         return e_r - (r1 / rho) * rot90(e_r)
 
+    @_rowwise
     def implicit_hess(self, x):
         x = np.asarray(x, dtype=float)
         rho = float(np.linalg.norm(x))
@@ -881,6 +888,7 @@ class RadialBody2D(ConvexBody):
     def bounding_radius(self):
         return self._radius
 
+    @_rowwise
     def _boundary_in_direction(self, s):
         s = _unit(s)
         return float(self.radial(math.atan2(s[1], s[0]))) * s
@@ -940,6 +948,7 @@ class SupportBody2D(ConvexBody):
         h, h1, _ = self.h.jet(math.atan2(u[1], u[0]))
         return h * u + h1 * rot90(u)
 
+    @_rowwise
     def support_hess(self, u):
         u = np.asarray(u, dtype=float)
         h, _, h2 = self.h.jet(math.atan2(u[1], u[0]))
@@ -977,8 +986,9 @@ class SupportBody2D(ConvexBody):
         theta = self._argmax_angle(x)
         return np.array([math.cos(theta), math.sin(theta)])
 
+    @_rowwise
     def implicit_hess(self, x):
-        theta = self._argmax_angle(np.asarray(x, dtype=float))
+        theta = self._argmax_angle(x)
         u_t = np.array([-math.sin(theta), math.cos(theta)]).reshape(2, 1)
         h, _, h2 = self.h.jet(theta)
         return (u_t @ u_t.T) / (h + h2)
@@ -1007,7 +1017,7 @@ class LinearImageBody(ConvexBody):
         return self.base.implicit_grad(_apply(self.B_inv, x)) @ self.B_inv
 
     def implicit_hess(self, x):
-        H = self.base.implicit_hess(self.B_inv @ np.asarray(x, float))
+        H = self.base.implicit_hess(_apply(self.B_inv, np.asarray(x, dtype=float)))
         return self.B_inv.T @ H @ self.B_inv
 
     def bounding_radius(self):
@@ -1020,12 +1030,12 @@ class LinearImageBody(ConvexBody):
         return self.base.support(np.asarray(u, dtype=float) @ self.B)
 
     def support_hess(self, u):
-        H = self.base.support_hess(self.B.T @ np.asarray(u, dtype=float))
+        H = self.base.support_hess(_apply(self.B.T, np.asarray(u, dtype=float)))
         return self.B @ H @ self.B.T
 
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)
-        return self.B @ self.base._boundary_in_direction(self.B_inv @ s)
+        return _apply(self.B, self.base._boundary_in_direction(_apply(self.B_inv, s)))
 
     def volume(self):
         return abs(float(np.linalg.det(self.B))) * self.base.volume()
@@ -1066,7 +1076,7 @@ class PolarBody(ConvexBody):
 
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)
-        return s / self.base.support(s)
+        return s / np.asarray(self.base.support(s))[..., None]
 
     @_rowwise
     def gauss_inverse(self, u):

@@ -7,9 +7,11 @@ counts is the capacity estimate for the product body.
 
 Closed orbits are zeros of the action gradient over m-tuples of boundary
 points.  Each point moves in a radial chart of K (the boundary point on
-the ray of a unit direction), and a trust-region least-squares solver
-finds the zeros with the exact Jacobian, assembled from the gradient and
-Hessian of F_K and the support Hessian of T; nothing is differenced.
+the ray of a unit direction), and a batched Levenberg-Marquardt solver
+(``solvers.levenberg_marquardt``, imported here as ``least_squares``)
+finds the zeros of all multistart polygons in one call, with exact
+Jacobians assembled from the gradient and Hessian of F_K and the support
+Hessian of T; nothing is differenced.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from .bodies import (
 )
 from .errors import DomainError, GrazingError, PreconditionError
 from .reflection import GRAZING_ANGLE, t_billiard_reflect
-from .solvers import least_squares
+from .solvers import _dot, levenberg_marquardt as least_squares
 
-ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search solve
+ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search polygon
 
 
 def finsler_length(T: ConvexBody, dq):
-    """Length of a directed chord in the T-billiard action functional."""
+    """Length of a directed chord in the T-billiard action functional (or
+    of each row of an (N, d) array of chords)."""
     return T.support(np.asarray(dq, dtype=float))
 
 
@@ -99,8 +102,7 @@ def iterate_t_billiard(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
         points.append(current.point)
         directions.append(current.direction)
     points = np.asarray(points).reshape(-1, K.dim)
-    lengths = np.array([finsler_length(T, points[i + 1] - points[i])
-                        for i in range(len(points) - 1)])
+    lengths = finsler_length(T, points[1:] - points[:-1])
     closed = False
     if len(points) >= 3:
         tol = 1e-9 * K.diameter()
@@ -143,156 +145,169 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
 # Closed orbits by stationarity of the action
 # ---------------------------------------------------------------------------
 
-def _sphere_chart(phi, frame):
-    """s = frame @ unit_vector(phi) with its first derivatives S (columns,
-    one per angle) and second derivatives S2[a, b] in the angles."""
-    if len(phi) == 1:
-        c, s = math.cos(phi[0]), math.sin(phi[0])
-        u = np.array([c, s])
-        U = np.array([[-s], [c]])
-        U2 = -u[None, None, :]
+def _sphere_chart(phi, frames):
+    """Rows u = frame @ unit_vector(phi) for the angle rows phi (N, k) in
+    the frames (N, d, d), with the first derivatives U (N, d, k; a column
+    per angle) and the second derivatives U2 (N, k, k, d) in the angles."""
+    if phi.shape[1] == 1:
+        c, s = np.cos(phi[:, 0]), np.sin(phi[:, 0])
+        u = np.stack([c, s], axis=-1)
+        U = np.stack([-s, c], axis=-1)[:, :, None]
+        U2 = -u[:, None, None, :]
     else:
-        ca, sa = math.cos(phi[0]), math.sin(phi[0])
-        cp, sp = math.cos(phi[1]), math.sin(phi[1])
-        u = np.array([ca * sp, sa * sp, cp])
-        U = np.array([[-sa * sp, ca * cp], [ca * sp, sa * cp], [0.0, -sp]])
-        u_ap = np.array([-sa * cp, ca * cp, 0.0])
-        U2 = np.array([[[-ca * sp, -sa * sp, 0.0], u_ap], [u_ap, -u]])
-    return frame @ u, frame @ U, U2 @ frame.T
+        ca, sa = np.cos(phi[:, 0]), np.sin(phi[:, 0])
+        cp, sp = np.cos(phi[:, 1]), np.sin(phi[:, 1])
+        zero = np.zeros_like(ca)
+        u = np.stack([ca * sp, sa * sp, cp], axis=-1)
+        U = np.stack([np.stack([-sa * sp, ca * cp], axis=-1),
+                      np.stack([ca * sp, sa * cp], axis=-1),
+                      np.stack([zero, -sp], axis=-1)], axis=1)
+        u_ap = np.stack([-sa * cp, ca * cp, zero], axis=-1)
+        u_aa = np.stack([-ca * sp, -sa * sp, zero], axis=-1)
+        U2 = np.stack([np.stack([u_aa, u_ap], axis=1), np.stack([u_ap, -u], axis=1)], axis=1)
+    return ((frames @ u[:, :, None])[:, :, 0], frames @ U,
+            U2 @ np.swapaxes(frames, 1, 2)[:, None])
+
+
+def _chords(qs):
+    """q_{i+1} - q_i around the closed polygons qs (S, m, d)."""
+    return qs[:, (np.arange(qs.shape[1]) + 1) % qs.shape[1]] - qs
 
 
 class _StationaritySystem:
-    """Gradient of the action sum h_T(q_{i+1} - q_i) in radial charts of K,
-    and its exact Jacobian.
+    """Gradients of the action sums h_T(q_{i+1} - q_i) of S closed m-gons
+    in radial charts of K, and their exact Jacobians.
 
-    Vertex i is q_i = rho_K(s_i) s_i, the boundary point on the ray of
-    s_i = frames[i] @ unit_vector(phi_i) from the origin (inside every
+    Vertex i of polygon s is q = rho_K(u) u, the boundary point on the ray
+    of u = frames[s, i] @ unit_vector(phi) from the origin (inside every
     body).  With nu = grad F / <grad F, q>, the chart derivative is
-    J = rho (I - q nu^T) S, S = ds/dphi; it needs only the gradient of F, so
-    it stays regular at flat points.  The gradient block of vertex i is
+    J = rho (I - q nu^T) U, U = du/dphi; it needs only the gradient of F,
+    so it stays regular at flat points.  The gradient block of vertex i is
     J_i^T w_i with w_i = t_{i-1} - t_i and t_i = grad h_T(q_{i+1} - q_i).
+
+    The polygons asked for are evaluated together: their vertices are the
+    rows of one (S m, d) array, so every body query is one row call and
+    the Jacobians are one (S, m k, m k) array.
     """
 
     def __init__(self, K, T, frames):
-        self.K, self.T, self.frames = K, T, frames
+        self.K, self.T = K, T
+        self.frames = frames  # (S, m, d, d): one chart frame per vertex
         self.min_gap = 1e-9 * K.diameter()
-        self._x = None
+        self._at = None
 
-    def evaluate(self, x):
-        """Vertices, charts and gradient at x; kept until x changes, since
-        the solver asks for the Jacobian at the point it just evaluated."""
-        if self._x is not None and np.array_equal(x, self._x):
+    def evaluate(self, x, rows):
+        """Vertices, charts and gradients of the polygons ``rows`` at the
+        chart angles x (a row per polygon); kept until the arguments
+        change, since the solver asks for the Jacobians at the points it
+        just evaluated.  A polygon with consecutive vertices closer than
+        the distinctness threshold is degenerate: its gradient is NaN."""
+        if (self._at is not None and np.array_equal(rows, self._at[1])
+                and np.array_equal(x, self._at[0])):
             return
-        K, T = self.K, self.T
-        m = len(self.frames)
-        phis = np.asarray(x, dtype=float).reshape(m, -1)
-        self.charts = [_sphere_chart(phi, R) for phi, R in zip(phis, self.frames)]
-        self.qs = np.array([K._boundary_in_direction(s) for s, _, _ in self.charts])
-        self.rhos = np.linalg.norm(self.qs, axis=1)
-        self.grads = np.array([K.implicit_grad(q) for q in self.qs])
-        self.nus = self.grads / np.einsum("ij,ij->i", self.grads, self.qs)[:, None]
-        self.Js = [rho * (S - np.outer(q, nu @ S)) for (_, S, _), rho, q, nu
-                   in zip(self.charts, self.rhos, self.qs, self.nus)]
-        self.diffs = self.qs[(np.arange(m) + 1) % m] - self.qs
-        self.degenerate = bool(np.any(np.linalg.norm(self.diffs, axis=1) < self.min_gap))
-        if not self.degenerate:
-            touch = np.array([T.support_point(d) for d in self.diffs])
-            self.ws = touch[np.arange(m) - 1] - touch
-            self.rs = np.array([J.T @ w for J, w in zip(self.Js, self.ws)])
-        self._x = np.array(x, dtype=float)
+        K = self.K
+        frames = self.frames[rows]
+        S, m, d = frames.shape[:3]
+        u, U, U2 = _sphere_chart(np.reshape(x, (S * m, d - 1)), frames.reshape(-1, d, d))
+        q = K._boundary_in_direction(u)
+        rho = np.sqrt(_dot(q, q))
+        grad = K.implicit_grad(q)
+        nu = grad / _dot(grad, q)[:, None]
+        J = rho[:, None, None] * (U - q[:, :, None] * (nu[:, None, :] @ U))
+        diffs = _chords(q.reshape(S, m, d)).reshape(-1, d)
+        self.degenerate = (np.sqrt(_dot(diffs, diffs)) < self.min_gap).reshape(S, m).any(axis=1)
+        # the vertex rows of the nondegenerate polygons
+        live = np.repeat(~self.degenerate, m) if self.degenerate.any() else slice(None)
+        touch = self.T.support_point(diffs[live]).reshape(-1, m, d)
+        w = np.full((S * m, d), np.nan)
+        w[live] = (touch[:, np.arange(m) - 1] - touch).reshape(-1, d)
+        self.r = (np.swapaxes(J, 1, 2) @ w[:, :, None])[:, :, 0]
+        self.q, self.rho, self.grad, self.nu, self.J = q, rho, grad, nu, J
+        self.U, self.U2, self.diffs, self.w, self.live = U, U2, diffs, w, live
+        self.shape = (S, m)
+        self._at = (np.array(x), np.array(rows))
 
-    def residual(self, x):
-        self.evaluate(x)
-        if self.degenerate:
-            return np.full(np.size(x), 1e3)
-        return self.rs.ravel()
+    def residual(self, x, rows):
+        """Gradient rows of the action at x, NaN for degenerate polygons."""
+        self.evaluate(x, rows)
+        return self.r.reshape(self.shape[0], -1)
 
-    def jacobian(self, x):
-        """Block-cyclic Hessian of the action in the chart angles.
+    def jacobian(self, x, rows):
+        """Block-cyclic Hessians of the action in the chart angles.
 
         Blocks: J_i^T (H_{i-1} + H_i) J_i plus the chart curvature term on
         the diagonal, -J_i^T H_i J_{i+1} and -J_i^T H_{i-1} J_{i-1} off it,
-        with H_i the support Hessian of T at q_{i+1} - q_i.
+        with H_i the support Hessian of T at q_{i+1} - q_i.  Degenerate
+        polygons get zeros.
         """
-        self.evaluate(x)
-        m = len(self.frames)
-        k = self.Js[0].shape[1]
-        jac = np.zeros((m * k, m * k))
-        if self.degenerate:
-            return jac
-        Hs = [self.T.support_hess(d) for d in self.diffs]
-        for i in range(m):
-            prev, nxt = (i - 1) % m, (i + 1) % m
-            J, w, r, q, nu, rho = (self.Js[i], self.ws[i], self.rs[i], self.qs[i],
-                                   self.nus[i], self.rhos[i])
-            S, S2 = self.charts[i][1:]
-            a = S.T @ nu
-            wq = float(w @ q)
-            # second derivative of the chart s -> s / g_K(s) contracted with
-            # w: the gauge Hessian of K, the nu-coupling term and the
-            # curvature of the angle chart itself
-            ar = rho * np.outer(a, r)
-            G = self.K._gauge_hess_at(q, self.grads[i])
-            curv = (-rho * rho * wq * (S.T @ G @ S)
-                    - ar - ar.T + S2 @ (rho * (w - wq * nu)))
-            rows = slice(i * k, (i + 1) * k)
-            jac[rows, rows] += J.T @ (Hs[prev] + Hs[i]) @ J + curv
-            jac[rows, nxt * k:(nxt + 1) * k] -= J.T @ Hs[i] @ self.Js[nxt]
-            jac[rows, prev * k:(prev + 1) * k] -= J.T @ Hs[prev] @ self.Js[prev]
+        self.evaluate(x, rows)
+        live = self.live
+        S, m = self.shape
+        J, q, nu, rho, w, U = (a[live] for a in (self.J, self.q, self.nu, self.rho,
+                                                 self.w, self.U))
+        d, k = J.shape[1:]
+        Jt = np.swapaxes(J, 1, 2)
+        Ut = np.swapaxes(U, 1, 2)
+        r = self.r[live]
+        a = (Ut @ nu[:, :, None])[:, :, 0]
+        wq = _dot(w, q)
+        # second derivative of the chart s -> s / g_K(s) contracted with w:
+        # the gauge Hessian of K, the nu-coupling term and the curvature of
+        # the angle chart itself
+        ar = rho[:, None, None] * (a[:, :, None] * r[:, None, :])
+        G = self.K._gauge_hess_at(q, self.grad[live])
+        tilt = rho[:, None] * (w - wq[:, None] * nu)
+        curv = ((-rho * rho * wq)[:, None, None] * (Ut @ G @ U) - ar - np.swapaxes(ar, 1, 2)
+                + (self.U2[live] @ tilt[:, None, :, None])[..., 0])
+        H = self.T.support_hess(self.diffs[live]).reshape(-1, m, d, d)
+        i = np.arange(m)
+        nxt = (i + 1) % m
+        H_prev = H[:, i - 1]
+        J, Jt = J.reshape(-1, m, d, k), Jt.reshape(-1, m, k, d)
+        blocks = np.zeros((len(H), m, m, k, k))
+        blocks[:, i, i] = Jt @ (H_prev + H) @ J + curv.reshape(-1, m, k, k)
+        blocks[:, i, nxt] -= Jt @ H @ J[:, nxt]
+        blocks[:, i, i - 1] -= Jt @ H_prev @ J[:, i - 1]
+        jac = np.zeros((S, m * k, m * k))
+        jac[~self.degenerate] = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * k, m * k)
         return jac
 
     def reflection_defect(self):
-        """max_i |P_i (t_{i-1} - t_i)|, P_i the projection onto the tangent
-        plane of K at q_i: zero exactly when every vertex obeys the
-        T-billiard reflection law."""
-        ns = self.grads / np.linalg.norm(self.grads, axis=1)[:, None]
-        tangential = self.ws - np.einsum("ij,ij->i", self.ws, ns)[:, None] * ns
-        return float(np.max(np.linalg.norm(tangential, axis=1)))
+        """max_i |P_i (t_{i-1} - t_i)| of each polygon, P_i the projection
+        onto the tangent plane of K at q_i: zero exactly when every vertex
+        obeys the T-billiard reflection law."""
+        ns = self.grad / np.linalg.norm(self.grad, axis=1)[:, None]
+        tangential = self.w - np.einsum("ij,ij->i", self.w, ns)[:, None] * ns
+        return np.linalg.norm(tangential, axis=1).reshape(self.shape).max(axis=1)
 
 
-def _seed_charts(K, angles_list):
+def _seed_charts(K, angles):
     """Radial charts through the boundary points with Gauss angles
-    ``angles_list``: (frames, initial angles).
+    ``angles`` (S, m, n - 1): (frames (S, m, n, n), initial angles (S, m (n - 1))).
 
     In the plane the chart is the global angle; in space each vertex gets
     an (azimuth, polar) chart centered on its seed direction, at (0, pi/2),
     far from the chart's poles.
     """
-    dirs = [_unit(K.gauss_point(a)) for a in angles_list]
+    S, m, k = angles.shape
+    dirs = [_unit(K.gauss_point(a)) for a in angles.reshape(-1, k)]
     if K.dim == 2:
-        frames = [np.eye(2)] * len(dirs)
-        x0 = np.array([math.atan2(s[1], s[0]) for s in dirs])
+        frames = np.broadcast_to(np.eye(2), (S, m, 2, 2))
+        x0 = np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
     else:
-        frames = [np.column_stack([s, tangent_frame(s).T]) for s in dirs]
-        x0 = np.tile([0.0, math.pi / 2.0], len(dirs))
+        frames = np.array([np.column_stack([s, tangent_frame(s).T])
+                           for s in dirs]).reshape(S, m, 3, 3)
+        x0 = np.tile([0.0, math.pi / 2.0], (S, m))
     return frames, x0
 
 
-def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
-                        seed=0):
-    """Minimal-action closed m-bounce orbit of the T-billiard in K.
-
-    Closed orbits are the stationary polygons of the action
-    sum h_T(q_{i+1} - q_i) over m-tuples of boundary points; stationarity
-    at each vertex is exactly the T-billiard reflection law.  Each vertex
-    moves in a radial chart of K (the boundary point on the ray of a unit
-    direction), and the stationarity system is solved by scipy's
-    trust-region reflective least squares (exact Jacobian, ORBIT_MAX_NFEV)
-    from uniform and perturbed multistart polygons (boundary points with
-    equally spaced exterior normals).  Degenerate polygons (consecutive
-    points closer than the distinctness threshold) are rejected, and the
-    least action among the orbits whose reflection-law defect
-    (``Orbit.stationarity``) is within 1e-8 * scale * diam(K) is
-    returned; if there is none, the orbit with the smallest defect is
-    returned with status "stagnated".
-    """
-    if m < 2:
-        raise DomainError("closed orbits need at least two bounces")
-    n_angles = K.dim - 1
+def _seed_angles(dim, m, multistarts, seed):
+    """Gauss angles (multistarts, m, dim - 1) of the multistart polygons:
+    equally spaced exterior normals, turned by s / multistarts of a full
+    turn for seed s, random polar angles in space, and normal
+    perturbations (from ``seed``) on the second half."""
+    n_angles = dim - 1
     rng = np.random.default_rng(seed)
-    scale = max(T.support(unit_vector(np.zeros(n_angles), K.dim)), 1.0)
-    tol_stationary = 1e-8 * scale * K.diameter()
-
     seeds = []
     for s in range(multistarts):
         offset = 2.0 * math.pi * s / multistarts
@@ -304,29 +319,62 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
             seeds.append(np.column_stack([base, polar]).ravel())
         if s >= multistarts // 2:
             seeds[-1] = seeds[-1] + rng.normal(scale=0.3, size=m * n_angles)
+    return np.reshape(seeds, (len(seeds), m, n_angles))
+
+
+def _solve_seeds(K, T, angles):
+    """Stationary polygons from the seed polygons with Gauss angles
+    ``angles`` (S, m, dim - 1), solved together by one batched
+    Levenberg-Marquardt call: the final chart angles (S, m (dim - 1)) and
+    a closed Orbit per seed, None for a degenerate polygon."""
+    S, m = angles.shape[:2]
+    frames, x0 = _seed_charts(K, angles)
+    system = _StationaritySystem(K, T, frames)
+    x = least_squares(system.residual, x0, jac=system.jacobian, max_nfev=ORBIT_MAX_NFEV).x
+    system.evaluate(x, np.arange(S))
+    live = np.flatnonzero(~system.degenerate)
+    qs = system.q.reshape(S, m, K.dim)[live]
+    lengths, directions = _lengths_of(T, qs), _directions_of(qs)
+    defects = system.reflection_defect()[live]
+    orbits = [None] * S
+    for j, idx in enumerate(live):
+        orbits[idx] = Orbit(qs[j], directions[j], lengths[j], float(sum(lengths[j])),
+                            closed=True, status="ok", stationarity=float(defects[j]))
+    return x, orbits
+
+
+def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
+                        seed=0):
+    """Minimal-action closed m-bounce orbit of the T-billiard in K.
+
+    Closed orbits are the stationary polygons of the action
+    sum h_T(q_{i+1} - q_i) over m-tuples of boundary points; stationarity
+    at each vertex is exactly the T-billiard reflection law.  Each vertex
+    moves in a radial chart of K (the boundary point on the ray of a unit
+    direction).  The multistart polygons (boundary points with equally
+    spaced exterior normals, half of them perturbed) are solved together
+    by one batched Levenberg-Marquardt call (``solvers.levenberg_marquardt``,
+    exact Jacobians, ORBIT_MAX_NFEV evaluations per polygon).  Degenerate
+    polygons (consecutive points closer than the distinctness threshold)
+    are rejected, and the least action among the orbits whose
+    reflection-law defect (``Orbit.stationarity``) is within
+    1e-8 * scale * diam(K) is returned; if there is none, the orbit with
+    the smallest defect is returned with status "stagnated".
+    """
+    if m < 2:
+        raise DomainError("closed orbits need at least two bounces")
+    scale = max(T.support(unit_vector(np.zeros(K.dim - 1), K.dim)), 1.0)
+    tol_stationary = 1e-8 * scale * K.diameter()
+    angles = _seed_angles(K.dim, m, multistarts, seed)
+    candidates = _solve_seeds(K, T, angles)[1] if len(angles) else []
 
     best = None
     best_key = None
     best_found = None
-    for idx, seed_theta in enumerate(seeds):
-        frames, x0 = _seed_charts(K, seed_theta.reshape(m, n_angles))
-        system = _StationaritySystem(K, T, frames)
-        # Trust-region reflective rather than scipy's MINPACK "lm": with an
-        # exact, nearly singular Jacobian (m = 2 with T the polar of K, where
-        # every antipodal pair is stationary) "lm" reads uninitialized memory
-        # and its iterates change from call to call.  The default gtol (on
-        # |J^T f|) would stop with reflection-law defects near 1e-9.
-        sol = least_squares(system.residual, x0, jac=system.jacobian, method="trf",
-                            max_nfev=ORBIT_MAX_NFEV, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        system.evaluate(sol.x)
-        if system.degenerate:
+    for idx, candidate in enumerate(candidates):
+        if candidate is None:
             continue
-        qs = system.qs
-        lengths = _lengths_of(T, qs)
-        action = float(sum(lengths))
-        stat = system.reflection_defect()
-        candidate = Orbit(qs, _directions_of(qs), lengths,
-                          action, closed=True, status="ok", stationarity=stat)
+        action, stat = candidate.action, candidate.stationarity
         if best_found is None or stat < best_found.stationarity:
             best_found = candidate
         if stat > tol_stationary:
@@ -343,14 +391,13 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
 
 
 def _directions_of(qs):
-    m = len(qs)
-    return np.array([_unit(qs[(i + 1) % m] - qs[i]) for i in range(m)])
+    chords = _chords(qs)
+    return _unit(chords.reshape(-1, chords.shape[-1])).reshape(chords.shape)
 
 
 def _lengths_of(T, qs):
-    m = len(qs)
-    return np.array([finsler_length(T, qs[(i + 1) % m] - qs[i])
-                     for i in range(m)])
+    chords = _chords(qs)
+    return finsler_length(T, chords.reshape(-1, chords.shape[-1])).reshape(chords.shape[:-1])
 
 
 @dataclass

@@ -1,14 +1,21 @@
-"""The root kernel and lazy access to scipy's least-squares solver.
+"""The root kernel, a batched Levenberg-Marquardt kernel and lazy access
+to scipy's least-squares solver.
 
 ``find_root`` is the package's one root finder: boundary crossings,
 inverse slopes, height partners and bracketed angle searches all go
 through it, one scalar bracket at a time or an array of brackets (one
-per row) in one solve.  ``least_squares`` forwards to scipy and imports
-``scipy.optimize`` on first use, because that import costs most of the
-time of ``import billiardlab`` and only three solves need it.
+per row) in one solve.  ``levenberg_marquardt`` solves S square
+nonlinear systems together, one row each, with one batched linear solve
+per iteration; the closed-orbit search solves all its multistarts with
+it.  ``least_squares`` forwards to scipy and imports ``scipy.optimize``
+on first use, because that import costs most of the time of
+``import billiardlab`` and only two solves need it (the homology fit of
+the projectivity test and the concurrency law in space).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +23,23 @@ from .errors import ConvergenceError
 
 EPS = np.finfo(float).eps
 ROOT_MAX_ITER = 200
+# levenberg_marquardt: a row has converged once max |J^T f| <= LM_GTOL or its
+# next step is below LM_XTOL * (LM_XTOL + |x|), the tolerances at which
+# scipy's least_squares stops at round-off; the first damping is LM_DAMPING
+# times the squared column norms of J
+LM_GTOL = 1e-15
+LM_XTOL = 1e-15
+LM_DAMPING = 1e-3
+
+
+def _dot(a, b):
+    """Inner products along the last axis, as np.dot gives them for two
+    vectors; b may be one vector against the rows of a.  numpy's matmul
+    takes the same BLAS kernel for each row of a stack as for a single
+    vector, so every row gets the bits of its one-vector product."""
+    if a.ndim == 1:
+        return a @ b
+    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
 
 
 def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
@@ -131,6 +155,84 @@ def _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi):
         raise ConvergenceError(f"root search did not converge near {x[0]:.17g}",
                                iterations=ROOT_MAX_ITER, residual=float(np.max(abs(fx))))
     return root
+
+
+@dataclass
+class RowSolution:
+    """Solutions of levenberg_marquardt, one row per system: the final
+    points and the residual evaluations each row took."""
+
+    x: np.ndarray
+    nfev: np.ndarray
+
+
+def levenberg_marquardt(fun, x0, jac, max_nfev):
+    """Zeros of S square systems f_s(x_s) = 0, solved together: row s of
+    the (S, n) array x0 starts system s.
+
+    ``fun(x, rows)`` returns the residual rows f_s(x_s) of the systems
+    ``rows`` at the rows of x, with a non-finite row for a point outside
+    the domain; ``jac(x, rows)`` returns their (len(rows), n, n)
+    Jacobians at the points of the last ``fun`` call.  Each iteration
+    makes one call of each, on the systems still searching, and one
+    batched linear solve for the damped Gauss-Newton steps
+    (J^T J + lam D^2) p = -J^T f, with the scaling D of More (1978) (the
+    largest column norms of J met so far).  A step that lowers the cost
+    |f|^2 is taken and lam shrinks by Nielsen's rule; otherwise lam
+    grows.  A system leaves the search once max |J^T f| <= LM_GTOL, once
+    its next step is below LM_XTOL * (LM_XTOL + |x|), after ``max_nfev``
+    residual evaluations, or at once if f(x0) is not finite.  Every
+    operation acts on one row at a time, so a row gets the bits of its
+    one-system solve.
+    """
+    x = np.array(x0, dtype=float)
+    nfev = np.ones(len(x), dtype=int)
+    rows = np.arange(len(x))
+    f = fun(x, rows)
+    rows = rows[np.isfinite(f).all(axis=1)]
+    if not rows.size:
+        return RowSolution(x, nfev)
+    f, J = f[rows], jac(x[rows], rows)
+    eye = np.eye(x.shape[1], dtype=bool)
+    d2 = lam = nu = None
+    while True:
+        Jt = np.swapaxes(J, -1, -2)
+        A = Jt @ J
+        g = (Jt @ f[:, :, None])[:, :, 0]
+        col2 = A[:, eye]  # squared column norms of J
+        if d2 is None:
+            d2 = np.where(col2 > 0.0, col2, 1.0)
+            lam, nu = np.full(len(rows), LM_DAMPING), np.full(len(rows), 2.0)
+        else:
+            d2 = np.maximum(d2, col2)
+        xr = x[rows]
+        M = A.copy()
+        M[:, eye] += lam[:, None] * d2
+        p = -np.linalg.solve(M, g[:, :, None])[:, :, 0]
+        stop = ((np.max(abs(g), axis=1) <= LM_GTOL)
+                | (np.sqrt(_dot(p, p)) <= LM_XTOL * (LM_XTOL + np.sqrt(_dot(xr, xr))))
+                | (nfev[rows] >= max_nfev))
+        keep = ~stop
+        rows, xr, f, J, g, p = rows[keep], xr[keep], f[keep], J[keep], g[keep], p[keep]
+        d2, lam, nu = d2[keep], lam[keep], nu[keep]
+        if not rows.size:
+            break
+        x_new = xr + p
+        f_new = fun(x_new, rows)
+        J_new = jac(x_new, rows)
+        nfev[rows] += 1
+        cost, cost_new = _dot(f, f), _dot(f_new, f_new)
+        # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
+        predicted = _dot(p, lam[:, None] * d2 * p - g)
+        good = np.isfinite(cost_new) & (cost_new < cost)
+        rho = np.where(good, (cost - cost_new) / predicted, 0.0)
+        lam = np.where(good, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                       lam * nu)
+        nu = np.where(good, 2.0, 2.0 * nu)
+        x[rows[good]] = x_new[good]
+        f = np.where(good[:, None], f_new, f)
+        J = np.where(good[:, None, None], J_new, J)
+    return RowSolution(x, nfev)
 
 
 def least_squares(*args, **kwargs):

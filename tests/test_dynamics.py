@@ -381,13 +381,24 @@ def test_three_bounce_orbit_through_flat_point(m, b, multistarts, expected):
     assert orbit.stationarity <= 1e-12
 
 
+ONE = np.arange(1)  # the polygon of a one-seed system
+
+
 def _stationarity_system(K, T, m, rng):
     n_angles = K.dim - 1
     angles = (0.3 + 2.0 * math.pi * np.arange(m) / m).reshape(m, 1)
     if n_angles == 2:
         angles = np.column_stack([angles[:, 0], rng.uniform(0.5, 2.6, size=m)])
-    frames, x0 = dynamics._seed_charts(K, angles)
-    return dynamics._StationaritySystem(K, T, frames), x0
+    frames, x0 = dynamics._seed_charts(K, angles[None])
+    return dynamics._StationaritySystem(K, T, frames), x0[0]
+
+
+def _residual(system, x):
+    return system.residual(x[None], ONE)[0]
+
+
+def _jacobian(system, x):
+    return system.jacobian(x[None], ONE)[0]
 
 
 JACOBIAN_PAIRS = {
@@ -412,13 +423,13 @@ def test_exact_jacobian_matches_central_differences(name, m):
     rng = np.random.default_rng(60 + m)
     system, x0 = _stationarity_system(K, T, m, rng)
     x = x0 + rng.normal(scale=0.1, size=x0.shape)
-    jac = system.jacobian(x)
+    jac = _jacobian(system, x)
     h = 1e-6
     fd = np.empty_like(jac)
     for j in range(len(x)):
         e = np.zeros(len(x))
         e[j] = h
-        fd[:, j] = (system.residual(x + e) - system.residual(x - e)) / (2 * h)
+        fd[:, j] = (_residual(system, x + e) - _residual(system, x - e)) / (2 * h)
     assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(fd))
     # the Jacobian is the Hessian of the action in the chart angles
     assert np.max(np.abs(jac - jac.T)) <= 1e-12 * np.max(np.abs(jac))
@@ -432,9 +443,10 @@ def test_jacobian_finite_at_flat_normals_of_T():
         warnings.simplefilter("error", RuntimeWarning)
         for phis in ([math.pi / 2, -math.pi / 2], [0.0, 2.0, -2.0]):
             m = len(phis)
-            system = dynamics._StationaritySystem(K, T, [np.eye(2)] * m)
-            assert np.all(np.isfinite(system.residual(np.array(phis))))
-            assert np.all(np.isfinite(system.jacobian(np.array(phis))))
+            frames = np.broadcast_to(np.eye(2), (1, m, 2, 2))
+            system = dynamics._StationaritySystem(K, T, frames)
+            assert np.all(np.isfinite(_residual(system, np.array(phis))))
+            assert np.all(np.isfinite(_jacobian(system, np.array(phis))))
         orbit = bl.closed_orbit_search(K, T, 3)
     assert orbit.status == "ok"
     assert orbit.stationarity <= 1e-12 * K.diameter()
@@ -454,3 +466,34 @@ def test_stationarity_is_the_reflection_law_defect(ellipse):
         worst = max(worst, float(np.linalg.norm(w - np.dot(w, n) * n)))
     assert orbit.stationarity == pytest.approx(worst, abs=1e-15)
     assert orbit.stationarity <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed_orbit_search: all multistarts in one batched solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["ellipse", "superellipse4", "radial", "ellipsoid3"])
+def test_each_seed_of_a_batch_gets_its_one_seed_bits(name):
+    # every row operation of the batched system and solver acts on one
+    # polygon at a time, so a seed solved among S others ends on exactly
+    # the point, action and defect of its solve alone
+    K = _symmetric_bodies()[name]
+    T = bl.polar_dual(K)
+    angles = dynamics._seed_angles(K.dim, K.dim + 1, 6, seed=5)
+    x, orbits = dynamics._solve_seeds(K, T, angles)
+    for s in range(len(angles)):
+        x_one, (orbit,) = dynamics._solve_seeds(K, T, angles[s:s + 1])
+        assert np.array_equal(x[s], x_one[0]), s
+        assert np.array_equal(orbits[s].points, orbit.points), s
+        assert orbits[s].action == orbit.action, s
+        assert orbits[s].stationarity == orbit.stationarity, s
+
+
+def test_repeated_searches_are_bit_identical():
+    K = _symmetric_bodies()["ellipsoid3"]
+    T = bl.polar_dual(K)
+    first = bl.closed_orbit_search(K, T, 4, multistarts=4)
+    for _ in range(50):
+        orbit = bl.closed_orbit_search(K, T, 4, multistarts=4)
+        assert np.array_equal(orbit.points, first.points)
+        assert (orbit.action, orbit.stationarity) == (first.action, first.stationarity)

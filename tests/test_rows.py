@@ -47,6 +47,9 @@ def test_body_row_forms_match_one_vector_calls(name):
     assert_rows_match(body.exterior_normal(P), [body.exterior_normal(p) for p in P])
     assert_rows_match(body.support(U), [body.support(u) for u in U])
     assert_rows_match(body.implicit_grad(P), [body.implicit_grad(p) for p in P])
+    assert_rows_match(body.implicit_hess(P), [body.implicit_hess(p) for p in P])
+    assert_rows_match(body.support_hess(U), [body.support_hess(u) for u in U])
+    assert_rows_match(body.gauge_hess(U), [body.gauge_hess(u) for u in U])
     d = bl.ParallelClass(rng.normal(size=body.dim)).direction
     B, tangential = body.chord_second_intersections(P, d)
     singles = []

@@ -1,4 +1,5 @@
-"""The root kernel, one bracket or an array of them, and the lazy scipy import."""
+"""The root kernel, one bracket or an array of them, the batched
+Levenberg-Marquardt kernel and the lazy scipy import."""
 
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import billiardlab
 from billiardlab.errors import ConvergenceError
-from billiardlab.solvers import ROOT_MAX_ITER, find_root
+from billiardlab.solvers import LM_GTOL, ROOT_MAX_ITER, find_root, levenberg_marquardt
 
 
 def test_root_kernel_converges_to_machine_precision():
@@ -128,12 +129,43 @@ def test_row_solve_raises_for_a_failing_row():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    code = ("import sys, billiardlab; "
-            "sys.exit(1 if 'scipy.optimize' in sys.modules else 0)")
     env = dict(os.environ, PYTHONPATH=str(Path(billiardlab.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True)
-    assert done.returncode == 0, done.stderr.decode()
-    assert billiardlab.dynamics.least_squares is billiardlab.solvers.least_squares
+    for code in ("import billiardlab",
+                 # the closed-orbit search has its own solver
+                 "import billiardlab as bl; "
+                 "bl.capacity_estimate(bl.Ball(), bl.Ball(), 3, multistarts=2)"):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; "
+             "sys.exit(1 if 'scipy.optimize' in sys.modules else 0)"],
+            env=env, timeout=120, capture_output=True)
+        assert done.returncode == 0, (code, done.stderr.decode())
+    for module in (billiardlab.projectivity, billiardlab.reflection):
+        assert module.least_squares is billiardlab.solvers.least_squares
     sol = billiardlab.solvers.least_squares(lambda x: x - 3.0, np.zeros(1))
     assert abs(sol.x[0] - 3.0) < 1e-8
+
+
+def test_batched_solver_stops_each_row_on_its_own_rules():
+    # f(x, y) = (x^3 + y - 1, y - 2 x^2): roots where x^3 + 2 x^2 - 1 =
+    # (x + 1)(x^2 + x - 1) vanishes.  A row that starts on a root ends at
+    # once, a row whose residual is not finite at x0 leaves untouched,
+    # and the others end at round-off or on the evaluation budget.
+    def fun(x, rows):
+        f = np.stack([x[:, 0] ** 3 + x[:, 1] - 1.0, x[:, 1] - 2.0 * x[:, 0] ** 2], axis=1)
+        f[rows == 3] = np.nan
+        return f
+
+    def jac(x, rows):
+        return np.stack([np.stack([3.0 * x[:, 0] ** 2, np.ones(len(x))], axis=1),
+                         np.stack([-4.0 * x[:, 0], np.ones(len(x))], axis=1)], axis=1)
+
+    x0 = np.array([[-1.0, 2.0], [0.3, 0.1], [2.0, -1.0], [0.7, 0.2]])
+    sol = levenberg_marquardt(fun, x0, jac, max_nfev=100)
+    assert sol.nfev[0] == 1 and np.array_equal(sol.x[0], x0[0])
+    assert sol.nfev[3] == 1 and np.array_equal(sol.x[3], x0[3])
+    assert np.all(sol.nfev < 100)
+    f = fun(sol.x[:3], np.arange(3))
+    g = np.einsum("sij,si->sj", jac(sol.x[:3], np.arange(3)), f)
+    assert np.max(np.abs(f)) <= 1e-15 and np.max(np.abs(g)) <= LM_GTOL
+    budget = levenberg_marquardt(fun, x0, jac, max_nfev=3)
+    assert np.array_equal(budget.nfev, [1, 3, 3, 1])
