@@ -6,11 +6,10 @@ exterior normals, the inverse Gauss map, chords, support functions and
 their Hessians, gauge Hessians and polar duals.  Closed-form paths are
 provided wherever the representation allows (ellipsoids, superellipses,
 radial and support-function bodies, linear images and polars);
-the generic fallbacks are damped Newton with multistart seeding, and
-one ray-exit solver (``ConvexBody._exit``) for every line crossing: a
-fixed-step march from an interior point to the padded bounding sphere,
-then the safeguarded Newton root kernel of ``solvers.find_root``,
-stopped on a step tolerance.
+the generic fallback is one ray-exit solver (``ConvexBody._exit``) for
+every line crossing: a fixed-step march from an interior point to the
+padded bounding sphere, then the safeguarded Newton root kernel of
+``solvers.find_root``, stopped on a step tolerance.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -18,15 +17,15 @@ an (N, d) array of rows, and so do the closed-orbit search's
 ``_boundary_in_direction``, ``implicit_hess``, ``support_hess``,
 ``gauge_hess`` and ``_gauge_hess_at``; ``chord_second_intersections``
 solves N chords at once, reporting tangential rows in a mask.
-Ellipsoids, superellipses and linear images write their closed forms
-once over rows (chords too for ellipsoids and even exponents), polar
-bodies build theirs from their base's rows, and a single vector is the
-one-row case; the other representations map their one-vector methods
-over the rows (``_rowwise``).  The rows of the closed-orbit search's
-queries get bits that do not depend on the other rows of the call, so
-each multistart polygon is solved as if alone.  Every other chord is one row
-``_exit``: one march on a shared grid, then one row root solve.  A row
-keeps its one-chord bits where F acts elementwise (not radial bodies).
+Every body writes each query once over rows, and a single vector is the
+one-row case: a query's root solve is one ``find_root`` over rows, whose
+callbacks index the rows still searching (all of them by default), so
+one vector takes the kernel's scalar path.  A row's bits do not depend
+on the other rows of the call, so each multistart polygon of the
+closed-orbit search is solved as if alone.  Ellipsoids and even
+exponents solve their chords in closed form; every other chord is one
+row ``_exit``: one march on a shared grid, then one row root solve, in
+which each row keeps its one-chord bits.
 
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
@@ -35,7 +34,6 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +51,6 @@ from .jets import JET_ORDER, MPoly, Taylor1D
 from .solvers import EPS, _dot, find_root
 
 # tolerances used by the generic solvers
-GAUSS_TOL = 1e-12
-GAUSS_MAX_ITER = 100
 CHORD_MARCH_FRACTION = 1e-2
 TANGENCY_FRACTION = 1e-6
 BOUNDARY_TOL = 1e-8
@@ -89,19 +85,17 @@ def _unit(v):
     return v / n
 
 
-def _rowwise(query):
-    """Row form of a query written for one vector: the rows of x (paired
-    with the rows of any further array arguments) go through it one at a
-    time.  This is where the bodies without a closed row form loop."""
+def _last_value(func):
+    """func with a one-entry cache keyed on its argument's identity: the
+    value and slope callbacks of a find_root step share one jet."""
+    last = [None, None]
 
-    @functools.wraps(query)
-    def rows(self, x, *more):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return query(self, x, *more)
-        return np.array([query(self, *row) for row in zip(x, *more)])
+    def cached(x):
+        if x is not last[0]:
+            last[:] = x, func(x)
+        return last[1]
 
-    return rows
+    return cached
 
 
 def unit_vector(angles, dim):
@@ -127,8 +121,8 @@ def _horner(coeffs, t):
 
 
 def rot90(v):
-    """Counterclockwise quarter turn in the plane."""
-    return np.array([-v[1], v[0]])
+    """Counterclockwise quarter turn in the plane (of v or of each row)."""
+    return v[..., ::-1] * np.array([-1.0, 1.0])
 
 
 def tangent_frame(u):
@@ -144,30 +138,6 @@ def tangent_frame(u):
     q, _ = np.linalg.qr(M)
     frame = q[:, 1:].T
     return frame
-
-
-def _compass_directions(dim):
-    """Multistart seed directions: 8 in the plane, 26 in space."""
-    if dim == 2:
-        ang = np.arange(8) * (math.pi / 4.0)
-        return [np.array([math.cos(a), math.sin(a)]) for a in ang]
-    if dim == 3:
-        dirs = []
-        for ix in (-1, 0, 1):
-            for iy in (-1, 0, 1):
-                for iz in (-1, 0, 1):
-                    if ix == iy == iz == 0:
-                        continue
-                    dirs.append(_unit(np.array([ix, iy, iz], dtype=float)))
-        return dirs
-    dirs = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    dirs.append(_unit(np.ones(dim)))
-    dirs.append(_unit(-np.ones(dim)))
-    return dirs
 
 
 @dataclass(frozen=True)
@@ -199,6 +169,10 @@ class ConvexBody:
         raise NotImplementedError
 
     def implicit_hess(self, x):
+        raise NotImplementedError
+
+    def gauss_inverse(self, u):
+        """Boundary point whose exterior normal is u (or each row's)."""
         raise NotImplementedError
 
     def bounding_radius(self):
@@ -252,71 +226,13 @@ class ConvexBody:
 
     # -- inverse Gauss map ---------------------------------------------------
 
-    @_rowwise
-    def gauss_inverse(self, u):
-        """Boundary point whose exterior normal is u (damped Newton,
-        multistart from compass seed directions)."""
-        u = _unit(u)
-        seeds = [u] + _compass_directions(self.dim)
-        last = (None, None)
-        for s in seeds:
-            try:
-                p0 = self._boundary_in_direction(s)
-            except ConvergenceError:
-                continue
-            p, iters, res = self._gauss_newton(u, p0)
-            if p is not None:
-                return p
-            last = (iters, res)
-        raise ConvergenceError(
-            f"gauss_inverse failed for u={u}", iterations=last[0], residual=last[1])
-
-    @_rowwise
     def _boundary_in_direction(self, s):
-        """Boundary intersection of the ray from the interior point along s."""
+        """Boundary intersection of the ray from the interior point along s
+        (or along each row)."""
         s = _unit(s)
         c = self.interior_point()
-        return c + self._exit(c, s, float(self.implicit(c))) * s
-
-    def _gauss_newton(self, u, p0):
-        n = self.dim
-        p = np.asarray(p0, dtype=float).copy()
-        lam = float(np.linalg.norm(self.implicit_grad(p)))
-
-        def residual(p, lam):
-            return np.concatenate([self.implicit_grad(p) - lam * u,
-                                   [self.implicit(p)]])
-
-        r = residual(p, lam)
-        for it in range(GAUSS_MAX_ITER):
-            nr = np.linalg.norm(r)
-            if nr <= GAUSS_TOL * max(1.0, lam):
-                if lam > 0.0:
-                    return p, it, nr
-                return None, it, nr
-            J = np.zeros((n + 1, n + 1))
-            J[:n, :n] = self.implicit_hess(p)
-            J[:n, n] = -u
-            J[n, :n] = self.implicit_grad(p)
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                return None, it, nr
-            alpha = 1.0
-            for _ in range(40):
-                p_new = p + alpha * step[:n]
-                lam_new = lam + alpha * step[n]
-                r_new = residual(p_new, lam_new)
-                if np.linalg.norm(r_new) < (1.0 - 1e-4 * alpha) * nr:
-                    break
-                alpha *= 0.5
-            else:
-                return None, it, nr
-            p, lam, r = p_new, lam_new, r_new
-        nr = np.linalg.norm(r)
-        if nr <= GAUSS_TOL * max(1.0, lam) and lam > 0.0:
-            return p, GAUSS_MAX_ITER, nr
-        return None, GAUSS_MAX_ITER, nr
+        t = self._exit(np.broadcast_to(c, s.shape), s, float(self.implicit(c)))
+        return c + np.expand_dims(t, -1) * s
 
     def gauss_point(self, angles):
         """Boundary point with exterior normal unit_vector(angles)."""
@@ -324,27 +240,14 @@ class ConvexBody:
 
     # -- support function ----------------------------------------------------
 
-    @_rowwise
     def support(self, u):
         """h(u) = max over the body of <x, u> (1-homogeneous in u)."""
         u = np.asarray(u, dtype=float)
-        nu = np.linalg.norm(u)
-        p = self.gauss_inverse(u / nu)
-        return float(np.dot(p, u))
+        return _dot(self.gauss_inverse(_unit(u)), u)
 
     def support_point(self, u):
         """The boundary point attaining the support value in direction u."""
         return self.gauss_inverse(u)
-
-    @_rowwise
-    def support_hess(self, u):
-        """Hessian of h at u != 0: the inverse shape operator at the support
-        point, on the tangent plane, divided by |u|."""
-        u = np.asarray(u, dtype=float)
-        x = self.support_point(u)
-        E = tangent_frame(u)
-        W = E @ self.implicit_hess(x) @ E.T / np.linalg.norm(self.implicit_grad(x))
-        return E.T @ np.linalg.solve(W, E) / np.linalg.norm(u)
 
     def gauge_hess(self, x):
         """Hessian at x != 0 of the gauge g of the body (g = 1 on the
@@ -512,8 +415,7 @@ class ConvexBody:
         indicator integration (VOLUME_SAMPLES, VOLUME_SEED) above."""
         if self.dim == 2:
             thetas = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-            pts = np.array([self.gauss_inverse(np.array([math.cos(t), math.sin(t)]))
-                            for t in thetas])
+            pts = self.gauss_inverse(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
             # inscribed-polygon area has an O(N^-2) defect; extrapolate it out
             fine = Polygon2D._signed_area(pts)
             coarse = Polygon2D._signed_area(pts[::2])
@@ -807,10 +709,11 @@ class TrigSeries:
         self._k = k
 
     def jet(self, theta):
-        """(f, f', f'') at theta (vectorized)."""
-        kt = np.asarray(theta, dtype=float)[..., None] * self._k
-        out = np.cos(kt) @ self._on_cos + np.sin(kt) @ self._on_sin
-        return out[..., 0], out[..., 1], out[..., 2]
+        """(f, f', f'') at theta (vectorized).  A stack of one-row products,
+        so every angle of an array gets the bits of its one-angle call."""
+        kt = np.asarray(theta, dtype=float)[..., None, None] * self._k
+        out = (np.cos(kt) @ self._on_cos + np.sin(kt) @ self._on_sin)[..., 0, :]
+        return out[..., 0][()], out[..., 1][()], out[..., 2][()]  # scalars at one angle
 
     def __call__(self, theta, order=0):
         """d^order/dtheta^order of f at theta, for order 0, 1 or 2."""
@@ -844,7 +747,8 @@ class RadialBody2D(ConvexBody):
 
     def boundary_curvature(self, theta):
         r, r1, r2 = self.radial.jet(theta)
-        return (r * r + 2 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+        q = r * r + r1 * r1  # q sqrt(q), not q ** 1.5: a scalar power rounds differently
+        return (r * r + 2 * r1 * r1 - r * r2) / (q * np.sqrt(q))
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the parametrized boundary at theta."""
@@ -865,58 +769,69 @@ class RadialBody2D(ConvexBody):
         theta = np.arctan2(x[..., 1], x[..., 0])
         return rho - self.radial(theta)
 
-    @_rowwise
     def implicit_grad(self, x):
         x = np.asarray(x, dtype=float)
-        rho = float(np.linalg.norm(x))
+        rho = np.sqrt(_dot(x, x))[..., None]
         e_r = x / rho
-        r1 = float(self.radial(math.atan2(x[1], x[0]), 1))
+        r1 = self.radial(np.arctan2(x[..., 1], x[..., 0]), 1)[..., None]
         return e_r - (r1 / rho) * rot90(e_r)
 
-    @_rowwise
     def implicit_hess(self, x):
         x = np.asarray(x, dtype=float)
-        rho = float(np.linalg.norm(x))
-        _, r1, r2 = self.radial.jet(math.atan2(x[1], x[0]))
-        e_r = (x / rho).reshape(2, 1)
-        e_t = rot90(x / rho).reshape(2, 1)
-        H = (e_t @ e_t.T) / rho
-        H = H - (r2 / rho ** 2) * (e_t @ e_t.T)
-        H = H + (r1 / rho ** 2) * (e_r @ e_t.T + e_t @ e_r.T)
-        return H
+        rho = np.sqrt(_dot(x, x))[..., None]
+        _, r1, r2 = self.radial.jet(np.arctan2(x[..., 1], x[..., 0]))
+        e_r = x / rho
+        e_t = rot90(e_r)
+        tt = e_t[..., :, None] * e_t[..., None, :]
+        rt = e_r[..., :, None] * e_t[..., None, :]
+        rho = rho[..., None]
+        return (tt / rho - (r2[..., None, None] / (rho * rho)) * tt
+                + (r1[..., None, None] / (rho * rho)) * (rt + np.swapaxes(rt, -1, -2)))
 
     def bounding_radius(self):
         return self._radius
 
-    @_rowwise
     def _boundary_in_direction(self, s):
         s = _unit(s)
-        return float(self.radial(math.atan2(s[1], s[0]))) * s
+        return self.radial(np.arctan2(s[..., 1], s[..., 0]))[..., None] * s
 
-    @_rowwise
-    def gauss_inverse(self, u):
+    def _gauss_angle(self, u):
+        """Polar angle of the boundary point whose exterior normal points
+        along u (or along each row)."""
         # the normal azimuth theta - arctan(r'/r) is strictly increasing in
         # theta for convex bodies and within pi/2 of theta, so the window
         # target +- pi/2 brackets the root: gap < 0 below it, > 0 above it
-        u = _unit(u)
-        target = math.atan2(u[1], u[0])
-        jet = functools.lru_cache(maxsize=1)(self.radial.jet)  # gap, then dgap
+        target = np.arctan2(u[..., 1], u[..., 0])
+        jet = _last_value(self.radial.jet)
 
-        def gap(theta):
+        def gap(theta, i=...):
             r, r1, _ = jet(theta)
-            return theta - math.atan2(r1, r) - target
+            return theta - np.arctan2(r1, r) - target[i]
 
-        def dgap(theta):
+        def dgap(theta, i=...):
             r, r1, r2 = jet(theta)
             return 1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1)
 
-        theta = find_root(gap, target - math.pi / 2, target + math.pi / 2,
-                          df=dgap, f_lo=-1.0, f_hi=1.0)
-        p = self.boundary_point(np.array(theta))
-        res = np.linalg.norm(_unit(self.implicit_grad(p)) - u)
-        if res > 1e-9:
-            raise ConvergenceError("radial gauss_inverse failed", residual=res)
+        return find_root(gap, target - math.pi / 2, target + math.pi / 2,
+                         df=dgap, f_lo=-1.0, f_hi=1.0)
+
+    def gauss_inverse(self, u):
+        u = _unit(u)
+        p = self.boundary_point(self._gauss_angle(u))
+        e = _unit(self.implicit_grad(p)) - u
+        res = np.sqrt(_dot(e, e))
+        if np.max(res, initial=0.0) > 1e-9:
+            raise ConvergenceError("radial gauss_inverse failed", residual=float(np.max(res)))
         return p
+
+    def support_hess(self, u):
+        # t t^T / (kappa |u|), t the unit tangent and kappa the curvature at
+        # the support point (1 / kappa = h + h'' in the normal angle)
+        u = np.asarray(u, dtype=float)
+        n = np.sqrt(_dot(u, u))[..., None]
+        t = rot90(u) / n
+        kappa = self.boundary_curvature(self._gauss_angle(u))[..., None]
+        return t[..., :, None] * t[..., None, :] / (kappa * n)[..., None]
 
 
 class SupportBody2D(ConvexBody):
@@ -931,67 +846,70 @@ class SupportBody2D(ConvexBody):
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
         self.h = TrigSeries(cos_coeffs, sin_coeffs)
-        h, _, h2 = self.h.jet(np.linspace(0, 2 * math.pi, 720, endpoint=False))
+        grid = np.linspace(0, 2 * math.pi, 720, endpoint=False)
+        h, _, h2 = self.h.jet(grid)
         if np.min(h) <= 0.0:
             raise OriginNotInteriorError("support function must be positive")
         if np.min(h + h2) <= 0.0:
             raise ConvexityViolationError("support body has h + h'' <= 0")
         self._radius = float(np.max(h)) * 1.0001
+        # the table on which _argmax_angle brackets its maximizer
+        self._grid, self._grid_h = grid, h
+        self._grid_u = np.stack([np.cos(grid), np.sin(grid)])
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
         return np.sqrt(_dot(u, u)) * self.h(np.arctan2(u[..., 1], u[..., 0]))
 
-    @_rowwise
     def support_point(self, u):
         u = _unit(u)
-        h, h1, _ = self.h.jet(math.atan2(u[1], u[0]))
-        return h * u + h1 * rot90(u)
+        h, h1, _ = self.h.jet(np.arctan2(u[..., 1], u[..., 0]))
+        return h[..., None] * u + h1[..., None] * rot90(u)
 
-    @_rowwise
     def support_hess(self, u):
         u = np.asarray(u, dtype=float)
-        h, _, h2 = self.h.jet(math.atan2(u[1], u[0]))
-        t = rot90(u) / np.linalg.norm(u)
-        return (h + h2) * np.outer(t, t) / np.linalg.norm(u)
+        h, _, h2 = self.h.jet(np.arctan2(u[..., 1], u[..., 0]))
+        n = np.sqrt(_dot(u, u))[..., None]
+        t = rot90(u) / n
+        return (h + h2)[..., None, None] * (t[..., :, None] * t[..., None, :]) / n[..., None]
 
     def gauss_inverse(self, u):
         return self.support_point(u)
 
     def _argmax_angle(self, x):
-        theta0 = math.atan2(x[1], x[0])
-        grid = theta0 + np.linspace(-math.pi, math.pi, 129)
-        g = x[0] * np.cos(grid) + x[1] * np.sin(grid) - self.h(grid)
-        theta = grid[int(np.argmax(g))]
-        for _ in range(60):
-            _, h1, h2 = self.h.jet(theta)
-            g1 = -x[0] * math.sin(theta) + x[1] * math.cos(theta) - h1
-            g2 = -x[0] * math.cos(theta) - x[1] * math.sin(theta) - h2
-            if g2 >= -1e-14:
-                break
-            step = g1 / g2
-            theta -= step
-            if abs(step) < 1e-14:
-                break
-        return theta
+        """The theta maximizing <x, u(theta)> - h(theta), for x or each row:
+        the root of the slope between the table neighbours of the table's
+        maximum."""
+        x = np.asarray(x, dtype=float)
+        # one-row products: the table maximum of a row takes its one-vector bits
+        g = (x[..., None, :] @ self._grid_u)[..., 0, :] - self._grid_h
+        theta, step = self._grid[g.argmax(-1)], self._grid[1]
+        jet = _last_value(self.h.jet)
 
-    @_rowwise
+        def slope(t, i=...):
+            xi = x[i]
+            return xi[..., 1] * np.cos(t) - xi[..., 0] * np.sin(t) - jet(t)[1]
+
+        def dslope(t, i=...):
+            xi = x[i]
+            return -xi[..., 0] * np.cos(t) - xi[..., 1] * np.sin(t) - jet(t)[2]
+
+        return find_root(slope, theta - step, theta + step, df=dslope)
+
     def implicit(self, x):
+        x = np.asarray(x, dtype=float)
         theta = self._argmax_angle(x)
-        return (x[0] * math.cos(theta) + x[1] * math.sin(theta)
-                - float(self.h(theta)))
+        return x[..., 0] * np.cos(theta) + x[..., 1] * np.sin(theta) - self.h(theta)
 
-    @_rowwise
     def implicit_grad(self, x):
         theta = self._argmax_angle(x)
-        return np.array([math.cos(theta), math.sin(theta)])
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
-    @_rowwise
     def implicit_hess(self, x):
         theta = self._argmax_angle(x)
-        u_t = np.array([-math.sin(theta), math.cos(theta)]).reshape(2, 1)
+        u_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
         h, _, h2 = self.h.jet(theta)
-        return (u_t @ u_t.T) / (h + h2)
+        return (u_t[..., :, None] * u_t[..., None, :]) / (h + h2)[..., None, None]
 
     def bounding_radius(self):
         return self._radius
@@ -1078,7 +996,6 @@ class PolarBody(ConvexBody):
         s = np.asarray(s, dtype=float)
         return s / np.asarray(self.base.support(s))[..., None]
 
-    @_rowwise
     def gauss_inverse(self, u):
         # Legendre involutivity: the polar boundary point with exterior
         # normal u is n(p)/<n(p), p> for p the base boundary point on the
@@ -1086,7 +1003,7 @@ class PolarBody(ConvexBody):
         u = _unit(u)
         p = self.base._boundary_in_direction(u)
         n = _unit(self.base.implicit_grad(p))
-        return n / float(np.dot(n, p))
+        return n / _dot(n, p)[..., None]
 
     def bounding_radius(self):
         return self._radius * 1.001

@@ -29,7 +29,6 @@ from .bodies import (
     _unit,
     load_body,
     parse_body_text,
-    unit_vector,
 )
 from .dynamics import capacity_estimate, iterate_t_billiard
 from .errors import GeometryError, IndistinguishableError, PrecisionError
@@ -142,7 +141,7 @@ def _body_outline(body, n=256):
     if isinstance(body, Polygon2D):
         return body.vertices
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.array([body.gauss_inverse(unit_vector([t], 2)) for t in thetas])
+    return body.gauss_inverse(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
 
 
 def _write_svg(path, elements, viewbox):

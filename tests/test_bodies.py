@@ -92,43 +92,6 @@ def test_gauss_round_trip_all_families(disk, ellipse, ellipse_rot, superellipse,
         assert worst <= 1e-9, type(body).__name__
 
 
-class _BrokenHessianBody(bl.ConvexBody):
-    # ellipse implicit with a zeroed-out Hessian: the Newton system is
-    # singular, so every seed fails and the divergence path is taken
-    dim = 2
-    A = np.diag([0.25, 1.0])
-
-    def implicit(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.A, x) - 1.0
-
-    def implicit_grad(self, x):
-        return 2.0 * self.A @ np.asarray(x, dtype=float)
-
-    def implicit_hess(self, x):
-        return np.zeros((2, 2))
-
-    def bounding_radius(self):
-        return 2.001
-
-
-def test_gauss_inverse_divergence_reports_iterations_and_residual():
-    body = _BrokenHessianBody()
-    with pytest.raises(ConvergenceError) as err:
-        bl.ConvexBody.gauss_inverse(body, np.array([0.6, 0.8]))
-    assert err.value.residual is None or err.value.residual >= 0.0
-
-
-def test_generic_newton_gauss_inverse_agrees_with_closed_form(ellipse_rot):
-    # exercise the damped-Newton fallback against the ellipsoid formula
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        u = unit(rng.normal(size=2))
-        p_generic = ConvexBody.gauss_inverse(ellipse_rot, u)
-        p_exact = ellipse_rot.gauss_inverse(u)
-        assert np.allclose(p_generic, p_exact, atol=1e-9)
-
-
 def test_gauss_inverse_superellipse_with_semiaxes():
     body = bl.Superellipse(4.0, semiaxes=[1.5, 0.6])
     rng = np.random.default_rng(14)
@@ -484,6 +447,18 @@ def test_boundary_exit_takes_no_line_grid(monkeypatch):
     step = bodies_module.CHORD_MARCH_FRACTION * body.diameter()
     assert sum(points) <= math.ceil(2.2 * body.bounding_radius() / step) + 10
     assert abs(real(body, q)) <= 1e-12
+
+
+def test_support_argmax_without_a_slope_sign_change_raises():
+    # the maximizer of <x, u(theta)> - h(theta) is a root of the slope between
+    # the table neighbours of the table's maximum; a table maximum moved to
+    # theta = pi/2, where the slope keeps one sign, must raise for every row
+    body = bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02])
+    body._grid_h[180] -= 10.0
+    with pytest.raises(ConvergenceError):
+        body.implicit(np.array([1.0, 0.0]))
+    with pytest.raises(ConvergenceError):
+        body.implicit(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
 
 def test_ray_that_never_exits_raises_convergence_error():

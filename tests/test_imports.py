@@ -1,8 +1,11 @@
 """Every module-level import of a library module is used in that module,
-and every module-level UPPER_CASE constant is read somewhere in the library."""
+every module-level UPPER_CASE constant is read somewhere in the library,
+and every generic body method is inherited by some library body."""
 
 import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,24 @@ def test_module_constants_are_referenced():
         read.update(n.id for n in ast.walk(tree)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     assert sorted(f"{assigned[name]}:{name}" for name in set(assigned) - read) == []
+
+
+LIBRARY_BODIES = (billiardlab.Ellipsoid, billiardlab.Superellipse, billiardlab.RadialBody2D,
+                  billiardlab.SupportBody2D, billiardlab.LinearImageBody, billiardlab.PolarBody)
+
+
+def _is_abstract(func):
+    # a body of `raise NotImplementedError`, after any docstring
+    body = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0].body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and ast.unparse(body[0].exc) == "NotImplementedError")
+
+
+def test_generic_body_methods_are_inherited():
+    # a generic fallback that every library body overrides is code nothing calls
+    unused = [name for name, func in vars(billiardlab.ConvexBody).items()
+              if inspect.isfunction(func) and not _is_abstract(func)
+              and not any(getattr(cls, name) is func for cls in LIBRARY_BODIES)]
+    assert unused == []

@@ -21,6 +21,9 @@ FAMILIES = {
     "superellipse4_3d": lambda: bl.Superellipse(4.0, dim=3),
     "superellipse3.5": lambda: bl.Superellipse(3.5),
     "radial": lambda: bl.RadialBody2D([1.0, 0.0, 0.08, 0.02], [0.0, 0.0, 0.0, 0.02]),
+    "support": lambda: bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]),
+    "polar_radial": lambda: bl.PolarBody(bl.RadialBody2D([1.0, 0.0, 0.08, 0.02],
+                                                         [0.0, 0.0, 0.0, 0.02])),
     "linear_image": lambda: bl.LinearImageBody(bl.Superellipse(4.0),
                                                [[1.1, 0.25], [0.05, 0.9]]),
 }
@@ -125,6 +128,9 @@ def test_projectivity_residual_evaluates_its_sampler_once(body, d):
 
 
 GENERIC_CHORD_BODIES = {
+    "radial": FAMILIES["radial"],
+    "support": FAMILIES["support"],
+    "polar_radial": FAMILIES["polar_radial"],
     "superellipse3.5": lambda: bl.Superellipse(3.5),
     "superellipse3": lambda: bl.Superellipse(3.0),
     "superellipse3.5_3d": lambda: bl.Superellipse(3.5, dim=3),
@@ -214,3 +220,45 @@ def test_polar_implicit_batch_matches_rows():
         assert np.array_equal(values, [polar.implicit(x) for x in X])
         assert values[3] == values[17] == -1.0
         assert polar.implicit(np.zeros(2)) == -1.0
+
+
+ROW_QUERIES = ("gauss_inverse", "support", "support_point", "support_hess",
+               "_boundary_in_direction", "implicit", "implicit_grad", "implicit_hess")
+
+
+# the bodies whose queries solve for an angle, in one root solve over rows
+@pytest.mark.parametrize("name", ["radial", "support", "polar_radial"])
+def test_angle_solve_rows_keep_their_one_vector_bits(name):
+    body = FAMILIES[name]()
+    rng = np.random.default_rng(26)
+    U = unit_rows(rng, 60, 2)
+    X = rng.uniform(-1.5, 1.5, size=(60, 2))
+    for query in ROW_QUERIES:
+        f = getattr(body, query)
+        args = X if query.startswith("implicit") else U
+        assert np.array_equal(f(args), [f(x) for x in args]), query
+
+
+@pytest.mark.parametrize("query", [
+    lambda: (FAMILIES["radial"]().gauss_inverse, "u"),
+    lambda: (FAMILIES["polar_radial"]().implicit, "x"),
+    lambda: (FAMILIES["support"]().implicit, "x")],
+    ids=["radial_gauss_inverse", "polar_radial_implicit", "support_implicit"])
+def test_angle_solves_take_one_row_solve(query, monkeypatch):
+    # 200 rows cost the trigonometric-series jets of the slowest row's
+    # solve alone, not one solve per row
+    f, kind = query()
+    rng = np.random.default_rng(27)
+    rows = unit_rows(rng, 200, 2) if kind == "u" else rng.uniform(-1.5, 1.5, size=(200, 2))
+    calls = []
+    real = bl.bodies.TrigSeries.jet
+    monkeypatch.setattr(bl.bodies.TrigSeries, "jet",
+                        lambda self, theta: calls.append(1) or real(self, theta))
+    alone = []
+    for x in rows:
+        calls.clear()
+        f(x)
+        alone.append(len(calls))
+    calls.clear()
+    f(rows)
+    assert len(calls) <= max(alone)
