@@ -4,28 +4,25 @@ Every body exposes an implicit function F (negative inside, zero on the
 boundary), its gradient and Hessian, and a handful of geometric queries:
 exterior normals, the inverse Gauss map, chords, support functions and
 their Hessians, gauge Hessians and polar duals.  Closed-form paths are
-provided wherever the representation allows (ellipsoids, superellipses,
-radial and support-function bodies, linear images and polars);
-the generic fallback is one ray-exit solver (``ConvexBody._exit``) for
-every line crossing: a fixed-step march from an interior point to the
-padded bounding sphere, then the safeguarded Newton root kernel of
-``solvers.find_root``, stopped on a step tolerance.
+provided wherever the representation allows.  Every line crossing of the
+base class (chords, ``line_intersections``, ``last_intersection``) is one
+ray exit, ``ConvexBody._exit``, which each body overrides with its own
+structure: the quadratic formula for ellipsoids, the root of the convex
+line polynomial for even superellipses, the pulled-back ray for linear
+images, the normal angle on the exit arc for support bodies; the others
+march to the padded bounding sphere, then call ``solvers.find_root``.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
 an (N, d) array of rows, and so do the closed-orbit search's
 ``_boundary_in_direction``, ``implicit_hess``, ``support_hess``,
 ``gauge_hess`` and ``_gauge_hess_at``; ``chord_second_intersections``
-solves N chords at once, reporting tangential rows in a mask.
-Every body writes each query once over rows, and a single vector is the
-one-row case: a query's root solve is one ``find_root`` over rows, whose
-callbacks index the rows still searching (all of them by default), so
-one vector takes the kernel's scalar path.  A row's bits do not depend
-on the other rows of the call, so each multistart polygon of the
-closed-orbit search is solved as if alone.  Ellipsoids and even
-exponents solve their chords in closed form; every other chord is one
-row ``_exit``: one march on a shared grid, then one row root solve, in
-which each row keeps its one-chord bits.
+and ``_exit`` solve N rays at once (tangential chords flagged in a mask).
+Every body writes each query once over rows, a single vector being the
+one-row case: a root solve is one ``find_root`` over rows, whose callbacks
+index the rows still searching, so one vector takes the kernel's scalar
+path.  A row's bits do not depend on the other rows of the call: each
+closed-orbit multistart is solved as if alone, each chord as if alone.
 
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
@@ -85,17 +82,18 @@ def _unit(v):
     return v / n
 
 
-def _last_value(func):
-    """func with a one-entry cache keyed on its argument's identity: the
-    value and slope callbacks of a find_root step share one jet."""
+def _newton_pair(jet):
+    """find_root's f and df from one jet(x, *rows) -> (value, slope)."""
     last = [None, None]
 
-    def cached(x):
-        if x is not last[0]:
-            last[:] = x, func(x)
-        return last[1]
+    def value(x, *rows):
+        last[:] = x, jet(x, *rows)
+        return last[1][0]
 
-    return cached
+    def slope(x, *rows):  # at the point of the last value, as the kernel asks
+        return (last[1] if x is last[0] else jet(x, *rows))[1]
+
+    return value, slope
 
 
 def unit_vector(angles, dim):
@@ -108,16 +106,6 @@ def unit_vector(angles, dim):
         s = math.sin(pol)
         return np.array([math.cos(az) * s, math.sin(az) * s, math.cos(pol)])
     raise DomainError(f"no angle chart for dimension {dim}")
-
-
-def _horner(coeffs, t):
-    """Values and first derivatives of the polynomials with coefficient
-    rows ``coeffs`` (highest power first) at the t of each row."""
-    value, slope = coeffs[..., 0], np.zeros_like(t)
-    for c in np.moveaxis(coeffs[..., 1:], -1, 0):
-        slope = slope * t + value
-        value = value * t + c
-    return value, slope
 
 
 def rot90(v):
@@ -302,14 +290,6 @@ class ConvexBody:
         tangential = abs(t) < TANGENCY_FRACTION * self.diameter()
         return np.where(tangential[:, None], a, a + t[:, None] * d), tangential
 
-    def _one_chord(self, a, d):
-        """chord_second_intersection of a body whose closed row form also
-        takes a single chord (the one-row case): the mask raises."""
-        b, tangential = self.chord_second_intersections(a, d)
-        if tangential:
-            raise DegenerateChordError(f"chord at {a} along {d} is tangential")
-        return b
-
     def _sphere_chord(self, p, v):
         """Parameters (t0 < t1) where the line p + t v meets the bounding
         sphere padded to radius^2 = 1.1 R^2."""
@@ -483,8 +463,19 @@ class Ellipsoid(ConvexBody):
         s = np.asarray(s, dtype=float)
         return s / np.sqrt(_dot(s @ self.A, s))[..., None]
 
+    def _exit(self, p, v, f_p):
+        # the larger root of F(p + t v) = a t^2 + 2 b t + c (c = 0 from the boundary)
+        Av = _apply(self.A, v)
+        a, b, c = _dot(v, Av), _dot(p, Av), _dot(p, _apply(self.A, p)) - 1.0
+        c = np.where((f_p == -1.0) & (c > -0.5), 0.0, c)
+        s = np.sqrt(b * b - a * c)
+        return (np.where(b > 0.0, -c, s - b) / np.where(b > 0.0, b + s, a))[()]
+
     def chord_second_intersection(self, a, d):
-        return self._one_chord(a, d)
+        b, tangential = self.chord_second_intersections(a, d)  # one chord is one row
+        if tangential:
+            raise DegenerateChordError(f"chord at {a} along {d} is tangential")
+        return b
 
     def chord_second_intersections(self, a, d):
         a = self._require_boundary(a)
@@ -624,45 +615,42 @@ class Superellipse(ConvexBody):
         gn = math.gamma(1.0 + self.dim / self.m)
         return float(np.prod(2.0 * self.a)) * g ** self.dim / gn
 
-    def chord_second_intersection(self, a, d):
+    def _exit(self, p, v, f_p):
+        """For an even m, F(p + t v) = P(t) = sum_k c_k t^k is convex: the exit
+        is the one root on (0, 2.2 R] of the increasing P(t) / t, from -inf if
+        p is inside (t P' - P >= -c_0), from c_1 from the boundary (f_p = -1
+        off the centre, where F = -1 too), which c_0 = 0 deflates; c_1 >= 0
+        leaves at once.  The search starts at the root of c_1 + c_2 t + c_3 t^2."""
         if not self._even:
-            # odd or fractional exponents keep the absolute values in the
-            # implicit function; fall back to the bracketing solver
-            return super().chord_second_intersection(a, d)
-        return self._one_chord(a, d)
-
-    def chord_second_intersections(self, a, d):
-        if not self._even:
-            return super().chord_second_intersections(a, d)
-        # exact route for even polynomial exponents: F along a line is a
-        # degree-m polynomial with an exact root at t = 0; deflating that
-        # root keeps the other intersection well conditioned even for
-        # near-tangential chords, where bisection on F loses digits
-        a = self._require_boundary(a)
-        d = _unit(d)
+            return super()._exit(p, v, f_p)
         m = int(self.m)
         k = np.arange(m + 1)
-        # coefficients of t^k, summed over the axes
-        coeffs = (self._binomial * (a / self.a)[..., None] ** (m - k)
-                  * (d / self.a)[..., None] ** k).sum(-2)
-        deflated = coeffs[..., :0:-1]  # t^(m-1) ... t^0: the root t = 0 removed
-        # the roots are the eigenvalues of the companion matrices, built as
-        # np.roots builds them
-        companion = np.zeros(a.shape[:-1] + (m - 1, m - 1))
-        companion[..., 0, :] = -deflated[..., 1:] / deflated[..., :1]
-        companion[..., 1:, :-1] = np.eye(m - 2)
-        roots = np.linalg.eigvals(companion)
-        threshold = TANGENCY_FRACTION * self.diameter()
-        real = abs(roots.imag) < 1e-9 * (1.0 + abs(roots.real))
-        candidates = np.where(real & (abs(roots.real) > 1e-3 * threshold), roots.real, np.inf)
-        t = np.take_along_axis(candidates, abs(candidates).argmin(-1)[..., None], -1)[..., 0]
-        found = t < np.inf
-        t = np.where(found, t, 0.0)
-        # Newton polish on the deflated polynomial; a zero slope stops it
-        for _ in range(4):
-            value, slope = _horner(deflated, t)
-            t = t - np.divide(value, slope, out=np.zeros_like(t), where=found & (slope != 0.0))
-        return a + t[..., None] * d, abs(t) < threshold
+        c = (self._binomial * (p / self.a)[..., None] ** (m - k)
+             * (v / self.a)[..., None] ** k).sum(-2)
+        c = c.tolist() if p.ndim == 1 else list(c.T)  # floats for the scalar kernel
+        c[0] -= 1.0
+        deflate = (f_p == -1.0) & (c[0] > -0.5)
+        c[0] = c[0] - c[0] * deflate
+        c1, c2, c3 = c[1], c[2], c[3] if m > 2 else 0.0
+        q = c2 * c2 - 4.0 * c1 * c3
+        den = c2 + (q * (q > 0.0)) ** 0.5  # 0 only where c_1 = 0 too: x0 = 0
+        f_lo = np.where(deflate, np.minimum(c1, 0.0), f_p)
+        hi, coeffs = 2.2 * self._radius, c[::-1]  # c_m, ..., c_0
+        if p.ndim > 1:
+            hi, coeffs = np.full(len(p), hi), np.array(coeffs)
+
+        def jet(t, rows=None):
+            *poly, c0 = coeffs if rows is None else coeffs[:, rows]
+            value, slope = poly[0], 0.0
+            for ck in poly[1:]:
+                slope = slope * t + value
+                value = value * t + ck
+            r = c0 / t
+            return value + r, slope - r / t
+
+        f, df = _newton_pair(jet)
+        return find_root(f, 0.0, hi, df=df, x0=-2.0 * c1 / (den + (den == 0.0)),
+                         f_lo=f_lo[()], f_hi=1.0)
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.
@@ -802,16 +790,13 @@ class RadialBody2D(ConvexBody):
         # theta for convex bodies and within pi/2 of theta, so the window
         # target +- pi/2 brackets the root: gap < 0 below it, > 0 above it
         target = np.arctan2(u[..., 1], u[..., 0])
-        jet = _last_value(self.radial.jet)
 
         def gap(theta, i=...):
-            r, r1, _ = jet(theta)
-            return theta - np.arctan2(r1, r) - target[i]
+            r, r1, r2 = self.radial.jet(theta)
+            return (theta - np.arctan2(r1, r) - target[i],
+                    1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1))
 
-        def dgap(theta, i=...):
-            r, r1, r2 = jet(theta)
-            return 1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1)
-
+        gap, dgap = _newton_pair(gap)
         return find_root(gap, target - math.pi / 2, target + math.pi / 2,
                          df=dgap, f_lo=-1.0, f_hi=1.0)
 
@@ -884,16 +869,14 @@ class SupportBody2D(ConvexBody):
         # one-row products: the table maximum of a row takes its one-vector bits
         g = (x[..., None, :] @ self._grid_u)[..., 0, :] - self._grid_h
         theta, step = self._grid[g.argmax(-1)], self._grid[1]
-        jet = _last_value(self.h.jet)
 
         def slope(t, i=...):
-            xi = x[i]
-            return xi[..., 1] * np.cos(t) - xi[..., 0] * np.sin(t) - jet(t)[1]
+            xi, (_, h1, h2) = x[i], self.h.jet(t)
+            cos, sin = np.cos(t), np.sin(t)
+            return (xi[..., 1] * cos - xi[..., 0] * sin - h1,
+                    -xi[..., 0] * cos - xi[..., 1] * sin - h2)
 
-        def dslope(t, i=...):
-            xi = x[i]
-            return -xi[..., 0] * np.cos(t) - xi[..., 1] * np.sin(t) - jet(t)[2]
-
+        slope, dslope = _newton_pair(slope)
         return find_root(slope, theta - step, theta + step, df=dslope)
 
     def implicit(self, x):
@@ -913,6 +896,33 @@ class SupportBody2D(ConvexBody):
 
     def bounding_radius(self):
         return self._radius
+
+    def _exit(self, p, v, f_p=None):
+        """Exit of the line through p along v at x(theta) = h u + h' u_perp: on
+        |theta - phi_v| <= pi/2, <x - p, nu> (nu = rot90(v)) rises with slope
+        (h + h'') <u, v> from -h(-nu) - <p, nu> to h(nu) - <p, nu>, an exact
+        bracket.  Without it a line (f_p None) misses the body; a ray from a
+        point of the body (f_p given) touches it, up to rounding."""
+        nu, phi = rot90(v), np.arctan2(v[..., 1], v[..., 0])
+        c, lo, hi = _dot(p, nu), phi - 0.5 * math.pi, phi + 0.5 * math.pi
+        s_lo, s_hi = -self.h(lo) - c, self.h(hi) - c
+        if f_p is None and np.any((s_lo > 0.0) | (s_hi < 0.0)):
+            raise DomainError("line misses the body")
+
+        def offset(theta, rows=...):
+            h, h1, h2 = self.h.jet(theta)
+            cos, sin = np.cos(theta), np.sin(theta)
+            un = cos * nu[..., 0][rows] + sin * nu[..., 1][rows]
+            uv = cos * v[..., 0][rows] + sin * v[..., 1][rows]
+            return h * un + h1 * uv - c[rows], (h + h2) * uv
+
+        s, ds = _newton_pair(offset)
+        theta = find_root(s, lo, hi, df=ds, f_lo=np.minimum(s_lo, 0.0), f_hi=np.maximum(s_hi, 0.0))
+        return _dot(self.support_point(np.stack([np.cos(theta), np.sin(theta)], -1)) - p, v)
+
+    def last_intersection(self, line: OrientedLine):
+        # the exit needs no interior point of the line
+        return line.at(self._exit(line.point, line.direction))
 
 
 class LinearImageBody(ConvexBody):
@@ -954,6 +964,12 @@ class LinearImageBody(ConvexBody):
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)
         return _apply(self.B, self.base._boundary_in_direction(_apply(self.B_inv, s)))
+
+    def _exit(self, p, v, f_p):
+        # the ray is the image of the ray from B^-1 p along w = B^-1 v in K
+        w = _apply(self.B_inv, v)
+        n = np.sqrt(_dot(w, w))
+        return self.base._exit(_apply(self.B_inv, p), w / np.expand_dims(n, -1), f_p) / n
 
     def volume(self):
         return abs(float(np.linalg.det(self.B))) * self.base.volume()

@@ -55,7 +55,8 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     ``f_lo`` and ``f_hi`` may pass known values at the ends, or any
     value of the same sign.  A function without a sign change on the
     bracket, or one that does not converge in ROOT_MAX_ITER steps,
-    raises ConvergenceError.
+    raises ConvergenceError.  A Newton step rejected after one of at most
+    sqrt(tol |x|) that did not halve |f| marks the noise of f: it stops there.
 
     Array brackets (``lo`` or ``hi`` of ndim 1; ``f_lo``, ``f_hi``, ``x0``
     and ``xtol`` per row or shared) are solved together, with f and df
@@ -76,7 +77,7 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     neg, pos = (lo, hi) if f_lo < 0.0 else (hi, lo)
     inside = x0 is not None and min(lo, hi) < x0 < max(lo, hi)
     x = x0 if inside else 0.5 * (lo + hi)
-    prev_step = abs(hi - lo)
+    prev_step, newton = abs(hi - lo), False
     for _ in range(ROOT_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
@@ -100,6 +101,10 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
                 if not (min(neg, pos) < x_new < max(neg, pos)
                         and abs(x_new - x) <= 0.5 * prev_step):
                     x_new = None
+            if (x_new is None and newton and abs(fx) >= 0.5 * f_prev
+                    and prev_step * prev_step <= tol * abs(x)):
+                return x  # the noise floor of f
+            newton, f_prev = x_new is not None, abs(fx)
         if x_new is None:
             x_new = 0.5 * (neg + pos)
         step = abs(x_new - x)
@@ -129,28 +134,37 @@ def _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi):
     x0 = np.broadcast_to(np.nan if x0 is None else x0, root.shape)[rows]
     x = np.where((np.minimum(lo, hi) < x0) & (x0 < np.maximum(lo, hi)), x0, 0.5 * (lo + hi))
     prev_step, xtol = abs(hi - lo), np.broadcast_to(xtol, root.shape)[rows]
+    half_f = np.full(rows.shape, np.inf)  # |f| / 2 after a Newton step, else inf
     for _ in range(ROOT_MAX_ITER):
         if not rows.size:
             return root
         fx = f(x, rows)
-        neg, pos = np.where(fx < 0.0, x, neg), np.where(fx < 0.0, pos, x)
+        low = fx < 0.0
+        neg, pos = np.where(low, x, neg), np.where(low, pos, x)
         tol = xtol + 2.0 * EPS * abs(x)
         done = (fx == 0.0) | (abs(pos - neg) <= tol)
-        x_new, newton = 0.5 * (neg + pos), np.zeros_like(done)
+        x_new = 0.5 * (neg + pos)
         if df is not None:
-            d = df(x, rows)
-            slope = ~done & (d != 0.0)
-            x_n = x - np.divide(fx, d, out=np.zeros_like(x), where=slope)
-            newton = slope & (abs(x_n - x) <= tol)  # a converged Newton step
-            take = (slope & (np.minimum(neg, pos) < x_n) & (x_n < np.maximum(neg, pos))
-                    & (abs(x_n - x) <= 0.5 * prev_step))
-            x_new = np.where(newton | take, x_n, x_new)
+            d, afx = df(x, rows), abs(fx)
+            x_n = x - fx / np.where(d != 0.0, d, np.nan)  # no Newton step on a zero slope
+            dx = abs(x_n - x)
+            take = ((np.minimum(neg, pos) < x_n) & (x_n < np.maximum(neg, pos))
+                    & (dx <= 0.5 * prev_step))
+            newton = (dx <= tol) | take  # a converged or an accepted Newton step
+            x_new = np.where(newton, x_n, x_new)
+            floor = afx >= half_f  # the noise floor of f ends at x, as done rows do
+            if floor.any():
+                done |= floor & ~newton & (prev_step * prev_step <= tol * abs(x))
+            half_f = np.where(take, 0.5 * afx, np.inf)
         step = abs(x_new - x)
-        stop = newton | ~done & ((step <= tol) | (x_new == x))
-        root[rows[done]], root[rows[stop]] = x[done], x_new[stop]
-        keep = ~(done | stop)
-        rows, x, neg, pos, xtol = rows[keep], x_new[keep], neg[keep], pos[keep], xtol[keep]
-        prev_step, fx = step[keep], fx[keep]
+        end = done | (step <= tol)
+        if end.any():
+            np.copyto(x_new, x, where=done)
+            root[rows[end]] = x_new[end]
+            keep = ~end
+            rows, x_new, neg, pos, xtol, step, fx, half_f = (
+                a[keep] for a in (rows, x_new, neg, pos, xtol, step, fx, half_f))
+        x, prev_step = x_new, step
     if rows.size:
         raise ConvergenceError(f"root search did not converge near {x[0]:.17g}",
                                iterations=ROOT_MAX_ITER, residual=float(np.max(abs(fx))))

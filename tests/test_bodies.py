@@ -434,19 +434,80 @@ def test_generic_line_queries_match_ellipse_closed_forms(ellipse_rot):
 
 
 def test_boundary_exit_takes_no_line_grid(monkeypatch):
-    # one march over at most 2 sqrt(1.1) R of line (the padded bounding
-    # sphere), then a few root-kernel evaluations
+    # the support body's exit is one root solve in the normal angle on the
+    # exit arc: no implicit evaluation, so no argmax solve, inside it
     body = bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02])
     n = unit([0.3, -1.0])
     p = body.gauss_inverse(n)
-    points = []
-    real = bl.SupportBody2D.implicit
-    monkeypatch.setattr(bl.SupportBody2D, "implicit", lambda self, x: (
-        points.append(len(np.atleast_2d(x))) or real(self, x)))
-    q = body.last_intersection(bl.OrientedLine(p, -n + 0.5 * bodies_module.rot90(n)))
-    step = bodies_module.CHORD_MARCH_FRACTION * body.diameter()
-    assert sum(points) <= math.ceil(2.2 * body.bounding_radius() / step) + 10
-    assert abs(real(body, q)) <= 1e-12
+    line = bl.OrientedLine(p, -n + 0.5 * bodies_module.rot90(n))
+    calls = []
+    real = bl.SupportBody2D._argmax_angle
+    monkeypatch.setattr(bl.SupportBody2D, "_argmax_angle",
+                        lambda self, x: calls.append(1) or real(self, x))
+    q = body.last_intersection(line)
+    t = body._exit(np.stack([p, p]), np.stack([line.direction] * 2), -1.0)
+    assert calls == []
+    assert abs(body.implicit(q)) <= 1e-12
+    assert np.allclose(t, np.dot(q - p, line.direction), rtol=0.0, atol=1e-15)
+
+
+def _lines_through(body, rng, n):
+    """Oriented lines through interior points, and chords from boundary
+    points along entering directions."""
+    X = body.gauss_inverse(rng.normal(size=(n, body.dim))) * rng.uniform(0.0, 0.95, (n, 1))
+    V = rng.normal(size=(n, body.dim))
+    return [bl.OrientedLine(x, v) for x, v in zip(X, V)]
+
+
+def test_linear_image_of_ellipsoid_matches_its_closed_forms():
+    # B(E_A) is the ellipsoid of B^-T A B^-1: the pulled-back exits against
+    # the quadratic formula, for line crossings and chords
+    rng = np.random.default_rng(41)
+    A = np.array([[2.0, 0.4], [0.4, 0.7]])
+    B = np.array([[1.2, -0.5], [0.3, 0.8]])
+    image = bl.LinearImageBody(bl.Ellipsoid(A), B)
+    Binv = np.linalg.inv(B)
+    E = bl.Ellipsoid(Binv.T @ A @ Binv)
+    for line in _lines_through(E, rng, 100):
+        assert np.allclose(image.line_intersections(line), E.line_intersections(line),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(image.last_intersection(line), E.last_intersection(line),
+                           rtol=0.0, atol=1e-12)
+    P = E.gauss_inverse(rng.normal(size=(100, 2)))
+    d = unit(rng.normal(size=2))
+    Bi, ti = image.chord_second_intersections(P, d)
+    Be, te = E.chord_second_intersections(P, d)
+    assert np.array_equal(ti, te) and np.allclose(Bi, Be, rtol=0.0, atol=1e-12)
+
+
+def test_support_body_arc_exits_match_the_march():
+    # the normal-angle exit against the generic march with its root solve
+    body = bl.SupportBody2D([1.0, 0.0, 0.06], [0.0, 0.0, 0.03, 0.01])
+    rng = np.random.default_rng(42)
+    for line in _lines_through(body, rng, 200):
+        p, v = line.point, line.direction
+        f = float(body.implicit(p))
+        for w in (v, -v):
+            assert abs(body._exit(p, w, f) - ConvexBody._exit(body, p, w, f)) <= 1e-12
+        assert np.allclose(body.last_intersection(line), ConvexBody.last_intersection(body, line),
+                           rtol=0.0, atol=1e-12)
+    P = body.gauss_inverse(rng.normal(size=(200, 2)))
+    D = rng.normal(size=(200, 2))
+    D *= np.where(np.sum(body.implicit_grad(P) * D, axis=1) > 0.0, -1.0, 1.0)[:, None]
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    marched = ConvexBody._exit(body, P, D, -1.0)
+    assert np.max(np.abs(body._exit(P, D, -1.0) - marched)) <= 1e-12
+
+
+@pytest.mark.parametrize("body", [
+    bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]), bl.Superellipse(4.0),
+    bl.LinearImageBody(bl.Superellipse(4.0), [[1.1, 0.25], [0.05, 0.9]])],
+    ids=["support", "superellipse4", "linear_image"])
+def test_line_that_misses_the_body_raises(body):
+    line = bl.OrientedLine([3.0, 0.5], [0.0, 1.0])
+    for query in (body.line_intersections, body.last_intersection):
+        with pytest.raises(DomainError):
+            query(line)
 
 
 def test_support_argmax_without_a_slope_sign_change_raises():
@@ -729,3 +790,45 @@ def test_trig_series_jet_matches_finite_differences():
                 + 0.03 * np.sin(3 * theta))
     assert np.allclose(r, expected, atol=1e-15)
     assert float(f(0.4)) == pytest.approx(float(f(np.array([0.4]))[0]), abs=1e-16)
+
+
+@pytest.mark.parametrize("body", [bl.Superellipse(4.0), bl.Superellipse(6.0, dim=3),
+                                  bl.Superellipse(4.0, [1.0, 0.6])],
+                         ids=["m4", "m6_3d", "m4_semiaxes"])
+def test_even_superellipse_exits_are_accurate_roots(body):
+    # the exit solves the line polynomial whose coefficients c_k the body
+    # forms in floating point: against its exact root (mpmath), the relative
+    # error of t stays within 8 eps times the root's condition number
+    # sum_k |c_k t^(k-1)| / |t G'(t)| (about 1 unless Horner cancels), on
+    # 200 random chords, 20 near-tangent ones with |t| down to 1e-6, and
+    # exits from 100 interior points
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(50)
+    m, n, eps = int(body.m), body.dim, np.finfo(float).eps
+    P = body.gauss_inverse(rng.normal(size=(200, n)))
+    D = rng.normal(size=(200, n))
+    D *= np.where(np.sum(body.implicit_grad(P) * D, axis=1) > 0.0, -1.0, 1.0)[:, None]
+    rays = [(p, unit(d), -1.0) for p, d in zip(P, D)]
+    for p, eps_t in zip(P, np.logspace(-1.0, -5.5, 20)):  # near-tangent chords
+        normal = body.exterior_normal(p)
+        tau = rng.normal(size=n)
+        tau -= np.dot(tau, normal) * normal
+        rays.append((p, unit(unit(tau) - eps_t * normal), -1.0))
+    for p, d in zip(P[:100], D[:100]):  # interior starts
+        x = p * rng.uniform(0.0, 0.95)
+        rays.append((x, unit(d), float(body.implicit(x))))
+    k = np.arange(m + 1)
+    smallest = np.inf
+    for p, v, f_p in rays:
+        t = body._exit(p, v, f_p)
+        c = (body._binomial * (p / body.a)[:, None] ** (m - k) * (v / body.a)[:, None] ** k).sum(0)
+        c[0] = 0.0 if f_p == -1.0 else c[0] - 1.0
+        cm = [mp.mpf(float(ck)) for ck in c]
+        g = lambda s: sum(cm[j] * s ** (j - 1) for j in range(m + 1))  # P(t) / t
+        dg = lambda s: sum((j - 1) * cm[j] * s ** (j - 2) for j in range(m + 1))
+        root = mp.findroot(g, mp.mpf(float(t)))
+        cond = sum(abs(cm[j]) * abs(root) ** (j - 1) for j in range(m + 1)) / abs(root * dg(root))
+        assert abs(t - root) <= 8 * eps * max(1.0, float(cond)) * abs(root)
+        smallest = min(smallest, abs(t))
+    assert smallest < 1e-5 * body.diameter()

@@ -229,7 +229,7 @@ DEMO_CSV_SHA256 = {
     ("projtest_ellipse.cfg", "projtest.csv"):
         "8e66e6c777d24bee2b15f3b5c5b2bbcc46b5f77a97b98e7279e34b2b75364a5e",
     ("projtest_superellipse.cfg", "projtest.csv"):
-        "6d5c737e73a85befef78c844bcb57730fc16204670336ecc976ca8fb01803ffa",
+        "024a6e1c4e6424e067041793f0bd94b7ae73e21a82301f9c7763aa394ca6be7d",
     ("sweep_family.cfg", "sweep.csv"):
         "acc3d103061d79354170bc3598b51bcd9848bc6758fd8860afda15b44343099f",
     ("trace_ellipse.cfg", "orbit.csv"):
