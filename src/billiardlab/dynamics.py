@@ -434,8 +434,8 @@ def capacity_estimate(K: ConvexBody, T: ConvexBody, m_max, multistarts=32,
 def mahler_product(K):
     """vol(K) * vol(K polar) for a centrally symmetric body.
 
-    Exact for ellipsoids, superellipses and polygons; quadrature or
-    quasi-Monte Carlo otherwise.
+    Exact for ellipsoids, superellipses and polygons; quadrature
+    otherwise (dimensions 2 and 3).
     """
     if isinstance(K, Polygon2D):
         return K.volume() * K.polar().volume()

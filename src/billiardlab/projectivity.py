@@ -25,12 +25,13 @@ from .errors import (
 from .jets import fit_power_law
 from .osculation import height_partner, slope_point
 from .reflection import ParallelClass, parallel_chord_involution
-from .solvers import least_squares
+from .solvers import levenberg_marquardt as least_squares
 
 COLLINEARITY_TOL = 1e-9  # cross_ratio: relative second singular value
 QUADRUPLE_MIN_SEPARATION = 0.15  # least angle gap / quarter patch width
 TWO_JET_STEP = 1e-2  # two_jet_at_fixed_point: coarser difference step
 TWO_JET_REL_TOL = 1e-4  # two_jet_at_fixed_point: tolerated disagreement
+FIT_MAX_NFEV = 100  # fit_projective_involution: residual evaluations
 
 
 def rp_distance(a, b):
@@ -292,8 +293,11 @@ def fit_projective_involution(pairs, axis_normal):
 
     ``pairs`` is a sequence of (u, image of u) or an (N, 2, n) array.
     The center is first recovered linearly (it lies on every line
-    joining a point to its image), then polished by least squares on the
-    projective distances.  Returns (ProjectiveMap, rms residual).
+    joining a point to its image), then polished by Levenberg-Marquardt
+    with the exact Jacobian on sum sin^2 theta_i, where theta_i is the
+    projective distance from H(P) u_i to v_i.  The center moves on the
+    plane <m, P> = 1, where H(P) u = u - 2 <m, u> P is linear in P.
+    Returns (ProjectiveMap, rms of sin theta_i).
     """
     m = _unit(axis_normal)
     pairs = np.asarray(pairs, dtype=float)
@@ -310,22 +314,36 @@ def fit_projective_involution(pairs, axis_normal):
     Q = np.sum(np.eye(n) - span @ np.swapaxes(span, -1, -2), axis=0)
     evals, evecs = np.linalg.eigh(Q)
     center0 = evecs[:, 0]
+    s0 = float(m @ center0)
+    if abs(s0) < 1e-12:
+        raise DegenerateDataError("homology center lies on the axis")
+    P0, F = center0 / s0, tangent_frame(m).T
+    mu2 = 2.0 * (U @ m)
+    at = {}
 
-    def residuals(P_raw):
-        norm = np.linalg.norm(P_raw)
-        if norm < 1e-12 or abs(float(np.dot(m, P_raw))) < 1e-12 * norm:
-            return np.full(len(us), 1.0)
-        model = ProjectiveMap.harmonic_homology(P_raw, m)
-        return np.sin(rp_distance(model.apply(us), vs))
+    def residual(t, rows):
+        # the part of the unit image w of u tangent at v, of norm sin theta
+        z = U - mu2[:, None] * (P0 + F @ t[0])
+        zn = np.sqrt(_dot(z, z))
+        w = z / np.where(zn > 0.0, zn, np.nan)[:, None]
+        wv = _dot(w, V)
+        at.update(w=w, zn=zn, wv=wv)
+        return (w - wv[:, None] * V).reshape(1, -1)
 
-    best = center0
-    best_rms = float(np.sqrt(np.mean(residuals(center0) ** 2)))
-    sol = least_squares(residuals, center0, method="lm", xtol=1e-15, ftol=1e-15)
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    if rms < best_rms:
-        best, best_rms = sol.x, rms
-    model = ProjectiveMap.harmonic_homology(_unit(best), m)
-    return model, best_rms
+    def jacobian(t, rows):
+        # dz/dt = -2 <m, u> F, so dr/dt = -2 <m, u> / |z| (I - v v^T)(I - w w^T) F
+        w, zn, wv = at["w"], at["zn"], at["wv"]
+        wF, vF = w @ F, V @ F
+        dr = (F - w[:, :, None] * wF[:, None, :]
+              - V[:, :, None] * (vF - wv[:, None] * wF)[:, None, :])
+        return ((-mu2 / zn)[:, None, None] * dr).reshape(1, -1, n - 1)
+
+    t = least_squares(residual, np.zeros((1, n - 1)), jac=jacobian, max_nfev=FIT_MAX_NFEV).x
+    r = residual(t, None)
+    if not np.isfinite(r).all():
+        raise DegenerateDataError("vector maps to zero (indeterminate point)")
+    model = ProjectiveMap.harmonic_homology(P0 + F @ t[0], m)
+    return model, math.sqrt(_dot(r[0], r[0]) / len(us))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ from .errors import (
     GrazingError,
     SolverError,
 )
-from .solvers import find_root, least_squares
+from .solvers import find_root, levenberg_marquardt as least_squares
 
 # incidence angles below this (radians, small-angle regime) are grazing
 GRAZING_ANGLE = 1e-6
 _PERP_TOL = 1e-13
 TRANSVERSAL_MARGIN = 1e-8  # least |<field, normal>| at a projective bounce
+CONCURRENCY_MAX_NFEV = 100  # _concurrency_nd: residual evaluations
 
 
 @dataclass(frozen=True)
@@ -252,25 +253,46 @@ def _concurrency_2d(I, m, a, u):
 
 
 def _concurrency_nd(I, m, a, u):
-    # affine frame of the codimension-two plane (tangent at u) n (hyperplane)
-    M = np.stack([a, m])
-    w0, *_ = np.linalg.lstsq(M, np.array([1.0, 0.0]), rcond=None)
-    _, _, vt = np.linalg.svd(M)
-    E = vt[2:]  # directions spanning the codim-2 plane
+    # the plane (tangent at u) n (hyperplane) is w0 + span E, where <a, w0> = 1,
+    # <m, w0> = 0 and the rows of E span the directions orthogonal to a and m
+    U, sig, vt = np.linalg.svd(np.stack([a, m]))
+    W = np.vstack([(U[0] / sig) @ vt[:2], vt[2:]])  # rows w0, E
 
-    def residuals(angles):
-        v = I.gauss_inverse(unit_vector(angles, 3))
-        dv = legendre_point(I, v)
-        return np.concatenate([[np.dot(dv, w0) - 1.0], E @ dv])
-
+    # the normal e moves in the stereographic chart from the antipode of the
+    # normal n at the Euclidean reflection of u: e = ((1 - |s|^2) n + 2 F s)
+    # / (1 + |s|^2) reaches the whole sphere but -n (a tangent chart only
+    # reaches the hemisphere around n, and a solution may lie beyond it)
     v_seed = euclidean_reflect(m, I._boundary_in_direction(u))
     n_seed = I.exterior_normal(I._boundary_in_direction(v_seed))
-    seed = np.array([np.arctan2(n_seed[1], n_seed[0]),
-                     np.arccos(np.clip(n_seed[2], -1.0, 1.0))])
-    sol = least_squares(residuals, seed, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not sol.success or np.linalg.norm(sol.fun) > 1e-9:
+    F = np.linalg.svd(n_seed[None])[2][1:].T  # orthonormal, orthogonal to n
+    at = {}
+
+    def residuals(s, rows):
+        # the tangent plane <e, x> = h(e) at v = gauss_inverse(e) contains
+        # the plane w0 + span E: r = [<w0, e> / h - 1, E e / h]
+        s = s[0]
+        q = float(s @ s)
+        e = ((1.0 - q) * n_seed + 2.0 * (F @ s)) / (1.0 + q)
+        v = I.gauss_inverse(e)
+        h = float(e @ v)
+        We = W @ e
+        at.update(s=s, q=q, e=e, v=v, h=h, We=We)
+        r = We / h
+        r[0] -= 1.0
+        return r[None, :]
+
+    def jacobian(s, rows):
+        # grad h(e) = v, so d(W e / h) = (W de - W e <v, de> / h) / h, with
+        # de/ds = 2 (F - (n + e) s^T) / (1 + |s|^2)
+        s, q, e, v, h, We = (at[k] for k in ("s", "q", "e", "v", "h", "We"))
+        de = 2.0 * (F - (n_seed + e)[:, None] * s) / (1.0 + q)
+        return ((W @ de - We[:, None] * (v @ de) / h) / h)[None]
+
+    s = least_squares(residuals, np.zeros((1, 2)), jac=jacobian, max_nfev=CONCURRENCY_MAX_NFEV).x
+    r = residuals(s, None)[0]
+    if not math.sqrt(float(r @ r)) <= 1e-9:
         raise SolverError("concurrency solve did not converge")
-    v = I.gauss_inverse(unit_vector(sol.x, 3))
+    v = at["v"]
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v

@@ -1,16 +1,14 @@
-"""The root kernel, a batched Levenberg-Marquardt kernel and lazy access
-to scipy's least-squares solver.
+"""The root kernel and a batched Levenberg-Marquardt kernel.
 
 ``find_root`` is the package's one root finder: boundary crossings,
 inverse slopes, height partners and bracketed angle searches all go
 through it, one scalar bracket at a time or an array of brackets (one
-per row) in one solve.  ``levenberg_marquardt`` solves S square
-nonlinear systems together, one row each, with one batched linear solve
-per iteration; the closed-orbit search solves all its multistarts with
-it.  ``least_squares`` forwards to scipy and imports ``scipy.optimize``
-on first use, because that import costs most of the time of
-``import billiardlab`` and only two solves need it (the homology fit of
-the projectivity test and the concurrency law in space).
+per row) in one solve.  ``levenberg_marquardt`` solves S nonlinear
+least-squares problems together, one row each, with one batched linear
+solve per iteration and exact Jacobians from the caller: the
+closed-orbit search solves all its multistarts with it, the projectivity
+test fits its harmonic homology and the concurrency law in space finds
+its tangent plane.  The package needs nothing but numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from .errors import ConvergenceError
 EPS = np.finfo(float).eps
 ROOT_MAX_ITER = 200
 # levenberg_marquardt: a row has converged once max |J^T f| <= LM_GTOL or its
-# next step is below LM_XTOL * (LM_XTOL + |x|), the tolerances at which
-# scipy's least_squares stops at round-off; the first damping is LM_DAMPING
-# times the squared column norms of J
+# next step is below LM_XTOL * (LM_XTOL + |x|), tolerances at round-off; the
+# first damping is LM_DAMPING times the squared column norms of J
 LM_GTOL = 1e-15
 LM_XTOL = 1e-15
 LM_DAMPING = 1e-3
@@ -181,23 +178,27 @@ class RowSolution:
 
 
 def levenberg_marquardt(fun, x0, jac, max_nfev):
-    """Zeros of S square systems f_s(x_s) = 0, solved together: row s of
-    the (S, n) array x0 starts system s.
+    """Least-squares solutions of S systems f_s(x_s) = 0 of k residuals in
+    n <= k unknowns (zeros when the systems are square), solved together:
+    row s of the (S, n) array x0 starts system s.
 
-    ``fun(x, rows)`` returns the residual rows f_s(x_s) of the systems
-    ``rows`` at the rows of x, with a non-finite row for a point outside
-    the domain; ``jac(x, rows)`` returns their (len(rows), n, n)
-    Jacobians at the points of the last ``fun`` call.  Each iteration
-    makes one call of each, on the systems still searching, and one
-    batched linear solve for the damped Gauss-Newton steps
-    (J^T J + lam D^2) p = -J^T f, with the scaling D of More (1978) (the
-    largest column norms of J met so far).  A step that lowers the cost
-    |f|^2 is taken and lam shrinks by Nielsen's rule; otherwise lam
-    grows.  A system leaves the search once max |J^T f| <= LM_GTOL, once
-    its next step is below LM_XTOL * (LM_XTOL + |x|), after ``max_nfev``
-    residual evaluations, or at once if f(x0) is not finite.  Every
-    operation acts on one row at a time, so a row gets the bits of its
-    one-system solve.
+    ``fun(x, rows)`` returns the (len(rows), k) residual rows f_s(x_s) of
+    the systems ``rows`` at the rows of x, with a non-finite row for a
+    point outside the domain; ``jac(x, rows)`` returns their
+    (len(rows), k, n) Jacobians at the points of the last ``fun`` call.
+    Each iteration makes one call of each, on the systems still
+    searching, and one batched n x n linear solve for the damped
+    Gauss-Newton steps (J^T J + lam D^2) p = -J^T f, with the scaling D
+    of More (1978) (the largest column norms of J met so far).  A step
+    that lowers the cost |f|^2 is taken and lam shrinks by Nielsen's
+    rule; otherwise lam grows.  A system leaves the search once
+    max |J^T f| <= LM_GTOL; once its next step would lower |f|^2 by at
+    most k eps |f|^2 on the linear model, the rounding of the k-term sum
+    |f|^2 (the round-off floor of a minimum where f does not vanish);
+    once its next step is below LM_XTOL * (LM_XTOL + |x|); after
+    ``max_nfev`` residual evaluations; or at once if f(x0) is not
+    finite.  Every operation acts on one row at a time, so a row gets
+    the bits of its one-system solve.
     """
     x = np.array(x0, dtype=float)
     nfev = np.ones(len(x), dtype=int)
@@ -206,51 +207,48 @@ def levenberg_marquardt(fun, x0, jac, max_nfev):
     rows = rows[np.isfinite(f).all(axis=1)]
     if not rows.size:
         return RowSolution(x, nfev)
-    f, J = f[rows], jac(x[rows], rows)
-    eye = np.eye(x.shape[1], dtype=bool)
-    d2 = lam = nu = None
+    xr, f = x[rows], f[rows]
+    J = jac(xr, rows)
+    k, n = f.shape[1], x.shape[1]
+    d2 = None
+    lam, nu = np.full(len(rows), LM_DAMPING), np.full(len(rows), 2.0)
+    evals = 1  # residual evaluations so far of each system still searching
     while True:
         Jt = np.swapaxes(J, -1, -2)
         A = Jt @ J
         g = (Jt @ f[:, :, None])[:, :, 0]
-        col2 = A[:, eye]  # squared column norms of J
-        if d2 is None:
-            d2 = np.where(col2 > 0.0, col2, 1.0)
-            lam, nu = np.full(len(rows), LM_DAMPING), np.full(len(rows), 2.0)
-        else:
-            d2 = np.maximum(d2, col2)
-        xr = x[rows]
+        col2 = A.reshape(len(A), n * n)[:, ::n + 1]  # squared column norms of J
+        d2 = np.where(col2 > 0.0, col2, 1.0) if d2 is None else np.maximum(d2, col2)
+        damping = lam[:, None] * d2
         M = A.copy()
-        M[:, eye] += lam[:, None] * d2
+        M.reshape(len(M), n * n)[:, ::n + 1] += damping
         p = -np.linalg.solve(M, g[:, :, None])[:, :, 0]
-        stop = ((np.max(abs(g), axis=1) <= LM_GTOL)
+        cost = _dot(f, f)
+        # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
+        predicted = _dot(p, damping * p - g)
+        stop = ((abs(g) <= LM_GTOL).all(axis=1)
+                | (predicted <= k * EPS * cost)
                 | (np.sqrt(_dot(p, p)) <= LM_XTOL * (LM_XTOL + np.sqrt(_dot(xr, xr))))
-                | (nfev[rows] >= max_nfev))
-        keep = ~stop
-        rows, xr, f, J, g, p = rows[keep], xr[keep], f[keep], J[keep], g[keep], p[keep]
-        d2, lam, nu = d2[keep], lam[keep], nu[keep]
-        if not rows.size:
-            break
+                | (evals >= max_nfev))
+        if stop.any():
+            x[rows[stop]], nfev[rows[stop]] = xr[stop], evals
+            keep = ~stop
+            rows, xr, f, J, p = rows[keep], xr[keep], f[keep], J[keep], p[keep]
+            d2, lam, nu, cost, predicted = (d2[keep], lam[keep], nu[keep], cost[keep],
+                                            predicted[keep])
+            if not rows.size:
+                break
         x_new = xr + p
         f_new = fun(x_new, rows)
         J_new = jac(x_new, rows)
-        nfev[rows] += 1
-        cost, cost_new = _dot(f, f), _dot(f_new, f_new)
-        # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
-        predicted = _dot(p, lam[:, None] * d2 * p - g)
+        evals += 1
+        cost_new = _dot(f_new, f_new)
         good = np.isfinite(cost_new) & (cost_new < cost)
         rho = np.where(good, (cost - cost_new) / predicted, 0.0)
         lam = np.where(good, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                        lam * nu)
         nu = np.where(good, 2.0, 2.0 * nu)
-        x[rows[good]] = x_new[good]
+        xr = np.where(good[:, None], x_new, xr)
         f = np.where(good[:, None], f_new, f)
         J = np.where(good[:, None, None], J_new, J)
     return RowSolution(x, nfev)
-
-
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call."""
-    from scipy.optimize import least_squares as solve
-
-    return solve(*args, **kwargs)

@@ -556,6 +556,28 @@ def test_superellipse_volume_formula(superellipse):
     assert abs(generic - expect) < 1e-3 * expect
 
 
+def test_generic_volume_in_space_matches_ellipsoid_closed_form(ellipsoid3):
+    # the radial function of an ellipsoid is analytic on the sphere, so the
+    # Gauss-Legendre x trapezoid quadrature of (1/3) int rho^3 is spectral
+    R = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    tilted = bl.Ellipsoid(R @ np.diag(1.0 / np.array([1.4, 0.6, 0.8]) ** 2) @ R.T)
+    for body in (ellipsoid3, tilted):
+        assert abs(ConvexBody.volume(body) - body.volume()) <= 1e-10 * body.volume()
+
+
+def test_generic_volume_of_polar_superellipsoid():
+    # the polar of the 4-superellipsoid is the 4/3-superellipsoid, of
+    # volume 8 Gamma(1 + 3/4)^3 / Gamma(1 + 9/4)
+    expect = 8.0 * math.gamma(1.75) ** 3 / math.gamma(3.25)
+    volume = bodies_module.PolarBody(bl.Superellipse(4.0, dim=3)).volume()
+    assert abs(volume - expect) <= 1e-4 * expect
+
+
+def test_generic_volume_refuses_dimension_four():
+    with pytest.raises(DomainError):
+        ConvexBody.volume(bl.Ball(1.0, dim=4))
+
+
 @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 @settings(max_examples=25, deadline=None)
 def test_ellipsoid_membership_consistency(x, y):

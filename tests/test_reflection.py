@@ -312,6 +312,36 @@ def test_finsler_laws_agree_in_three_dimensions(ellipsoid3):
     assert worst <= 1e-8
 
 
+def test_concurrency_law_in_space_meets_the_legendre_law_at_round_off(ellipsoid3):
+    # the inputs of the test above, plus 20 random ellipsoids: on half of
+    # them the incidence normal, on the other half the reflected normal
+    # lies a few 1e-3 from +e3 or -e3 (the poles of a spherical-angle chart)
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(8):
+        m = unit(rng.normal(size=3))
+        u = ellipsoid3._boundary_in_direction(unit(rng.normal(size=3)))
+        if abs(np.dot(m, unit(u))) >= 0.1:
+            cases.append((ellipsoid3, m, u))
+    rng = np.random.default_rng(23)
+    for k in range(20):
+        R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        I = bl.Ellipsoid(R @ np.diag(rng.uniform(0.5, 2.0, 3)) @ R.T)
+        pole = I.gauss_inverse(unit([*rng.normal(scale=1e-3, size=2), (-1.0) ** (k // 2)]))
+        other = I._boundary_in_direction(unit(rng.normal(size=3)))
+        if k % 2:  # incidence at the pole, any hyperplane
+            u, m = pole, unit(rng.normal(size=3))
+        else:  # the hyperplane that reflects u onto the pole: D(u) - D(v) is normal to it
+            u, m = other, unit(bl.legendre_point(I, other) - bl.legendre_point(I, pole))
+        assert abs(np.dot(m, unit(u))) >= 1e-3
+        cases.append((I, m, u))
+    assert len(cases) >= 25
+    for I, m, u in cases:
+        v1 = bl.finsler_reflect_legendre(I, m, u)
+        v2 = bl.finsler_reflect_concurrency(I, m, u)
+        assert np.linalg.norm(v1 - v2) <= 1e-12
+
+
 def test_planar_concurrency_law_takes_no_angle_scan(ellipse, monkeypatch):
     # one Newton solve with the exact slope on the circle of normal angles:
     # 11 gauss_inverse calls (55 with bisection alone), shared by the gap
