@@ -9,8 +9,11 @@ base class (chords, ``line_intersections``, ``last_intersection``) is one
 ray exit, ``ConvexBody._exit``, which each body overrides with its own
 structure: the quadratic formula for ellipsoids, the root of the convex
 line polynomial for even superellipses, the pulled-back ray for linear
-images, the normal angle on the exit arc for support bodies; the others
-march to the padded bounding sphere, then call ``solvers.find_root``.
+images, the normal angle on the exit arc for support bodies and the polar
+angle on the swept arc for radial bodies; fractional superellipses and
+the generic PolarBody march to the padded bounding sphere, then call
+``solvers.find_root``.  ``polar_dual`` is in closed form for every library
+body, so only the polars of user-defined bodies are PolarBody.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -55,6 +58,12 @@ SYMMETRY_TOL = 1e-9  # mirror_symmetric, relative to the bounding radius
 # generic volume in space: Gauss-Legendre nodes in cos(polar angle), and
 # twice as many equally spaced azimuths
 VOLUME_NODES = 64
+# the angle grid on which the planar series bodies tabulate their series: the
+# convexity checks, the support body's argmax table and the planar areas
+# (the periodic trapezoid rule, exact for trigonometric polynomials of
+# degree below 360)
+_GRID = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+_GRID_U = np.stack([np.cos(_GRID), np.sin(_GRID)])
 
 
 # Row helpers (with ``solvers._dot``).  numpy's matmul takes the same BLAS
@@ -685,7 +694,8 @@ class TrigSeries:
     """f(theta) = c_0 + sum_k (c_k cos k theta + s_k sin k theta).
 
     The radial function of RadialBody2D and the support function of
-    SupportBody2D; ``jet`` gives f, f' and f'' from one cos/sin pass.
+    SupportBody2D; ``jet`` gives f, f' and f'' from one cos/sin pass, and
+    ``table`` holds that jet on the angle grid ``_GRID``.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
@@ -699,6 +709,7 @@ class TrigSeries:
         self._on_cos = np.stack([self.cc, k * self.sc, -k * k * self.cc], axis=1)
         self._on_sin = np.stack([self.sc, -k * self.cc, -k * k * self.sc], axis=1)
         self._k = k
+        self.table = self.jet(_GRID)
 
     def jet(self, theta):
         """(f, f', f'') at theta (vectorized).  A stack of one-row products,
@@ -711,26 +722,74 @@ class TrigSeries:
         """d^order/dtheta^order of f at theta, for order 0, 1 or 2."""
         return self.jet(theta)[order]
 
+    def odd_total(self):
+        """Sum of the magnitudes of the odd harmonics: 0 exactly when
+        f(theta + pi) = f(theta)."""
+        return float(np.abs(self.cc[1::2]).sum() + np.abs(self.sc[1::2]).sum())
+
+
+class ReciprocalSeries:
+    """g = 1 / f for a positive TrigSeries f, with the jet
+    (1/f, -f'/f^2, (2 f'^2 - f f'') / f^3) taken from f's jet.
+
+    The radial function 1/h of the polar of a support body h, and the
+    support function 1/r of the polar of a radial body r.  Its table on
+    ``_GRID`` comes from f's table, so a polar costs no new series pass.
+    """
+
+    def __init__(self, f: TrigSeries):
+        self.f = f
+        self.table = self._from_jet(*f.table)
+
+    @staticmethod
+    def _from_jet(f, f1, f2):
+        g = 1.0 / f
+        return g, -f1 * g * g, (2.0 * f1 * f1 - f * f2) * (g * g * g)
+
+    def jet(self, theta):
+        """(g, g', g'') at theta (vectorized, with f's row bits)."""
+        return self._from_jet(*self.f.jet(theta))
+
+    __call__ = TrigSeries.__call__
+
+    def odd_total(self):
+        # 1/f is symmetric under theta -> theta + pi exactly when f is
+        return self.f.odd_total()
+
+
+def _series(coeffs, sin_coeffs):
+    """A series object given in place of coefficient lists, or the
+    TrigSeries of the lists."""
+    if isinstance(coeffs, (TrigSeries, ReciprocalSeries)):
+        return coeffs
+    return TrigSeries(coeffs, sin_coeffs)
+
+
+def _reciprocal(series):
+    """The series 1 / series: a reciprocal's own TrigSeries, which keeps
+    its bits, or the ReciprocalSeries of a TrigSeries."""
+    return series.f if isinstance(series, ReciprocalSeries) else ReciprocalSeries(series)
+
 
 class RadialBody2D(ConvexBody):
     """Planar body with trigonometric-polynomial radial function.
 
     r(theta) = cos_coeffs[0] + sum_k cos_coeffs[k] cos(k theta)
-                             + sum_k sin_coeffs[k] sin(k theta).
-    Exact theta-derivatives to any order make 5-jets of the boundary
-    available without differencing noise.
+                             + sum_k sin_coeffs[k] sin(k theta),
+    or a series object (TrigSeries, or the ReciprocalSeries 1/h of a
+    polar) given in place of cos_coeffs.  Exact theta-derivatives to any
+    order make 5-jets of the boundary available without differencing noise.
     """
 
     dim = 2
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
-        self.radial = TrigSeries(cos_coeffs, sin_coeffs)
-        rs = self.radial(np.linspace(0, 2 * math.pi, 720, endpoint=False))
+        self.radial = _series(cos_coeffs, sin_coeffs)
+        rs, r1, r2 = self.radial.table
         if np.min(rs) <= 0.0:
             raise DomainError("radial function must be positive")
         self._radius = float(np.max(rs)) * 1.0001
-        ks = self.boundary_curvature(np.linspace(0, 2 * math.pi, 720, endpoint=False))
-        if np.min(ks) <= 0.0:
+        if np.min(self._curvature(rs, r1, r2)) <= 0.0:
             raise ConvexityViolationError("radial body is not convex")
 
     def boundary_point(self, theta):
@@ -738,21 +797,28 @@ class RadialBody2D(ConvexBody):
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
     def boundary_curvature(self, theta):
-        r, r1, r2 = self.radial.jet(theta)
+        return self._curvature(*self.radial.jet(theta))
+
+    @staticmethod
+    def _curvature(r, r1, r2):
         q = r * r + r1 * r1  # q sqrt(q), not q ** 1.5: a scalar power rounds differently
         return (r * r + 2 * r1 * r1 - r * r2) / (q * np.sqrt(q))
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the parametrized boundary at theta."""
         t = Taylor1D.variable(theta, JET_ORDER)
+        recip = isinstance(self.radial, ReciprocalSeries)
+        series = self.radial.f if recip else self.radial
         r = Taylor1D.constant(0.0, JET_ORDER)
-        cc, sc = self.radial.cc, self.radial.sc
+        cc, sc = series.cc, series.sc
         for k in range(len(cc)):
             if k == 0:
                 r = r + cc[0]
             else:
                 kt = t * float(k)
                 r = r + kt.cos() * cc[k] + kt.sin() * sc[k]
+        if recip:
+            r = r.recip()
         return r * t.cos(), r * t.sin()
 
     def implicit(self, x):
@@ -783,9 +849,98 @@ class RadialBody2D(ConvexBody):
     def bounding_radius(self):
         return self._radius
 
+    def volume(self):
+        # (1/2) integral of r^2, by the trapezoid rule on the table
+        r = self.radial.table[0]
+        return math.pi * float(np.mean(r * r))
+
     def _boundary_in_direction(self, s):
         s = _unit(s)
         return self.radial(np.arctan2(s[..., 1], s[..., 0]))[..., None] * s
+
+    def _exit(self, p, v, f_p):
+        """Exit of the ray p + t v (|v| = 1) at r(phi) e(phi), without a march.
+
+        Off the line through the origin along v, the polar angle of p + t v
+        moves monotonically from phi_p = arg p toward arg v, over the arc of
+        length L < pi oriented by sigma = sign(p x v); on it the offset
+        s(phi) = <r e - p, nu> (nu = rot90(v)), of slope <r' e + r e_perp, nu>,
+        changes sign once: sigma s rises from < 0 to sigma s(arg v) = |p x v|,
+        an exact bracket in tau = sigma (phi - phi_p).  A start within the
+        boundary tolerance (whatever f_p says: a rounded boundary point may
+        come as an interior one) deflates the root at phi_p, solving
+        (s - s(phi_p)) / sin(tau / 2): the exit of the parallel ray through
+        the boundary point r(phi_p) e(phi_p), at most the tolerance away; if
+        v does not enter there, the ray leaves at once.  On the origin line
+        the exit is r e at arg v.  So f_p is not needed.
+        """
+        px, py, vx, vy = p[..., 0], p[..., 1], v[..., 0], v[..., 1]
+        phi_p, phi_v = np.arctan2(py, px), np.arctan2(vy, vx)
+        c = px * vy - py * vx  # p x v = -<p, nu>
+        sigma = np.sign(c)
+        r, r1, r2 = self.radial.jet(phi_p)
+        cos, sin = np.cos(phi_p), np.sin(phi_p)
+        en, ev = sin * vx - cos * vy, cos * vx + sin * vy  # <e, nu>, <e, v>
+        pp, b = px * px + py * py, px * vx + py * vy
+        on = np.sqrt(pp) - r >= -BOUNDARY_TOL * max(1.0, self._radius)
+        slope = r1 * en + r * ev  # s'(phi_p) = sqrt(r^2 + r'^2) <n, v>, n the unit normal
+        leaves = on & (slope >= 0.0)
+        # masks by arithmetic (exact, and cheaper than where on one vector);
+        # angles mod 2 pi from differences in (-2 pi, 2 pi), as np.mod rounds them
+        w, lw = on * 1.0, leaves * 1.0
+        length = sigma * (phi_v - phi_p)
+        length = length + 2.0 * math.pi * (length < 0.0)
+        # an arc rounded below 0 wraps to nearly 2 pi; p on the origin line has none
+        solve = (length > 0.0) & (length < 1.5 * math.pi) & ~leaves
+        # start at the exit through the osculating circle at a boundary start,
+        # else through the circle of radius r(phi_p) about the origin
+        t0 = (w * (-2.0 * slope * (r * r + r1 * r1) / (r * r + 2.0 * r1 * r1 - r * r2))
+              + (1.0 - w) * (np.sqrt(abs(b * b + r * r - pp)) - b))
+        tau0 = sigma * (np.arctan2(py + t0 * vy, px + t0 * vx) - phi_p)
+        tau0 = tau0 + 2.0 * math.pi * (tau0 < 0.0)
+        args = (phi_p, sigma, c, vx, vy, w * sigma * (r * en + c), w)
+        phi = lw * phi_p + (1.0 - lw) * phi_v
+        if p.ndim == 1:
+            if solve:
+                phi = phi_p + sigma * self._exit_angle(args, 0.0, length, tau0)
+        elif solve.any():
+            i = np.flatnonzero(solve)
+            phi[i] = phi_p[i] + sigma[i] * self._exit_angle(
+                [a[i] for a in args], np.zeros(len(i)), length[i], tau0[i])
+        r = self.radial(phi)
+        return (r * np.cos(phi) - px) * vx + (r * np.sin(phi) - py) * vy
+
+    def _exit_angle(self, args, lo, hi, tau0):
+        """The tau of _exit's sign change on [lo, hi] (of the deflated
+        offset where w = 1), one root solve over rows."""
+        def offset(tau, rows=None):
+            # g = gap / den and the Halley slope g' (1 - g g'' / (2 g'^2)), with
+            # which the kernel's Newton step is Halley's; the factor is kept
+            # >= 1/2 (at most twice the Newton step), and g' = 0 gives slope 0
+            phi_p, sigma, c, vx, vy, s0, w = args if rows is None else [a[rows] for a in args]
+            phi = phi_p + sigma * tau
+            r, r1, r2 = self.radial.jet(phi)
+            cos, sin = np.cos(phi), np.sin(phi)
+            en, ev = sin * vx - cos * vy, cos * vx + sin * vy
+            gap, d1 = sigma * (r * en + c) - s0, r1 * en + r * ev
+            d2 = sigma * ((r2 - r) * en + 2.0 * r1 * ev)
+            sn, cs = np.sin(0.5 * tau), np.cos(0.5 * tau)
+            den = w * sn + (1.0 - w)
+            g = gap / den
+            g1 = d1 / den - w * 0.5 * g * cs / den
+            g2 = d2 / den - w * (d1 * cs / den - 0.25 * gap - 0.5 * g * cs * cs / den) / den
+            q = g1 * g1
+            return g, g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
+
+        f, df = _newton_pair(offset)
+        return find_root(f, lo, hi, df=df, x0=tau0, f_lo=-1.0, f_hi=1.0)
+
+    def last_intersection(self, line: OrientedLine):
+        # the exit solve starts from any point inside or on the boundary
+        p = line.point
+        if float(self.implicit(p)) > BOUNDARY_TOL * max(1.0, self._radius):
+            return super().last_intersection(line)
+        return line.at(self._exit(p, line.direction, -1.0))
 
     def _gauss_angle(self, u):
         """Polar angle of the boundary point whose exterior normal points
@@ -827,24 +982,23 @@ class SupportBody2D(ConvexBody):
     """Planar body given by a trigonometric-polynomial support function.
 
     h(theta) = cos_coeffs[0] + sum_k (cos_coeffs[k] cos k theta +
-    sin_coeffs[k] sin k theta); requires h + h'' > 0 (positive curvature
-    radius), which is checked on a fine grid at construction.
+    sin_coeffs[k] sin k theta), or a series object (TrigSeries, or the
+    ReciprocalSeries 1/r of a polar) given in place of cos_coeffs;
+    requires h + h'' > 0 (positive curvature radius), which is checked on
+    a fine grid at construction.
     """
 
     dim = 2
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
-        self.h = TrigSeries(cos_coeffs, sin_coeffs)
-        grid = np.linspace(0, 2 * math.pi, 720, endpoint=False)
-        h, _, h2 = self.h.jet(grid)
+        self.h = _series(cos_coeffs, sin_coeffs)
+        h, _, h2 = self.h.table
         if np.min(h) <= 0.0:
             raise OriginNotInteriorError("support function must be positive")
         if np.min(h + h2) <= 0.0:
             raise ConvexityViolationError("support body has h + h'' <= 0")
         self._radius = float(np.max(h)) * 1.0001
-        # the table on which _argmax_angle brackets its maximizer
-        self._grid, self._grid_h = grid, h
-        self._grid_u = np.stack([np.cos(grid), np.sin(grid)])
+        self._grid_h = h  # the table on which _argmax_angle brackets its maximizer
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
@@ -871,8 +1025,8 @@ class SupportBody2D(ConvexBody):
         maximum."""
         x = np.asarray(x, dtype=float)
         # one-row products: the table maximum of a row takes its one-vector bits
-        g = (x[..., None, :] @ self._grid_u)[..., 0, :] - self._grid_h
-        theta, step = self._grid[g.argmax(-1)], self._grid[1]
+        g = (x[..., None, :] @ _GRID_U)[..., 0, :] - self._grid_h
+        theta, step = _GRID[g.argmax(-1)], _GRID[1]
 
         def slope(t, i=...):
             xi, (_, h1, h2) = x[i], self.h.jet(t)
@@ -900,6 +1054,11 @@ class SupportBody2D(ConvexBody):
 
     def bounding_radius(self):
         return self._radius
+
+    def volume(self):
+        # (1/2) integral of h^2 - h'^2, by the trapezoid rule on the table
+        h, h1, _ = self.h.table
+        return math.pi * float(np.mean(h * h - h1 * h1))
 
     def _exit(self, p, v, f_p=None):
         """Exit of the line through p along v at x(theta) = h u + h' u_perp: on
@@ -1205,8 +1364,18 @@ def legendre_point(body: ConvexBody, v):
 
 
 def polar_dual(body):
-    """Polar dual body; closed-form for ellipsoids, superellipses and
-    polygons, generic support-function wrapper otherwise."""
+    """Polar dual body {y : <x, y> <= 1 for every x in the body}, in
+    closed form for every library body.
+
+    The support function of the polar is the gauge of the body and its
+    radial function is 1 / h (Schneider, *Convex Bodies*): a radial body
+    r maps to the support body 1/r, a support body h to the radial body
+    1/h (as ReciprocalSeries, whose polar hands back the original series,
+    so the second polar has the body's class and bits), and a linear image
+    B K to B^-T K polar.  Ellipsoids map to the inverse matrix,
+    superellipses to the dual exponent, polygons to the dual polygon and
+    a PolarBody to its base.  Other ConvexBody subclasses get the generic
+    PolarBody, whose queries go through the base's support function."""
     if isinstance(body, Ellipsoid):
         return Ellipsoid(body.A_inv)
     if isinstance(body, Superellipse):
@@ -1215,17 +1384,32 @@ def polar_dual(body):
         return Superellipse(exponent=q, semiaxes=1.0 / body.a)
     if isinstance(body, Polygon2D):
         return body.polar()
+    if isinstance(body, RadialBody2D):
+        return SupportBody2D(_reciprocal(body.radial))
+    if isinstance(body, SupportBody2D):
+        return RadialBody2D(_reciprocal(body.h))
+    if isinstance(body, LinearImageBody):
+        return LinearImageBody(polar_dual(body.base), body.B_inv.T)
+    if isinstance(body, PolarBody):
+        return body.base
     if not body.contains(np.zeros(body.dim)):
         raise OriginNotInteriorError("polar dual needs the origin inside")
     return PolarBody(body)
 
 
 def mirror_symmetric(body: ConvexBody, tol_points=32):
-    """Check central symmetry: ellipsoids and superellipses are symmetric
-    by construction; for other bodies sampled support values at +-u
-    agree to SYMMETRY_TOL."""
+    """Check central symmetry.  Ellipsoids and superellipses are symmetric
+    by construction; radial and support bodies are when the odd harmonics
+    of their series total at most SYMMETRY_TOL times the bounding radius;
+    a linear image or a polar is when its base is.  For other bodies,
+    tol_points sampled support values at +-u agree to SYMMETRY_TOL."""
     if isinstance(body, (Ellipsoid, Superellipse)):
         return True
+    if isinstance(body, (LinearImageBody, PolarBody)):
+        return mirror_symmetric(body.base, tol_points)
+    if isinstance(body, (RadialBody2D, SupportBody2D)):
+        series = body.radial if isinstance(body, RadialBody2D) else body.h
+        return series.odd_total() <= SYMMETRY_TOL * body.bounding_radius()
     rng = np.random.default_rng(11)
     for _ in range(tol_points):
         u = _unit(rng.normal(size=body.dim))

@@ -26,6 +26,9 @@ FAMILIES = {
                                                          [0.0, 0.0, 0.0, 0.02])),
     "linear_image": lambda: bl.LinearImageBody(bl.Superellipse(4.0),
                                                [[1.1, 0.25], [0.05, 0.9]]),
+    # reciprocal-series bodies: the support body 1/r and the radial body 1/h
+    "polar_dual_radial": lambda: bl.polar_dual(FAMILIES["radial"]()),
+    "polar_dual_support": lambda: bl.polar_dual(FAMILIES["support"]()),
 }
 
 
@@ -250,7 +253,8 @@ ROW_QUERIES = ("gauss_inverse", "support", "support_point", "support_hess",
 
 
 # the bodies whose queries solve for an angle, in one root solve over rows
-@pytest.mark.parametrize("name", ["radial", "support", "polar_radial"])
+@pytest.mark.parametrize("name", ["radial", "support", "polar_radial", "polar_dual_radial",
+                                  "polar_dual_support"])
 def test_angle_solve_rows_keep_their_one_vector_bits(name):
     body = FAMILIES[name]()
     rng = np.random.default_rng(26)
