@@ -10,10 +10,11 @@ ray exit, ``ConvexBody._exit``, which each body overrides with its own
 structure: the quadratic formula for ellipsoids, the root of the convex
 line polynomial for even superellipses, the pulled-back ray for linear
 images, the normal angle on the exit arc for support bodies and the polar
-angle on the swept arc for radial bodies; fractional superellipses and
-the generic PolarBody march to the padded bounding sphere, then call
-``solvers.find_root``.  ``polar_dual`` is in closed form for every library
-body, so only the polars of user-defined bodies are PolarBody.
+angle on the swept arc for radial bodies.  Fractional superellipses and
+the generic PolarBody take the base exit: one ``solvers.find_root`` on the
+exact bracket from the ray's start to the padded bounding sphere.
+``polar_dual`` is in closed form for every library body, so only the
+polars of user-defined bodies are PolarBody.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -51,7 +52,6 @@ from .jets import JET_ORDER, MPoly, Taylor1D
 from .solvers import EPS, _dot, find_root
 
 # tolerances used by the generic solvers
-CHORD_MARCH_FRACTION = 1e-2
 TANGENCY_FRACTION = 1e-6
 BOUNDARY_TOL = 1e-8
 SYMMETRY_TOL = 1e-9  # mirror_symmetric, relative to the bounding radius
@@ -300,13 +300,13 @@ class ConvexBody:
         return np.where(tangential[:, None], a, a + t[:, None] * d), tangential
 
     def _sphere_chord(self, p, v):
-        """Parameters (t0 < t1) where the line p + t v meets the bounding
-        sphere padded to radius^2 = 1.1 R^2."""
-        b = float(np.dot(p, v))
-        disc = b * b + 1.1 * self.bounding_radius() ** 2 - float(np.dot(p, p))
-        if disc <= 0.0:
+        """Parameters (t0 < t1) where the line p + t v, or each row's line,
+        meets the bounding sphere padded to radius^2 = 1.1 R^2."""
+        b = _dot(p, v)
+        disc = b * b + 1.1 * self.bounding_radius() ** 2 - _dot(p, p)
+        if (disc <= 0.0).any():
             raise DomainError("line misses the body")
-        r = math.sqrt(disc)
+        r = np.sqrt(disc)
         return -b - r, -b + r
 
     def _exit(self, p, v, f_p):
@@ -315,50 +315,28 @@ class ConvexBody:
 
         f_p < 0 is F(p) for an interior p, or -1 for a boundary p that v
         enters (F < 0 just past p even when the rounded F(p) is positive).
-        One vectorized march in steps of CHORD_MARCH_FRACTION of the
-        diameter, out to the padded bounding sphere, brackets the first
-        sign change of F; the root kernel solves it.  Rows share one march
-        grid, each masked past its own sphere exit, and one row root solve.
-        A ray that never leaves raises ConvergenceError.
+        The body is the sublevel set of F, so F is quasiconvex along the
+        ray: negative up to the exit, positive beyond it out to the padded
+        bounding sphere at T.  One root solve on the bracket (0, T] starts
+        from the Newton step at T, which for a convex F lies in the bracket
+        and descends onto the exit (the midpoint where the slope at T is
+        not positive).  A ray that never leaves raises ConvergenceError.
         """
-        step = CHORD_MARCH_FRACTION * self.diameter()
-        if p.ndim == 1:
-            n = math.ceil(self._sphere_chord(p, v)[1] / step)  # the last point is outside
-            ts = step * np.arange(1, n + 1)
-            vals = self.implicit(p + ts[:, None] * v)
-            out = np.nonzero(vals >= 0.0)[0]
-            if len(out) == 0:
-                raise ConvergenceError("ray never leaves the body")
-            k = int(out[0])
-            lo, f_lo = (ts[k - 1], vals[k - 1]) if k else (0.0, f_p)
-            return self._root_on_line(p, v, lo, ts[k], f_lo, vals[k])
-        b = _dot(p, v)  # the rows' sphere exits, as _sphere_chord gives them
-        disc = b * b + 1.1 * self.bounding_radius() ** 2 - _dot(p, p)
-        if (disc <= 0.0).any():
-            raise DomainError("line misses the body")
-        n = np.ceil((-b + np.sqrt(disc)) / step).astype(int)
-        ts = step * np.arange(1, n.max(initial=1) + 1)  # no rows: an empty solve
-        row, col = np.nonzero(np.arange(len(ts)) < n[:, None])
-        vals = np.full((len(p), len(ts)), np.nan)  # NaN past each row's sphere exit
-        vals[row, col] = self.implicit(p[row] + ts[col, None] * v[row])
-        out = vals >= 0.0
-        if not out.any(axis=1).all():
+        T = self._sphere_chord(p, v)[1]
+        x = p + T[..., None] * v
+        f_hi, slope = self.implicit(x), _dot(self.implicit_grad(x), v)
+        if (f_hi < 0.0).any():
             raise ConvergenceError("ray never leaves the body")
-        k, rows = out.argmax(axis=1), np.arange(len(p))
-        return self._root_on_line(p, v, np.where(k > 0, ts[k - 1], 0.0), ts[k],
-                                  np.where(k > 0, vals[rows, k - 1], f_p), vals[rows, k])
-
-    def _root_on_line(self, p, v, lo, hi, f_lo, f_hi):
-        """Crossing of the boundary by p + t v with t in a sign-change
-        bracket, or by each row's line with t in its row's bracket."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x0 = T - f_hi / slope  # outside (0, T) for a slope <= 0 or not finite
         xtol = EPS * self.bounding_radius()
         if p.ndim == 1:
-            return find_root(lambda t: float(self.implicit(p + t * v)), lo, hi,
+            return find_root(lambda t: float(self.implicit(p + t * v)), 0.0, float(T),
                              df=lambda t: float(self.implicit_grad(p + t * v) @ v),
-                             xtol=xtol, f_lo=f_lo, f_hi=f_hi)
-        return find_root(lambda t, i: self.implicit(p[i] + t[:, None] * v[i]), lo, hi,
+                             x0=float(x0), xtol=xtol, f_lo=f_p, f_hi=float(f_hi))
+        return find_root(lambda t, i: self.implicit(p[i] + t[:, None] * v[i]), 0.0, T,
                          df=lambda t, i: _dot(self.implicit_grad(p[i] + t[:, None] * v[i]), v[i]),
-                         xtol=xtol, f_lo=f_lo, f_hi=f_hi)
+                         x0=x0, xtol=xtol, f_lo=f_p, f_hi=f_hi)
 
     def _inside_on(self, p, v):
         """(t, f) with f < 0 standing for F at the point p + t v of the line:
@@ -371,7 +349,7 @@ class ConvexBody:
         if (f <= BOUNDARY_TOL * max(1.0, self.bounding_radius())
                 and float(self.implicit_grad(p) @ v) < 0.0):
             return 0.0, -1.0
-        # a thin body can lie between march points, and F is quasiconvex
+        # a thin body can lie between any sampled points, and F is quasiconvex
         # along the line, so its minimum is where the slope of F changes sign
         t0, t1 = self._sphere_chord(p, v)
         try:
@@ -532,12 +510,12 @@ def Ball(radius=1.0, dim=2):
 
 
 class Superellipse(ConvexBody):
-    """Body {sum |x_i / a_i|^m <= 1} with exponent m > 2.
+    """Body {sum |x_i / a_i|^m <= 1} with exponent m > 1.
 
     Smooth and strictly convex away from the coordinate axis points,
-    where the curvature degenerates for m > 2; all queries are valid at
-    the points where they are made (the standing positive-definiteness
-    hypothesis is checked per query).
+    where the curvature vanishes for m > 2 and is infinite for 1 < m < 2;
+    all queries are valid at the points where they are made (the standing
+    positive-definiteness hypothesis is checked per query).
     """
 
     def __init__(self, exponent=4.0, semiaxes=None, dim=2):
@@ -859,7 +837,7 @@ class RadialBody2D(ConvexBody):
         return self.radial(np.arctan2(s[..., 1], s[..., 0]))[..., None] * s
 
     def _exit(self, p, v, f_p):
-        """Exit of the ray p + t v (|v| = 1) at r(phi) e(phi), without a march.
+        """Exit of the ray p + t v (|v| = 1) at r(phi) e(phi).
 
         Off the line through the origin along v, the polar angle of p + t v
         moves monotonically from phi_p = arg p toward arg v, over the arc of

@@ -390,8 +390,8 @@ def test_last_intersection_is_exit_point(ellipse):
 
 
 def test_line_intersections_find_thin_bodies():
-    # this body is thinner than one step of the exit march, so its
-    # crossings lie between the march points
+    # this body is 0.002 thick, so a line can cross it between any two
+    # points sampled at a fixed step; the line's minimum of F finds it
     base = bl.Superellipse(4.0)
     thin = bl.LinearImageBody(base, np.diag([1.0, 0.002]))
     rng = np.random.default_rng(2)
@@ -481,7 +481,7 @@ def test_linear_image_of_ellipsoid_matches_its_closed_forms():
 
 
 def test_support_body_arc_exits_match_the_march():
-    # the normal-angle exit against the generic march with its root solve
+    # the normal-angle exit against the generic exit's bracketed root solve
     body = bl.SupportBody2D([1.0, 0.0, 0.06], [0.0, 0.0, 0.03, 0.01])
     rng = np.random.default_rng(42)
     for line in _lines_through(body, rng, 200):
@@ -533,12 +533,56 @@ def test_ray_that_never_exits_raises_convergence_error():
         ConvexBody._boundary_in_direction(body, np.array([1.0, 0.0]))
     with pytest.raises(ConvergenceError):
         body.chord_second_intersections(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
-    # several rows, with a direction each, go through one row march
+    # several rows, with a direction each, go through one row solve
     a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ConvergenceError):
         body.chord_second_intersections(a, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ConvergenceError):
         ConvexBody._exit(body, np.zeros((2, 2)), np.eye(2), np.array([-1.0, -1.0]))
+
+
+class _ArctanEllipse(ConvexBody):
+    """The ellipse <Ax, x> <= 1 as the sublevel set of the quasiconvex, not
+    convex, F = arctan(5 (<Ax, x> - 1)), written as a user would."""
+
+    dim = 2
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=float)
+
+    def _q(self, x):
+        return np.einsum("...i,ij,...j->...", x, self.A, x) - 1.0
+
+    def implicit(self, x):
+        return np.arctan(5.0 * self._q(np.asarray(x, dtype=float)))
+
+    def implicit_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return (10.0 / (1.0 + 25.0 * self._q(x) ** 2))[..., None] * (x @ self.A)
+
+    def bounding_radius(self):
+        return 1.0001 / math.sqrt(np.linalg.eigvalsh(self.A)[0])
+
+
+def test_generic_exit_of_a_quasiconvex_implicit_matches_the_ellipse():
+    # F flattens far from the boundary, so the Newton step from the padded
+    # sphere can leave the bracket; the sign change alone must carry the solve
+    A = np.array([[2.0, 0.4], [0.4, 0.7]])
+    body, E = _ArctanEllipse(A), bl.Ellipsoid(A)
+    rng = np.random.default_rng(43)
+    X = E.gauss_inverse(rng.normal(size=(100, 2))) * rng.uniform(0.0, 0.95, (100, 1))
+    V = rng.normal(size=(100, 2))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    f = body.implicit(X)
+    exact = E._exit(X, V, E.implicit(X))
+    assert np.max(np.abs(body._exit(X, V, f) - exact)) <= 1e-12
+    singles = [body._exit(x, v, float(fx)) for x, v, fx in zip(X, V, f)]
+    assert np.max(np.abs(np.array(singles) - exact)) <= 1e-12
+    P = E.gauss_inverse(rng.normal(size=(100, 2)))
+    B, tangential = body.chord_second_intersections(P, V)
+    Be, te = E.chord_second_intersections(P, V)
+    assert np.array_equal(tangential, te)
+    assert np.max(np.abs(B - Be)) <= 1e-12
 
 
 def test_generic_volume_quadrature_matches_exact(ellipse):
@@ -667,6 +711,13 @@ def test_exit_crossing_takes_few_evaluations(monkeypatch):
         body.last_intersection(bl.OrientedLine(0.3 * rng.normal(size=2),
                                                rng.normal(size=2)))
     assert len(evals) <= 5 * 20
+    # chords from boundary points: the bracket reaches the padded bounding
+    # sphere, and the Newton step from there keeps the solve short
+    evals.clear()
+    for _ in range(50):
+        body.chord_second_intersection(body.gauss_inverse(rng.normal(size=2)),
+                                       rng.normal(size=2))
+    assert len(evals) <= 6 * 50
 
 
 def _thin_polar():

@@ -231,7 +231,7 @@ DEMO_CSV_SHA256 = {
     ("projtest_superellipse.cfg", "projtest.csv"):
         "024a6e1c4e6424e067041793f0bd94b7ae73e21a82301f9c7763aa394ca6be7d",
     ("sweep_family.cfg", "sweep.csv"):
-        "acc3d103061d79354170bc3598b51bcd9848bc6758fd8860afda15b44343099f",
+        "68f21f24b08dd000c596f14ed37394f51ba0c4f0d633f7594d8b7582aa4d5503",
     ("trace_ellipse.cfg", "orbit.csv"):
         "956ad22fb0462634bd38727624d31aac35e95a07b995c515c8f6dfdfa7206314",
 }

@@ -1,6 +1,6 @@
 """Closed-form polars, the radial body's own ray exit, symmetry from the
 series coefficients and planar areas, checked against the generic
-``PolarBody``, the base march, sampled support values and 40-digit mpmath."""
+``PolarBody``, the base exit, sampled support values and 40-digit mpmath."""
 
 import math
 

@@ -70,7 +70,7 @@ def test_body_row_forms_match_one_vector_calls(name):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_exit_and_chord_rows_keep_their_one_vector_bits(name):
-    # every body's own exit (and the generic march), from boundary points
+    # every body's own exit (and the generic exit), from boundary points
     # along entering directions and from interior points, and the chords
     body = FAMILIES[name]()
     rng = np.random.default_rng(28)
@@ -181,10 +181,11 @@ def test_generic_row_chords_keep_the_one_chord_bits(name):
 
 def test_generic_row_chords_take_one_march_and_one_root_solve(monkeypatch):
     # 160 Superellipse(3.5) chords cost what the slowest of them costs alone:
-    # one boundary check, one march and its root iterations.  That is at
-    # most 15 implicit calls (a chord whose Newton steps meet the noise
-    # floor of F stops there instead of bisecting from the march point),
-    # against 1,044 when each chord marched and solved on its own.
+    # one boundary check, one value at the padded bounding sphere and the
+    # root iterations from the Newton step there.  That is at most 15
+    # implicit calls (a chord whose Newton steps meet the noise floor of F
+    # stops there instead of bisecting on), against 1,192 when each chord
+    # is solved on its own.
     body = bl.Superellipse(3.5)
     P = body.gauss_inverse(unit_rows(np.random.default_rng(25), 160, 2))
     d = [0.8317, 0.5553]
