@@ -14,7 +14,8 @@ angle on the swept arc for radial bodies.  Fractional superellipses and
 the generic PolarBody take the base exit: one ``solvers.find_root`` on the
 exact bracket from the ray's start to the padded bounding sphere.
 ``polar_dual`` is in closed form for every library body, so only the
-polars of user-defined bodies are PolarBody.
+polars of user-defined bodies are PolarBody.  A support body h takes its
+F = h_polar - 1 from the normal-angle solve of its polar, the radial 1/h.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -59,11 +60,9 @@ SYMMETRY_TOL = 1e-9  # mirror_symmetric, relative to the bounding radius
 # twice as many equally spaced azimuths
 VOLUME_NODES = 64
 # the angle grid on which the planar series bodies tabulate their series: the
-# convexity checks, the support body's argmax table and the planar areas
-# (the periodic trapezoid rule, exact for trigonometric polynomials of
-# degree below 360)
+# convexity checks and the planar areas (the periodic trapezoid rule, exact
+# for trigonometric polynomials of degree below 360)
 _GRID = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-_GRID_U = np.stack([np.cos(_GRID), np.sin(_GRID)])
 
 
 # Row helpers (with ``solvers._dot``).  numpy's matmul takes the same BLAS
@@ -963,7 +962,8 @@ class SupportBody2D(ConvexBody):
     sin_coeffs[k] sin k theta), or a series object (TrigSeries, or the
     ReciprocalSeries 1/r of a polar) given in place of cos_coeffs;
     requires h + h'' > 0 (positive curvature radius), which is checked on
-    a fine grid at construction.
+    a fine grid at construction.  F = h_polar - 1 (the gauge minus one),
+    from one row solve of the polar 1/h for the normal angle arg x.
     """
 
     dim = 2
@@ -976,7 +976,8 @@ class SupportBody2D(ConvexBody):
         if np.min(h + h2) <= 0.0:
             raise ConvexityViolationError("support body has h + h'' <= 0")
         self._radius = float(np.max(h)) * 1.0001
-        self._grid_h = h  # the table on which _argmax_angle brackets its maximizer
+        # the gauge of the body is the support function of its polar
+        self._polar = RadialBody2D(_reciprocal(self.h))
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
@@ -997,38 +998,19 @@ class SupportBody2D(ConvexBody):
     def gauss_inverse(self, u):
         return self.support_point(u)
 
-    def _argmax_angle(self, x):
-        """The theta maximizing <x, u(theta)> - h(theta), for x or each row:
-        the root of the slope between the table neighbours of the table's
-        maximum."""
-        x = np.asarray(x, dtype=float)
-        # one-row products: the table maximum of a row takes its one-vector bits
-        g = (x[..., None, :] @ _GRID_U)[..., 0, :] - self._grid_h
-        theta, step = _GRID[g.argmax(-1)], _GRID[1]
-
-        def slope(t, i=...):
-            xi, (_, h1, h2) = x[i], self.h.jet(t)
-            cos, sin = np.cos(t), np.sin(t)
-            return (xi[..., 1] * cos - xi[..., 0] * sin - h1,
-                    -xi[..., 0] * cos - xi[..., 1] * sin - h2)
-
-        slope, dslope = _newton_pair(slope)
-        return find_root(slope, theta - step, theta + step, df=dslope)
-
     def implicit(self, x):
+        # F = gauge - 1: the gauge is 1-homogeneous, so <x, grad> by Euler
         x = np.asarray(x, dtype=float)
-        theta = self._argmax_angle(x)
-        return x[..., 0] * np.cos(theta) + x[..., 1] * np.sin(theta) - self.h(theta)
+        return _dot(x, self.implicit_grad(x)) - 1.0
 
     def implicit_grad(self, x):
-        theta = self._argmax_angle(x)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        # the gradient of the polar's support function at x is its support
+        # point: the polar boundary point whose normal angle is arg x
+        x = np.asarray(x, dtype=float)
+        return self._polar.boundary_point(self._polar._gauss_angle(x))
 
     def implicit_hess(self, x):
-        theta = self._argmax_angle(x)
-        u_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        h, _, h2 = self.h.jet(theta)
-        return (u_t[..., :, None] * u_t[..., None, :]) / (h + h2)[..., None, None]
+        return self._polar.support_hess(x)
 
     def bounding_radius(self):
         return self._radius
@@ -1365,7 +1347,7 @@ def polar_dual(body):
     if isinstance(body, RadialBody2D):
         return SupportBody2D(_reciprocal(body.radial))
     if isinstance(body, SupportBody2D):
-        return RadialBody2D(_reciprocal(body.h))
+        return body._polar
     if isinstance(body, LinearImageBody):
         return LinearImageBody(polar_dual(body.base), body.B_inv.T)
     if isinstance(body, PolarBody):

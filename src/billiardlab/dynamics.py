@@ -23,7 +23,6 @@ import numpy as np
 
 from .bodies import (
     ConvexBody,
-    Ellipsoid,
     OrientedLine,
     Polygon2D,
     _unit,
@@ -439,9 +438,6 @@ def mahler_product(K):
     """
     if isinstance(K, Polygon2D):
         return K.volume() * K.polar().volume()
-    if isinstance(K, Ellipsoid):
-        unit_ball = math.pi ** (K.dim / 2.0) / math.gamma(K.dim / 2.0 + 1.0)
-        return unit_ball ** 2
     if not mirror_symmetric(K):
         raise DomainError("Mahler product needs a centrally symmetric body")
     return K.volume() * polar_dual(K).volume()

@@ -144,23 +144,14 @@ class ConicGraphBranch:
         self.conic = conic
         self.radius = self._domain_radius()
 
-    def _discriminant(self, x):
-        p = self.axy * x + self.by
-        return p * p - self.ayy * self.axx * x * x
-
     def _domain_radius(self):
-        # largest symmetric interval on which the branch stays real
-        radius = np.inf
-        for sign in (1.0, -1.0):
-            r = 1.0
-            if self._discriminant(sign * r) <= 0.0:
-                # the discriminant is by^2 > 0 at x = 0
-                radius = min(radius, find_root(
-                    lambda x: self._discriminant(sign * x), 0.0, r))
-                continue
-            while self._discriminant(sign * r) > 0.0 and r < 1e6:
-                r *= 2.0
-            radius = min(radius, r / 2.0)
+        # 0.9 times the largest interval |x| < r where the branch is real:
+        # D(x) = (axy x + by)^2 - ayy axx x^2 has D(0) = by^2 > 0 and a quarter
+        # discriminant ayy axx by^2, and its root of least magnitude is by^2 / q,
+        # q = -(b + sign(b) sqrt(ayy axx) |by|), b = axy by (none if q = 0)
+        s, b = self.ayy * self.axx, self.axy * self.by
+        q = -(b + math.copysign(math.sqrt(s) * abs(self.by), b)) if s >= 0.0 else 0.0
+        radius = abs(self.by * self.by / q) if q != 0.0 else math.inf
         return 0.9 * min(radius, 1e6)
 
     def h(self, x):

@@ -158,16 +158,18 @@ def test_chord_involution_property(ellipse_rot, superellipse, radial_blob):
             assert np.linalg.norm(back - a) <= 1e-10
 
 
-def test_generic_march_chord_agrees_with_ellipsoid_closed_form(ellipse_rot):
+def test_generic_bracketed_exit_agrees_with_ellipsoid_closed_form(ellipse_rot):
+    # the base exit's root solve on (0, T], against the quadratic formula
     rng = np.random.default_rng(6)
     for _ in range(20):
         a = ellipse_rot.gauss_inverse(unit(rng.normal(size=2)))
         d = unit(rng.normal(size=2))
         if abs(np.dot(ellipse_rot.exterior_normal(a), d)) > 0.99:
             continue
-        b_generic = ConvexBody.chord_second_intersection(ellipse_rot, a, d)
+        s = -1.0 if np.dot(ellipse_rot.implicit_grad(a), d) > 0.0 else 1.0
+        b_generic = a + s * ConvexBody._exit(ellipse_rot, a, s * d, -1.0) * d
         b_exact = ellipse_rot.chord_second_intersection(a, d)
-        assert np.allclose(b_generic, b_exact, atol=1e-9)
+        assert np.allclose(b_generic, b_exact, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +437,17 @@ def test_generic_line_queries_match_ellipse_closed_forms(ellipse_rot):
 
 def test_boundary_exit_takes_no_line_grid(monkeypatch):
     # the support body's exit is one root solve in the normal angle on the
-    # exit arc: no implicit evaluation, so no argmax solve, inside it
+    # exit arc: no implicit or implicit_grad evaluation inside it
     body = bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02])
     n = unit([0.3, -1.0])
     p = body.gauss_inverse(n)
     line = bl.OrientedLine(p, -n + 0.5 * bodies_module.rot90(n))
     calls = []
-    real = bl.SupportBody2D._argmax_angle
-    monkeypatch.setattr(bl.SupportBody2D, "_argmax_angle",
-                        lambda self, x: calls.append(1) or real(self, x))
+    for name in ("implicit", "implicit_grad"):
+        real = getattr(bl.SupportBody2D, name)
+        monkeypatch.setattr(bl.SupportBody2D, name,
+                            lambda self, x, real=real, name=name: calls.append(name)
+                            or real(self, x))
     q = body.last_intersection(line)
     t = body._exit(np.stack([p, p]), np.stack([line.direction] * 2), -1.0)
     assert calls == []
@@ -508,18 +512,6 @@ def test_line_that_misses_the_body_raises(body):
     for query in (body.line_intersections, body.last_intersection):
         with pytest.raises(DomainError):
             query(line)
-
-
-def test_support_argmax_without_a_slope_sign_change_raises():
-    # the maximizer of <x, u(theta)> - h(theta) is a root of the slope between
-    # the table neighbours of the table's maximum; a table maximum moved to
-    # theta = pi/2, where the slope keeps one sign, must raise for every row
-    body = bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02])
-    body._grid_h[180] -= 10.0
-    with pytest.raises(ConvergenceError):
-        body.implicit(np.array([1.0, 0.0]))
-    with pytest.raises(ConvergenceError):
-        body.implicit(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
 
 def test_ray_that_never_exits_raises_convergence_error():

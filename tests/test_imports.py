@@ -1,6 +1,7 @@
 """Every module-level import of a library module is used in that module,
-every module-level UPPER_CASE constant is read somewhere in the library,
-and every generic body method is inherited by some library body."""
+every module-level UPPER_CASE constant and every private function, method
+and class is read somewhere in the library, and every generic body method
+is inherited by some library body."""
 
 import ast
 import inspect
@@ -42,6 +43,22 @@ def test_module_constants_are_referenced():
         read.update(n.id for n in ast.walk(tree)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     assert sorted(f"{assigned[name]}:{name}" for name in set(assigned) - read) == []
+
+
+def test_private_helpers_are_referenced():
+    # a deleted solver must not leave its helpers behind
+    defined, read = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and re.fullmatch(r"_[^_].*", node.name)):
+                defined[node.name] = path.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(f"{defined[name]}:{name}" for name in set(defined) - read) == []
 
 
 LIBRARY_BODIES = (billiardlab.Ellipsoid, billiardlab.Superellipse, billiardlab.RadialBody2D,

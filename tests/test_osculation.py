@@ -80,6 +80,26 @@ def test_conic_branch_closed_form_derivatives_match_taylor_jet(superellipse):
                 assert abs(branch.derivative(x, order) - jet[order]) <= 1e-12
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (0.5, 0.3, 0.4), (0.2, 0.05, 0.1), (2.0, -1.0, 3.0),  # ellipses
+    (0.25, 0.4, 0.16), (0.04, -0.2, 0.25),  # parabolas: b^2 = 4 a c
+    (1.0, 1.2, 0.2), (0.1, -0.3, 0.05)])  # hyperbolas
+def test_conic_branch_domain_ends_at_the_discriminant_root(a, b, c):
+    # a x^2 + b xy + c y^2 = y: the discriminant D of the branch's quadratic
+    # in y vanishes at radius / 0.9 and is positive inside
+    branch = bl.ConicGraphBranch(bl.conic_from_graph_coefficients(a, b, c))
+
+    def D(x):
+        p = branch.axy * x + branch.by
+        return p * p - branch.ayy * branch.axx * x * x
+
+    r = branch.radius / 0.9
+    scale = max(abs(D(0.0)), abs(branch.ayy * branch.axx) * r * r, abs(branch.axy * r) ** 2)
+    assert min(abs(D(r)), abs(D(-r))) <= 1e-12 * scale
+    inside = np.linspace(-1.0, 1.0, 201)[1:-1] * r
+    assert np.all(D(inside) > 0.0)
+
+
 def test_osculating_conic_affinely_natural():
     # transform the curve by an affine map; the conic transforms along
     germ = bl.PlanarGerm([0, 0, 0.5, 0.1, -0.04, 0.01])

@@ -97,6 +97,29 @@ def test_polar_of_a_linear_image_is_the_image_of_the_polar():
     assert np.array_equal(J.B, K.B_inv.T)
 
 
+# the gauge of a support body is the support function of its polar
+GAUGE_BODIES = {
+    "support": FAMILIES["support"],
+    "support_odd": lambda: bl.SupportBody2D([1.0, 0.1, 0.04, 0.02], [0.0, 0.05, 0.0, 0.01]),
+    "polar_of_radial": lambda: bl.polar_dual(CAPACITY_BODIES["capacity_radial"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_BODIES))
+def test_support_body_implicit_is_the_gauge_minus_one(name):
+    # F = h_polar - 1, its gradient and Hessian against the generic polar of
+    # the closed-form polar, as rows and as single vectors
+    S = GAUGE_BODIES[name]()
+    oracle = PolarBody(bl.polar_dual(S))
+    X = np.random.default_rng(43).uniform(-2.0, 2.0, size=(400, 2))
+    for query in ("implicit", "implicit_grad", "implicit_hess"):
+        expected = getattr(oracle, query)(X)
+        assert_close(getattr(S, query)(X), expected, 1e-13)
+        assert_close([getattr(S, query)(x) for x in X], expected, 1e-13)
+    U = unit_rows(np.random.default_rng(44), 400, 2)
+    assert_close(S.exterior_normal(S.support_point(U)), U, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the reciprocal series
 # ---------------------------------------------------------------------------
