@@ -24,8 +24,8 @@ an (N, d) array of rows, and so do the closed-orbit search's
 ``gauge_hess`` and ``_gauge_hess_at``; ``chord_second_intersections``
 and ``_exit`` solve N rays at once (tangential chords flagged in a mask).
 Every body writes each query once over rows, a single vector being the
-one-row case: a root solve is one ``find_root`` over rows, whose callbacks
-index the rows still searching, so one vector takes the kernel's scalar
+one-row case: a root solve is one ``find_root`` over rows, whose callback
+indexes the rows still searching, so one vector takes the kernel's scalar
 path.  A row's bits do not depend on the other rows of the call: each
 closed-orbit multistart is solved as if alone, each chord as if alone.
 
@@ -88,20 +88,6 @@ def _unit(v):
     if zero:
         raise ValueError("zero vector has no direction")
     return v / n
-
-
-def _newton_pair(jet):
-    """find_root's f and df from one jet(x, *rows) -> (value, slope)."""
-    last = [None, None]
-
-    def value(x, *rows):
-        last[:] = x, jet(x, *rows)
-        return last[1][0]
-
-    def slope(x, *rows):  # at the point of the last value, as the kernel asks
-        return (last[1] if x is last[0] else jet(x, *rows))[1]
-
-    return value, slope
 
 
 def unit_vector(angles, dim):
@@ -230,10 +216,6 @@ class ConvexBody:
         t = self._exit(np.broadcast_to(c, s.shape), s, float(self.implicit(c)))
         return c + np.expand_dims(t, -1) * s
 
-    def gauss_point(self, angles):
-        """Boundary point with exterior normal unit_vector(angles)."""
-        return self.gauss_inverse(unit_vector(angles, self.dim))
-
     # -- support function ----------------------------------------------------
 
     def support(self, u):
@@ -330,12 +312,18 @@ class ConvexBody:
             x0 = T - f_hi / slope  # outside (0, T) for a slope <= 0 or not finite
         xtol = EPS * self.bounding_radius()
         if p.ndim == 1:
-            return find_root(lambda t: float(self.implicit(p + t * v)), 0.0, float(T),
-                             df=lambda t: float(self.implicit_grad(p + t * v) @ v),
-                             x0=float(x0), xtol=xtol, f_lo=f_p, f_hi=float(f_hi))
-        return find_root(lambda t, i: self.implicit(p[i] + t[:, None] * v[i]), 0.0, T,
-                         df=lambda t, i: _dot(self.implicit_grad(p[i] + t[:, None] * v[i]), v[i]),
-                         x0=x0, xtol=xtol, f_lo=f_p, f_hi=f_hi)
+            def jet(t):
+                x = p + t * v
+                return float(self.implicit(x)), float(self.implicit_grad(x) @ v)
+
+            return find_root(jet, 0.0, float(T), x0=float(x0), xtol=xtol, f_lo=f_p,
+                             f_hi=float(f_hi))
+
+        def jets(t, i):
+            x = p[i] + t[:, None] * v[i]
+            return self.implicit(x), _dot(self.implicit_grad(x), v[i])
+
+        return find_root(jets, 0.0, T, x0=x0, xtol=xtol, f_lo=f_p, f_hi=f_hi)
 
     def _inside_on(self, p, v):
         """(t, f) with f < 0 standing for F at the point p + t v of the line:
@@ -352,7 +340,7 @@ class ConvexBody:
         # along the line, so its minimum is where the slope of F changes sign
         t0, t1 = self._sphere_chord(p, v)
         try:
-            tm = find_root(lambda t: float(self.implicit_grad(p + t * v) @ v), t0, t1)
+            tm = find_root(lambda t: (float(self.implicit_grad(p + t * v) @ v), 0.0), t0, t1)
         except ConvergenceError:
             tm = t0  # F has no interior minimum on the segment
         fm = float(self.implicit(p + tm * v))
@@ -638,9 +626,8 @@ class Superellipse(ConvexBody):
             r = c0 / t
             return value + r, slope - r / t
 
-        f, df = _newton_pair(jet)
-        return find_root(f, 0.0, hi, df=df, x0=-2.0 * c1 / (den + (den == 0.0)),
-                         f_lo=f_lo[()], f_hi=1.0)
+        return find_root(jet, 0.0, hi, x0=-2.0 * c1 / (den + (den == 0.0)), f_lo=f_lo[()],
+                         f_hi=1.0)
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.
@@ -909,8 +896,7 @@ class RadialBody2D(ConvexBody):
             q = g1 * g1
             return g, g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
 
-        f, df = _newton_pair(offset)
-        return find_root(f, lo, hi, df=df, x0=tau0, f_lo=-1.0, f_hi=1.0)
+        return find_root(offset, lo, hi, x0=tau0, f_lo=-1.0, f_hi=1.0)
 
     def last_intersection(self, line: OrientedLine):
         # the exit solve starts from any point inside or on the boundary
@@ -932,9 +918,7 @@ class RadialBody2D(ConvexBody):
             return (theta - np.arctan2(r1, r) - target[i],
                     1.0 - (r2 * r - r1 * r1) / (r * r + r1 * r1))
 
-        gap, dgap = _newton_pair(gap)
-        return find_root(gap, target - math.pi / 2, target + math.pi / 2,
-                         df=dgap, f_lo=-1.0, f_hi=1.0)
+        return find_root(gap, target - math.pi / 2, target + math.pi / 2, f_lo=-1.0, f_hi=1.0)
 
     def gauss_inverse(self, u):
         u = _unit(u)
@@ -1039,8 +1023,7 @@ class SupportBody2D(ConvexBody):
             uv = cos * v[..., 0][rows] + sin * v[..., 1][rows]
             return h * un + h1 * uv - c[rows], (h + h2) * uv
 
-        s, ds = _newton_pair(offset)
-        theta = find_root(s, lo, hi, df=ds, f_lo=np.minimum(s_lo, 0.0), f_hi=np.maximum(s_hi, 0.0))
+        theta = find_root(offset, lo, hi, f_lo=np.minimum(s_lo, 0.0), f_hi=np.maximum(s_hi, 0.0))
         return _dot(self.support_point(np.stack([np.cos(theta), np.sin(theta)], -1)) - p, v)
 
     def last_intersection(self, line: OrientedLine):

@@ -193,17 +193,12 @@ class _StationaritySystem:
         self.K, self.T = K, T
         self.frames = frames  # (S, m, d, d): one chart frame per vertex
         self.min_gap = 1e-9 * K.diameter()
-        self._at = None
 
     def evaluate(self, x, rows):
         """Vertices, charts and gradients of the polygons ``rows`` at the
-        chart angles x (a row per polygon); kept until the arguments
-        change, since the solver asks for the Jacobians at the points it
-        just evaluated.  A polygon with consecutive vertices closer than
-        the distinctness threshold is degenerate: its gradient is NaN."""
-        if (self._at is not None and np.array_equal(rows, self._at[1])
-                and np.array_equal(x, self._at[0])):
-            return
+        chart angles x (a row per polygon), kept on the system.  A polygon
+        with consecutive vertices closer than the distinctness threshold
+        is degenerate: its gradient is NaN."""
         K = self.K
         frames = self.frames[rows]
         S, m, d = frames.shape[:3]
@@ -224,15 +219,11 @@ class _StationaritySystem:
         self.q, self.rho, self.grad, self.nu, self.J = q, rho, grad, nu, J
         self.U, self.U2, self.diffs, self.w, self.live = U, U2, diffs, w, live
         self.shape = (S, m)
-        self._at = (np.array(x), np.array(rows))
 
-    def residual(self, x, rows):
-        """Gradient rows of the action at x, NaN for degenerate polygons."""
-        self.evaluate(x, rows)
-        return self.r.reshape(self.shape[0], -1)
-
-    def jacobian(self, x, rows):
-        """Block-cyclic Hessians of the action in the chart angles.
+    def __call__(self, x, rows):
+        """Gradient rows of the action at x (NaN for degenerate polygons)
+        and their Jacobians, the block-cyclic Hessians of the action in
+        the chart angles.
 
         Blocks: J_i^T (H_{i-1} + H_i) J_i plus the chart curvature term on
         the diagonal, -J_i^T H_i J_{i+1} and -J_i^T H_{i-1} J_{i-1} off it,
@@ -269,7 +260,7 @@ class _StationaritySystem:
         blocks[:, i, i - 1] -= Jt @ H_prev @ J[:, i - 1]
         jac = np.zeros((S, m * k, m * k))
         jac[~self.degenerate] = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * k, m * k)
-        return jac
+        return self.r.reshape(S, -1), jac
 
     def reflection_defect(self):
         """max_i |P_i (t_{i-1} - t_i)| of each polygon, P_i the projection
@@ -289,7 +280,8 @@ def _seed_charts(K, angles):
     far from the chart's poles.
     """
     S, m, k = angles.shape
-    dirs = [_unit(K.gauss_point(a)) for a in angles.reshape(-1, k)]
+    dirs = _unit(K.gauss_inverse(np.array([unit_vector(a, K.dim)
+                                           for a in angles.reshape(-1, k)])))
     if K.dim == 2:
         frames = np.broadcast_to(np.eye(2), (S, m, 2, 2))
         x0 = np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
@@ -329,7 +321,7 @@ def _solve_seeds(K, T, angles):
     S, m = angles.shape[:2]
     frames, x0 = _seed_charts(K, angles)
     system = _StationaritySystem(K, T, frames)
-    x = least_squares(system.residual, x0, jac=system.jacobian, max_nfev=ORBIT_MAX_NFEV).x
+    x = least_squares(system, x0, max_nfev=ORBIT_MAX_NFEV).x
     system.evaluate(x, np.arange(S))
     live = np.flatnonzero(~system.degenerate)
     qs = system.q.reshape(S, m, K.dim)[live]

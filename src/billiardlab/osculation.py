@@ -33,7 +33,7 @@ from .jets import (
     graph_jet_from_parametric,
     taylor_from_derivatives,
 )
-from .solvers import EPS, find_root
+from .solvers import EPS, _dot, find_root
 
 QUINTIC_PROBE = 0.04  # fifth_order_gap: unit-chart abscissa of the samples
 
@@ -201,8 +201,8 @@ def slope_point(curve, t):
     for one t or for each t of an array in one row solve."""
     X = _curve_range(curve)
     t = np.asarray(t, dtype=float)
-    x = find_root(lambda x, i: curve.derivative(x, 1) - t.flat[i], np.full(t.size, -X), X,
-                  df=lambda x, i: curve.derivative(x, 2))
+    x = find_root(lambda x, i: (curve.derivative(x, 1) - t.flat[i], curve.derivative(x, 2)),
+                  np.full(t.size, -X), X)
     return x.reshape(t.shape)[()]
 
 
@@ -215,8 +215,8 @@ def height_partner(curve, x0):
     target = curve.h(start)
     # a row at x0 = 0 starts on its root: f(lo = 0) = h(0) - h(0) = 0
     right = start > 0.0
-    x = find_root(lambda x, i: curve.h(x) - target[i], np.where(right, -X, 0.0),
-                  np.where(right, 0.0, X), df=lambda x, i: curve.derivative(x, 1), x0=-start)
+    x = find_root(lambda x, i: (curve.h(x) - target[i], curve.derivative(x, 1)),
+                  np.where(right, -X, 0.0), np.where(right, 0.0, X), x0=-start)
     return x.reshape(x0.shape)[()]
 
 
@@ -228,8 +228,7 @@ def height_match(curve_a, curve_b, x):
     target = float(curve_b.h(np.asarray(x)))
     X = _curve_range(curve_a)
     lo, hi = (0.0, X) if x > 0 else (-X, 0.0)
-    return find_root(lambda s: curve_a.h(s) - target, lo, hi,
-                     df=lambda s: curve_a.derivative(s, 1), x0=x)
+    return find_root(lambda s: (curve_a.h(s) - target, curve_a.derivative(s, 1)), lo, hi, x0=x)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +477,11 @@ def section_points(body, frame: PlanarSectionFrame, n_samples):
             raise DomainError("plane does not meet the body")
         o = o + grid[k[1]] * frame.e1 + grid[k[0]] * frame.e2
         f_o = vals[k]
-    pts = []
-    for phi in np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False):
-        w = math.cos(phi) * frame.e1 + math.sin(phi) * frame.e2
-        r = body._exit(o, w, f_o)
-        pts.append([float(np.dot(o + r * w - frame.origin, frame.e1)),
-                    float(np.dot(o + r * w - frame.origin, frame.e2))])
-    return np.asarray(pts)
+    cs = np.array([(math.cos(phi), math.sin(phi))
+                   for phi in np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)])
+    w = cs[:, :1] * frame.e1 + cs[:, 1:] * frame.e2
+    x = o + body._exit(np.broadcast_to(o, w.shape), w, f_o)[:, None] * w - frame.origin
+    return np.stack([_dot(x, frame.e1), _dot(x, frame.e2)], axis=-1)
 
 
 def planar_section_conic_residual(body, frame: PlanarSectionFrame, n_samples=64):

@@ -319,27 +319,24 @@ def fit_projective_involution(pairs, axis_normal):
         raise DegenerateDataError("homology center lies on the axis")
     P0, F = center0 / s0, tangent_frame(m).T
     mu2 = 2.0 * (U @ m)
-    at = {}
 
     def residual(t, rows):
-        # the part of the unit image w of u tangent at v, of norm sin theta
+        # the part of the unit image w of u tangent at v, of norm sin theta,
+        # and its Jacobian: dz/dt = -2 <m, u> F, so
+        # dr/dt = -2 <m, u> / |z| (I - v v^T)(I - w w^T) F (NaN where z = 0)
         z = U - mu2[:, None] * (P0 + F @ t[0])
         zn = np.sqrt(_dot(z, z))
-        w = z / np.where(zn > 0.0, zn, np.nan)[:, None]
+        zn = np.where(zn > 0.0, zn, np.nan)
+        w = z / zn[:, None]
         wv = _dot(w, V)
-        at.update(w=w, zn=zn, wv=wv)
-        return (w - wv[:, None] * V).reshape(1, -1)
-
-    def jacobian(t, rows):
-        # dz/dt = -2 <m, u> F, so dr/dt = -2 <m, u> / |z| (I - v v^T)(I - w w^T) F
-        w, zn, wv = at["w"], at["zn"], at["wv"]
         wF, vF = w @ F, V @ F
         dr = (F - w[:, :, None] * wF[:, None, :]
               - V[:, :, None] * (vF - wv[:, None] * wF)[:, None, :])
-        return ((-mu2 / zn)[:, None, None] * dr).reshape(1, -1, n - 1)
+        return ((w - wv[:, None] * V).reshape(1, -1),
+                ((-mu2 / zn)[:, None, None] * dr).reshape(1, -1, n - 1))
 
-    t = least_squares(residual, np.zeros((1, n - 1)), jac=jacobian, max_nfev=FIT_MAX_NFEV).x
-    r = residual(t, None)
+    t = least_squares(residual, np.zeros((1, n - 1)), max_nfev=FIT_MAX_NFEV).x
+    r = residual(t, None)[0]
     if not np.isfinite(r).all():
         raise DegenerateDataError("vector maps to zero (indeterminate point)")
     model = ProjectiveMap.harmonic_homology(P0 + F @ t[0], m)

@@ -9,7 +9,6 @@ Euclidean ones.  All functions are pure; bodies are never mutated.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -217,36 +216,31 @@ def _concurrency_2d(I, m, a, u):
     M = np.stack([a, m])
     p_star = np.linalg.solve(M, np.array([1.0, 0.0]))
 
-    @functools.lru_cache(maxsize=1)  # f, then df, at one theta
-    def gap(theta):
-        # the gap <e, p*> / h(e) - 1 and, as grad h(e) = v = gauss_inverse(e),
-        # its slope <e', p*> / h - <e, p*> <v, e'> / h^2 with e' = rot90(e)
-        e = unit_vector(theta, 2)
-        v = I.gauss_inverse(e)
-        h, ep, e1 = float(e @ v), float(e @ p_star), rot90(e)
-        return v, ep / h - 1.0, float(e1 @ p_star) / h - ep * float(v @ e1) / (h * h)
-
-    # the tangency angles seen from p_star are the two roots of gap();
-    # one of them is u itself, so deflate it: gap / sin((theta-theta_u)/2)
-    # changes sign exactly once more on the circle, even when the roots
-    # nearly merge (p_star close to the boundary at near-grazing incidence)
+    # the tangency angles seen from p_star are the two roots of the gap
+    # <e, p*> / h(e) - 1; one of them is u itself, so deflate it: the gap /
+    # sin((theta-theta_u)/2) changes sign exactly once more on the circle,
+    # even when the roots nearly merge (p_star close to the boundary at
+    # near-grazing incidence)
     n_u = I.exterior_normal(u)
     theta_u = float(np.arctan2(n_u[1], n_u[0]))
+    last = [None, None]  # the last (theta, v): the root is usually its last iterate
 
     def deflated(theta):
-        return gap(theta)[1] / math.sin(0.5 * (theta - theta_u))
-
-    def d_deflated(theta):
-        _, g, slope = gap(theta)
+        # as grad h(e) = v = gauss_inverse(e), the gap has the slope
+        # <e', p*> / h - <e, p*> <v, e'> / h^2 with e' = rot90(e)
+        e = unit_vector(theta, 2)
+        v = I.gauss_inverse(e)
+        last[:] = theta, v
+        h, ep, e1 = float(e @ v), float(e @ p_star), rot90(e)
+        g, slope = ep / h - 1.0, float(e1 @ p_star) / h - ep * float(v @ e1) / (h * h)
         s, c = math.sin(0.5 * (theta - theta_u)), math.cos(0.5 * (theta - theta_u))
-        return slope / s - 0.5 * g * c / (s * s)
+        return g / s, slope / s - 0.5 * g * c / (s * s)
 
     try:
-        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4,
-                          df=d_deflated)
+        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4)
     except ConvergenceError as exc:
         raise SolverError("no transversal concurrency solution found") from exc
-    v = gap(theta)[0]
+    v = last[1] if theta == last[0] else I.gauss_inverse(unit_vector(theta, 2))
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v
@@ -265,34 +259,30 @@ def _concurrency_nd(I, m, a, u):
     v_seed = euclidean_reflect(m, I._boundary_in_direction(u))
     n_seed = I.exterior_normal(I._boundary_in_direction(v_seed))
     F = np.linalg.svd(n_seed[None])[2][1:].T  # orthonormal, orthogonal to n
-    at = {}
 
-    def residuals(s, rows):
+    def residuals(s):
         # the tangent plane <e, x> = h(e) at v = gauss_inverse(e) contains
-        # the plane w0 + span E: r = [<w0, e> / h - 1, E e / h]
-        s = s[0]
+        # the plane w0 + span E: r = [<w0, e> / h - 1, E e / h]; as
+        # grad h(e) = v, d(W e / h) = (W de - W e <v, de> / h) / h, with
+        # de/ds = 2 (F - (n + e) s^T) / (1 + |s|^2).  Returns (r, dr/ds, v).
         q = float(s @ s)
         e = ((1.0 - q) * n_seed + 2.0 * (F @ s)) / (1.0 + q)
         v = I.gauss_inverse(e)
         h = float(e @ v)
         We = W @ e
-        at.update(s=s, q=q, e=e, v=v, h=h, We=We)
         r = We / h
         r[0] -= 1.0
-        return r[None, :]
-
-    def jacobian(s, rows):
-        # grad h(e) = v, so d(W e / h) = (W de - W e <v, de> / h) / h, with
-        # de/ds = 2 (F - (n + e) s^T) / (1 + |s|^2)
-        s, q, e, v, h, We = (at[k] for k in ("s", "q", "e", "v", "h", "We"))
         de = 2.0 * (F - (n_seed + e)[:, None] * s) / (1.0 + q)
-        return ((W @ de - We[:, None] * (v @ de) / h) / h)[None]
+        return r, (W @ de - We[:, None] * (v @ de) / h) / h, v
 
-    s = least_squares(residuals, np.zeros((1, 2)), jac=jacobian, max_nfev=CONCURRENCY_MAX_NFEV).x
-    r = residuals(s, None)[0]
+    def system(s, rows):
+        r, dr, _ = residuals(s[0])
+        return r[None], dr[None]
+
+    s = least_squares(system, np.zeros((1, 2)), max_nfev=CONCURRENCY_MAX_NFEV).x
+    r, _, v = residuals(s[0])
     if not math.sqrt(float(r @ r)) <= 1e-9:
         raise SolverError("concurrency solve did not converge")
-    v = at["v"]
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v

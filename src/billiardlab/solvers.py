@@ -8,7 +8,10 @@ least-squares problems together, one row each, with one batched linear
 solve per iteration and exact Jacobians from the caller: the
 closed-orbit search solves all its multistarts with it, the projectivity
 test fits its harmonic homology and the concurrency law in space finds
-its tangent plane.  The package needs nothing but numpy.
+its tangent plane.  Each kernel takes one callback, which returns the
+value and its derivative from one evaluation at the point: (value,
+slope) for ``find_root``, (residuals, Jacobians) for
+``levenberg_marquardt``.  The package needs nothing but numpy.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ def _dot(a, b):
     return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
 
 
-def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
+def find_root(f, lo, hi, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     """Root of a scalar function that changes sign on [lo, hi], or of each
     row of an array of such brackets.
 
-    Safeguarded Newton: with a derivative ``df`` the Newton step from
-    the current iterate is taken when it lands inside the sign-change
-    bracket and at least halves the previous step; otherwise, and
-    always without ``df``, the bracket is bisected.  The search starts
+    ``f(x)`` returns (value, slope) at x from one evaluation.  Safeguarded
+    Newton: the Newton step from the current iterate is taken when it
+    lands inside the sign-change bracket and at least halves the previous
+    step; otherwise, and always on a zero slope (a function without a
+    derivative passes 0), the bracket is bisected.  The search starts
     at ``x0`` when it lies inside the bracket, else at the midpoint, and
     stops once the step or the bracket is within xtol + 2 eps |x|.
     ``f_lo`` and ``f_hi`` may pass known values at the ends, or any
@@ -56,14 +60,15 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     sqrt(tol |x|) that did not halve |f| marks the noise of f: it stops there.
 
     Array brackets (``lo`` or ``hi`` of ndim 1; ``f_lo``, ``f_hi``, ``x0``
-    and ``xtol`` per row or shared) are solved together, with f and df
-    called elementwise as f(x, rows) on the rows still searching.  Each
-    row gets the bits of its scalar solve; a failing row raises.
+    and ``xtol`` per row or shared) are solved together, with f called
+    elementwise as f(x, rows) -> (values, slopes) on the rows still
+    searching.  Each row gets the bits of its scalar solve; a failing row
+    raises.
     """
     if getattr(lo, "ndim", 0) or getattr(hi, "ndim", 0):  # np.ndim, without its cost on a float
-        return _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi)
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
+        return _find_roots(f, lo, hi, x0, xtol, f_lo, f_hi)
+    f_lo = f(lo)[0] if f_lo is None else f_lo
+    f_hi = f(hi)[0] if f_hi is None else f_hi
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -76,7 +81,7 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
     x = x0 if inside else 0.5 * (lo + hi)
     prev_step, newton = abs(hi - lo), False
     for _ in range(ROOT_MAX_ITER):
-        fx = f(x)
+        fx, d = f(x)
         if fx == 0.0:
             return x
         if fx < 0.0:
@@ -87,21 +92,19 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
         if abs(pos - neg) <= tol:
             return x
         x_new = None
-        if df is not None:
-            d = df(x)
-            if d != 0.0:
-                x_new = x - fx / d
-                # converged even if it rounds onto the bracket end that x
-                # became (the rounded residual at the root has either sign)
-                if abs(x_new - x) <= tol:
-                    return x_new
-                if not (min(neg, pos) < x_new < max(neg, pos)
-                        and abs(x_new - x) <= 0.5 * prev_step):
-                    x_new = None
-            if (x_new is None and newton and abs(fx) >= 0.5 * f_prev
-                    and prev_step * prev_step <= tol * abs(x)):
-                return x  # the noise floor of f
-            newton, f_prev = x_new is not None, abs(fx)
+        if d != 0.0:
+            x_new = x - fx / d
+            # converged even if it rounds onto the bracket end that x
+            # became (the rounded residual at the root has either sign)
+            if abs(x_new - x) <= tol:
+                return x_new
+            if not (min(neg, pos) < x_new < max(neg, pos)
+                    and abs(x_new - x) <= 0.5 * prev_step):
+                x_new = None
+        if (x_new is None and newton and abs(fx) >= 0.5 * f_prev
+                and prev_step * prev_step <= tol * abs(x)):
+            return x  # the noise floor of f
+        newton, f_prev = x_new is not None, abs(fx)
         if x_new is None:
             x_new = 0.5 * (neg + pos)
         step = abs(x_new - x)
@@ -112,13 +115,13 @@ def find_root(f, lo, hi, df=None, x0=None, xtol=0.0, f_lo=None, f_hi=None):
                            iterations=ROOT_MAX_ITER, residual=abs(fx))
 
 
-def _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi):
+def _find_roots(f, lo, hi, x0, xtol, f_lo, f_hi):
     """find_root over rows: the scalar loop, run on the compressed arrays
     of the rows that are still searching."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     every = np.arange(lo.size)
-    f_lo = f(lo, every) if f_lo is None else np.broadcast_to(f_lo, lo.shape)
-    f_hi = f(hi, every) if f_hi is None else np.broadcast_to(f_hi, lo.shape)
+    f_lo = f(lo, every)[0] if f_lo is None else np.broadcast_to(f_lo, lo.shape)
+    f_hi = f(hi, every)[0] if f_hi is None else np.broadcast_to(f_hi, lo.shape)
     root = np.where(f_lo == 0.0, lo, hi)  # rows that start on a root
     rows = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
     bad = rows[(f_lo[rows] < 0.0) == (f_hi[rows] < 0.0)]
@@ -135,24 +138,22 @@ def _find_roots(f, lo, hi, df, x0, xtol, f_lo, f_hi):
     for _ in range(ROOT_MAX_ITER):
         if not rows.size:
             return root
-        fx = f(x, rows)
+        fx, d = f(x, rows)
         low = fx < 0.0
         neg, pos = np.where(low, x, neg), np.where(low, pos, x)
         tol = xtol + 2.0 * EPS * abs(x)
         done = (fx == 0.0) | (abs(pos - neg) <= tol)
-        x_new = 0.5 * (neg + pos)
-        if df is not None:
-            d, afx = df(x, rows), abs(fx)
-            x_n = x - fx / np.where(d != 0.0, d, np.nan)  # no Newton step on a zero slope
-            dx = abs(x_n - x)
-            take = ((np.minimum(neg, pos) < x_n) & (x_n < np.maximum(neg, pos))
-                    & (dx <= 0.5 * prev_step))
-            newton = (dx <= tol) | take  # a converged or an accepted Newton step
-            x_new = np.where(newton, x_n, x_new)
-            floor = afx >= half_f  # the noise floor of f ends at x, as done rows do
-            if floor.any():
-                done |= floor & ~newton & (prev_step * prev_step <= tol * abs(x))
-            half_f = np.where(take, 0.5 * afx, np.inf)
+        afx = abs(fx)
+        x_n = x - fx / np.where(d != 0.0, d, np.nan)  # no Newton step on a zero slope
+        dx = abs(x_n - x)
+        take = ((np.minimum(neg, pos) < x_n) & (x_n < np.maximum(neg, pos))
+                & (dx <= 0.5 * prev_step))
+        newton = (dx <= tol) | take  # a converged or an accepted Newton step
+        x_new = np.where(newton, x_n, 0.5 * (neg + pos))
+        floor = afx >= half_f  # the noise floor of f ends at x, as done rows do
+        if floor.any():
+            done |= floor & ~newton & (prev_step * prev_step <= tol * abs(x))
+        half_f = np.where(take, 0.5 * afx, np.inf)
         step = abs(x_new - x)
         end = done | (step <= tol)
         if end.any():
@@ -177,17 +178,16 @@ class RowSolution:
     nfev: np.ndarray
 
 
-def levenberg_marquardt(fun, x0, jac, max_nfev):
+def levenberg_marquardt(fun, x0, max_nfev):
     """Least-squares solutions of S systems f_s(x_s) = 0 of k residuals in
     n <= k unknowns (zeros when the systems are square), solved together:
     row s of the (S, n) array x0 starts system s.
 
-    ``fun(x, rows)`` returns the (len(rows), k) residual rows f_s(x_s) of
-    the systems ``rows`` at the rows of x, with a non-finite row for a
-    point outside the domain; ``jac(x, rows)`` returns their
-    (len(rows), k, n) Jacobians at the points of the last ``fun`` call.
-    Each iteration makes one call of each, on the systems still
-    searching, and one batched n x n linear solve for the damped
+    ``fun(x, rows)`` returns, from one evaluation, the (len(rows), k)
+    residual rows f_s(x_s) of the systems ``rows`` at the rows of x, with
+    a non-finite row for a point outside the domain, and their
+    (len(rows), k, n) Jacobians.  Each iteration makes one call, on the
+    systems still searching, and one batched n x n linear solve for the damped
     Gauss-Newton steps (J^T J + lam D^2) p = -J^T f, with the scaling D
     of More (1978) (the largest column norms of J met so far).  A step
     that lowers the cost |f|^2 is taken and lam shrinks by Nielsen's
@@ -203,12 +203,11 @@ def levenberg_marquardt(fun, x0, jac, max_nfev):
     x = np.array(x0, dtype=float)
     nfev = np.ones(len(x), dtype=int)
     rows = np.arange(len(x))
-    f = fun(x, rows)
+    f, J = fun(x, rows)
     rows = rows[np.isfinite(f).all(axis=1)]
     if not rows.size:
         return RowSolution(x, nfev)
-    xr, f = x[rows], f[rows]
-    J = jac(xr, rows)
+    xr, f, J = x[rows], f[rows], J[rows]
     k, n = f.shape[1], x.shape[1]
     d2 = None
     lam, nu = np.full(len(rows), LM_DAMPING), np.full(len(rows), 2.0)
@@ -239,8 +238,7 @@ def levenberg_marquardt(fun, x0, jac, max_nfev):
             if not rows.size:
                 break
         x_new = xr + p
-        f_new = fun(x_new, rows)
-        J_new = jac(x_new, rows)
+        f_new, J_new = fun(x_new, rows)
         evals += 1
         cost_new = _dot(f_new, f_new)
         good = np.isfinite(cost_new) & (cost_new < cost)

@@ -2,10 +2,14 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import billiardlab
 from billiardlab.cli import main
 
 DISK = "kind = ball\ndim = 2\nradius = 1.0\n"
@@ -246,3 +250,26 @@ def test_demo_config_csvs_are_byte_identical(config, tmp_path, capsys):
     written = {(config, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*.csv")}
     assert written == {key: h for key, h in DEMO_CSV_SHA256.items() if key[0] == config}
+
+
+DEMOS = CONFIGS.parent
+# SHA-256 of what each demo script prints, pinned like the demo CSVs.
+DEMO_STDOUT_SHA256 = {
+    "01_reflection_laws.py":
+        "de045f968eb8853c20a3c066950b86ac7f6de311b6a518eab46d74d33167ede5",
+    "02_projectivity_of_reflections.py":
+        "78311969b37b38251bb04341dfd38338d5d2b1781c774b6da099c0abf9218858",
+    "03_osculating_conics_and_quadrics.py":
+        "a4c74c45a5d3d00687138e174d80481eadac000164c28b31777e3923d0230fa3",
+    "04_capacity_and_volume_products.py":
+        "a0094a90121e725d6d2afa8b16b1c799a91a5f1c19eb55bd9d0ffd4d82af1954",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_demo_printouts_are_byte_identical(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(billiardlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
+                          timeout=120, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]

@@ -394,11 +394,11 @@ def _stationarity_system(K, T, m, rng):
 
 
 def _residual(system, x):
-    return system.residual(x[None], ONE)[0]
+    return system(x[None], ONE)[0][0]
 
 
 def _jacobian(system, x):
-    return system.jacobian(x[None], ONE)[0]
+    return system(x[None], ONE)[1][0]
 
 
 JACOBIAN_PAIRS = {

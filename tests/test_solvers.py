@@ -1,5 +1,7 @@
 """The root kernel, one bracket or an array of them, and the batched
-Levenberg-Marquardt kernel, square and rectangular."""
+Levenberg-Marquardt kernel, square and rectangular.  Each takes one
+callback that returns the value with its derivative; a zero slope makes
+the root kernel bisect."""
 
 import math
 import os
@@ -17,10 +19,10 @@ from billiardlab.solvers import LM_GTOL, ROOT_MAX_ITER, find_root, levenberg_mar
 
 def test_root_kernel_converges_to_machine_precision():
     root = math.sqrt(2.0)
-    for df in (None, lambda x: 2.0 * x):
-        x = find_root(lambda x: x * x - 2.0, 0.0, 3.0, df=df)
+    for slope in (lambda x: 0.0, lambda x: 2.0 * x):
+        x = find_root(lambda x: (x * x - 2.0, slope(x)), 0.0, 3.0)
         assert abs(x - root) <= 1e-15 * root
-    x = find_root(math.cos, 1.0, 2.0, df=lambda x: -math.sin(x))
+    x = find_root(lambda x: (math.cos(x), -math.sin(x)), 1.0, 2.0)
     assert abs(x - 0.5 * math.pi) <= 1e-15 * 0.5 * math.pi
 
 
@@ -32,9 +34,9 @@ def test_root_kernel_returns_a_converged_newton_step():
 
     def f(x):
         evals.append(x)
-        return math.cos(x)
+        return math.cos(x), -math.sin(x)
 
-    x = find_root(f, 1.0, 2.0, df=lambda x: -math.sin(x))
+    x = find_root(f, 1.0, 2.0)
     assert x == 0.5 * math.pi
     assert len(evals) <= 6
 
@@ -46,16 +48,16 @@ def test_root_kernel_stays_inside_bracket_when_newton_jumps_out():
 
     def f(x):
         seen.append(x)
-        return math.atan(x)
+        return math.atan(x), 1.0 / (1.0 + x * x)
 
-    x = find_root(f, -1.0, 5.0, df=lambda x: 1.0 / (1.0 + x * x), x0=4.0)
+    x = find_root(f, -1.0, 5.0, x0=4.0)
     assert abs(x) <= 1e-15
     assert all(-1.0 <= s <= 5.0 for s in seen)
 
 
 def test_root_kernel_rejects_bracket_without_sign_change():
     with pytest.raises(ConvergenceError) as err:
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0, df=lambda x: 2.0 * x)
+        find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
     assert err.value.iterations == 0
 
 
@@ -63,9 +65,9 @@ def test_root_kernel_reports_non_convergence():
     # bisection alone needs about 265 halvings of [0, 1] to reach a root
     # at 1e-80 to relative precision, more than the iteration budget
     with pytest.raises(ConvergenceError) as err:
-        find_root(lambda x: x - 1e-80, -1.0, 1.0)
+        find_root(lambda x: (x - 1e-80, 0.0), -1.0, 1.0)
     assert err.value.iterations == ROOT_MAX_ITER
-    assert find_root(lambda x: x - 1e-80, -1.0, 1.0, df=lambda x: 1.0) == 1e-80
+    assert find_root(lambda x: (x - 1e-80, 1.0), -1.0, 1.0) == 1e-80
 
 
 def random_cubics(n, seed):
@@ -85,18 +87,19 @@ def test_row_solve_gives_each_row_its_scalar_bits():
     x0 = np.random.default_rng(32).uniform(-3.5, 3.5, n)  # some outside the bracket
     x0[::7], x0[3::7] = lo[::7], hi[3::7]  # and some on its ends
     for with_df in (False, True):
+        def slope(x, a):  # without a derivative the slope is zero
+            return 3.0 * x * x + a if with_df else 0.0
+
         for ends in (False, True):
             for start in (None, x0):
                 kw = {}
                 if ends:  # any value of the right sign stands for f at the ends
                     kw = dict(f_lo=np.sign(lo), f_hi=np.sign(hi))
-                rows = find_root(lambda x, i: (x * x + a[i]) * x - b[i], lo, hi,
-                                 df=(lambda x, i: 3.0 * x * x + a[i]) if with_df else None,
-                                 x0=start, **kw)
+                rows = find_root(lambda x, i: ((x * x + a[i]) * x - b[i], slope(x, a[i])),
+                                 lo, hi, x0=start, **kw)
                 for k in range(n):
-                    one = find_root(lambda x: (x * x + a[k]) * x - b[k], lo[k], hi[k],
-                                    df=(lambda x: 3.0 * x * x + a[k]) if with_df else None,
-                                    x0=None if start is None else start[k],
+                    one = find_root(lambda x: ((x * x + a[k]) * x - b[k], slope(x, a[k])),
+                                    lo[k], hi[k], x0=None if start is None else start[k],
                                     **{key: value[k] for key, value in kw.items()})
                     assert rows[k] == one, (with_df, ends, start is None, k)
 
@@ -105,8 +108,8 @@ def test_row_solve_agrees_with_scipy_elementwise_root():
     elementwise = pytest.importorskip("scipy.optimize.elementwise")
     a, b, lo, hi = random_cubics(200, 33)
     a = np.abs(a) + 0.5  # one simple root per row, so both solvers find the same one
-    for df in (None, lambda x, i: 3.0 * x * x + a[i]):
-        rows = find_root(lambda x, i: (x * x + a[i]) * x - b[i], lo, hi, df=df)
+    for slope in (lambda x, i: 0.0, lambda x, i: 3.0 * x * x + a[i]):
+        rows = find_root(lambda x, i: ((x * x + a[i]) * x - b[i], slope(x, i)), lo, hi)
         ref = elementwise.find_root(lambda x, a, b: (x * x + a) * x - b,
                                     (np.minimum(lo, hi), np.maximum(lo, hi)), args=(a, b))
         assert ref.success.all()
@@ -116,15 +119,14 @@ def test_row_solve_agrees_with_scipy_elementwise_root():
 def test_row_solve_raises_for_a_failing_row():
     lo, hi = np.array([0.0, -1.0, 0.0]), np.array([3.0, 1.0, 2.0])
     with pytest.raises(ConvergenceError) as err:  # row 1 has no sign change
-        find_root(lambda x, i: x * x - np.array([2.0, -1.0, 1.0])[i], lo, hi)
+        find_root(lambda x, i: (x * x - np.array([2.0, -1.0, 1.0])[i], 0.0), lo, hi)
     assert err.value.iterations == 0
     # row 1 needs about 265 halvings, more than the iteration budget
     shift = np.array([2.0, 1e-80, 1.0])
     with pytest.raises(ConvergenceError) as err:
-        find_root(lambda x, i: x - shift[i], np.array([0.0, -1.0, 0.0]), hi)
+        find_root(lambda x, i: (x - shift[i], 0.0), np.array([0.0, -1.0, 0.0]), hi)
     assert err.value.iterations == ROOT_MAX_ITER
-    x = find_root(lambda x, i: x - shift[i], np.array([0.0, -1.0, 0.0]), hi,
-                  df=lambda x, i: np.ones_like(x))
+    x = find_root(lambda x, i: (x - shift[i], np.ones_like(x)), np.array([0.0, -1.0, 0.0]), hi)
     assert np.array_equal(x, shift)
 
 
@@ -153,28 +155,25 @@ def test_batched_solver_stops_each_row_on_its_own_rules():
     def fun(x, rows):
         f = np.stack([x[:, 0] ** 3 + x[:, 1] - 1.0, x[:, 1] - 2.0 * x[:, 0] ** 2], axis=1)
         f[rows == 3] = np.nan
-        return f
-
-    def jac(x, rows):
-        return np.stack([np.stack([3.0 * x[:, 0] ** 2, np.ones(len(x))], axis=1),
-                         np.stack([-4.0 * x[:, 0], np.ones(len(x))], axis=1)], axis=1)
+        return f, np.stack([np.stack([3.0 * x[:, 0] ** 2, np.ones(len(x))], axis=1),
+                            np.stack([-4.0 * x[:, 0], np.ones(len(x))], axis=1)], axis=1)
 
     x0 = np.array([[-1.0, 2.0], [0.3, 0.1], [2.0, -1.0], [0.7, 0.2]])
-    sol = levenberg_marquardt(fun, x0, jac, max_nfev=100)
+    sol = levenberg_marquardt(fun, x0, max_nfev=100)
     assert sol.nfev[0] == 1 and np.array_equal(sol.x[0], x0[0])
     assert sol.nfev[3] == 1 and np.array_equal(sol.x[3], x0[3])
     assert np.all(sol.nfev < 100)
-    f = fun(sol.x[:3], np.arange(3))
-    g = np.einsum("sij,si->sj", jac(sol.x[:3], np.arange(3)), f)
+    f, J = fun(sol.x[:3], np.arange(3))
+    g = np.einsum("sij,si->sj", J, f)
     assert np.max(np.abs(f)) <= 1e-15 and np.max(np.abs(g)) <= LM_GTOL
-    budget = levenberg_marquardt(fun, x0, jac, max_nfev=3)
+    budget = levenberg_marquardt(fun, x0, max_nfev=3)
     assert np.array_equal(budget.nfev, [1, 3, 3, 1])
 
 
 def exponential_fit(seed, ulps=None):
     """Residuals a exp(b t) - y of an exponential fit to 40 noisy samples
-    y (each moved by ``ulps`` units in the last place), and their
-    Jacobian, for the rows (a, b) of x."""
+    y (each moved by ``ulps`` units in the last place) and their
+    Jacobians, for the rows (a, b) of x."""
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, 40)
     y = 1.5 * np.exp(-0.8 * t) + rng.normal(scale=0.01, size=40)
@@ -182,13 +181,10 @@ def exponential_fit(seed, ulps=None):
         y = y + ulps * np.spacing(y)
 
     def fun(x, rows):
-        return x[:, :1] * np.exp(x[:, 1:] * t) - y
-
-    def jac(x, rows):
         e = np.exp(x[:, 1:] * t)
-        return np.stack([e, x[:, :1] * t * e], axis=2)
+        return x[:, :1] * e - y, np.stack([e, x[:, :1] * t * e], axis=2)
 
-    return fun, jac
+    return fun
 
 
 FIT_STARTS = np.array([[1.0, 0.0], [3.0, -2.0]])
@@ -199,9 +195,9 @@ def test_rectangular_solve_stops_at_the_round_off_floor():
     # the search ends once the model predicts a decrease of |f|^2 below
     # its rounding, with f orthogonal to the columns of J, and on the
     # same evaluation count under last-bit changes of the samples
-    fun, jac = exponential_fit(41)
-    sol = levenberg_marquardt(fun, FIT_STARTS, jac, max_nfev=100)
-    f, J = fun(sol.x, None), jac(sol.x, None)
+    fun = exponential_fit(41)
+    sol = levenberg_marquardt(fun, FIT_STARTS, max_nfev=100)
+    f, J = fun(sol.x, None)
     cosine = (np.abs(np.einsum("sij,si->sj", J, f))
               / (np.linalg.norm(J, axis=1) * np.linalg.norm(f, axis=1)[:, None]))
     assert np.all(cosine <= 1e-7)
@@ -209,20 +205,20 @@ def test_rectangular_solve_stops_at_the_round_off_floor():
     rng = np.random.default_rng(42)
     counts = []
     for _ in range(10):
-        fun, jac = exponential_fit(41, rng.integers(-4, 5, 40))
-        counts.append(levenberg_marquardt(fun, FIT_STARTS, jac, max_nfev=100).nfev)
+        fun = exponential_fit(41, rng.integers(-4, 5, 40))
+        counts.append(levenberg_marquardt(fun, FIT_STARTS, max_nfev=100).nfev)
     counts = np.array(counts)
     assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
 
 
 def test_rectangular_solve_agrees_with_minpack():
     optimize = pytest.importorskip("scipy.optimize")
-    fun, jac = exponential_fit(43)
-    sol = levenberg_marquardt(fun, FIT_STARTS, jac, max_nfev=100)
+    fun = exponential_fit(43)
+    sol = levenberg_marquardt(fun, FIT_STARTS, max_nfev=100)
     for x0, x in zip(FIT_STARTS, sol.x):
-        ref = optimize.least_squares(lambda z: fun(z[None], None)[0], x0,
-                                     jac=lambda z: jac(z[None], None)[0],
+        ref = optimize.least_squares(lambda z: fun(z[None], None)[0][0], x0,
+                                     jac=lambda z: fun(z[None], None)[1][0],
                                      method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        cost = float(np.sum(fun(x[None], None) ** 2))
+        cost = float(np.sum(fun(x[None], None)[0] ** 2))
         assert abs(cost - 2.0 * ref.cost) <= 1e-12 * cost
         assert np.all(np.abs(x - ref.x) <= 1e-7 * np.abs(ref.x))
