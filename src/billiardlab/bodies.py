@@ -327,20 +327,21 @@ class ConvexBody:
 
     def _inside_on(self, p, v):
         """(t, f) with f < 0 standing for F at the point p + t v of the line:
-        (0, F(p)) for an interior p, (0, -1) for a boundary p that v
-        enters, else the minimum of F along the line; a line that misses
+        (0, F(p)) for an interior p, (0, -1) for a boundary p (the deflated
+        start of ``_exit``, which leaves at once along a v that does not
+        enter), else the minimum of F along the line; a line that misses
         the body raises DomainError."""
         f = float(self.implicit(p))
         if f < 0.0:
             return 0.0, f
-        if (f <= BOUNDARY_TOL * max(1.0, self.bounding_radius())
-                and float(self.implicit_grad(p) @ v) < 0.0):
+        if f <= BOUNDARY_TOL * max(1.0, self.bounding_radius()):
             return 0.0, -1.0
         # a thin body can lie between any sampled points, and F is quasiconvex
         # along the line, so its minimum is where the slope of F changes sign
         t0, t1 = self._sphere_chord(p, v)
         try:
-            tm = find_root(lambda t: (float(self.implicit_grad(p + t * v) @ v), 0.0), t0, t1)
+            tm = find_root(lambda t: (float(self.implicit_grad(p + t * v) @ v),
+                                      float(v @ self.implicit_hess(p + t * v) @ v)), t0, t1)
         except ConvergenceError:
             tm = t0  # F has no interior minimum on the segment
         fm = float(self.implicit(p + tm * v))
@@ -597,8 +598,9 @@ class Superellipse(ConvexBody):
         """For an even m, F(p + t v) = P(t) = sum_k c_k t^k is convex: the exit
         is the one root on (0, 2.2 R] of the increasing P(t) / t, from -inf if
         p is inside (t P' - P >= -c_0), from c_1 from the boundary (f_p = -1
-        off the centre, where F = -1 too), which c_0 = 0 deflates; c_1 >= 0
-        leaves at once.  The search starts at the root of c_1 + c_2 t + c_3 t^2."""
+        off the centre, where F = -1 too, or a rounded c_0 >= 0), which c_0 = 0
+        deflates; c_1 >= 0 leaves at once.  The search starts at the root of
+        c_1 + c_2 t + c_3 t^2."""
         if not self._even:
             return super()._exit(p, v, f_p)
         m = int(self.m)
@@ -607,7 +609,7 @@ class Superellipse(ConvexBody):
              * (v / self.a)[..., None] ** k).sum(-2)
         c = c.tolist() if p.ndim == 1 else list(c.T)  # floats for the scalar kernel
         c[0] -= 1.0
-        deflate = (f_p == -1.0) & (c[0] > -0.5)
+        deflate = ((f_p == -1.0) & (c[0] > -0.5)) | (c[0] >= 0.0)
         c[0] = c[0] - c[0] * deflate
         c1, c2, c3 = c[1], c[2], c[3] if m > 2 else 0.0
         q = c2 * c2 - 4.0 * c1 * c3
@@ -897,13 +899,6 @@ class RadialBody2D(ConvexBody):
             return g, g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
 
         return find_root(offset, lo, hi, x0=tau0, f_lo=-1.0, f_hi=1.0)
-
-    def last_intersection(self, line: OrientedLine):
-        # the exit solve starts from any point inside or on the boundary
-        p = line.point
-        if float(self.implicit(p)) > BOUNDARY_TOL * max(1.0, self._radius):
-            return super().last_intersection(line)
-        return line.at(self._exit(p, line.direction, -1.0))
 
     def _gauss_angle(self, u):
         """Polar angle of the boundary point whose exterior normal points

@@ -1,6 +1,6 @@
 """Command-line driver for the billiard experiments.
 
-Each subcommand reads a key/value experiment config, runs with a fixed
+Each command reads a key/value experiment config, runs with a fixed
 seed, and writes RFC-4180 CSV tables (and minimal hand-written SVG for
 the visual outputs).  Exit codes: 0 success, 1 config error, 2 numeric
 failure.
@@ -22,6 +22,7 @@ from .bodies import (
     BodyFileError,
     OrientedLine,
     Polygon2D,
+    RadialBody2D,
     Superellipse,
     _dot,
     _floats,
@@ -93,11 +94,8 @@ class ExperimentConfig:
             tol=cfg_tol if tol is None else float(tol),
         )
 
-    def body(self, key, required=True):
-        ref = _get(self.values, key, str, required=required)
-        if ref is None:
-            return None
-        return load_body(self.base_dir / ref)
+    def body(self, key):
+        return load_body(self.base_dir / _get(self.values, key, str, required=True))
 
     def line(self):
         p = _get(self.values, "line_point", _floats, required=True)
@@ -118,16 +116,6 @@ def _write_csv(path, header, rows):
 # Minimal SVG output (hand-written path elements, no plotting dependency)
 # ---------------------------------------------------------------------------
 
-def _svg_document(elements, viewbox, size=480):
-    x0, y0, w, h = viewbox
-    body = "\n".join(elements)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n'
-        f"{body}\n</svg>\n"
-    )
-
-
 def _svg_polyline(points, stroke, width, closed=False):
     cmds = [f"M {_fmt(points[0][0])} {_fmt(-points[0][1])}"]
     cmds += [f"L {_fmt(p[0])} {_fmt(-p[1])}" for p in points[1:]]
@@ -137,20 +125,24 @@ def _svg_polyline(points, stroke, width, closed=False):
             f'stroke-width="{_fmt(width)}"/>')
 
 
-def _body_outline(body, n=256):
+def _body_outline(body):
     if isinstance(body, Polygon2D):
         return body.vertices
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     return body.gauss_inverse(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
 
 
 def _write_svg(path, elements, viewbox):
+    x0, y0, w, h = viewbox
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_svg_document(elements, viewbox), encoding="utf-8")
+    path.write_text(
+        '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n'
+        + "\n".join(elements) + "\n</svg>\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Commands
 # ---------------------------------------------------------------------------
 
 def cmd_reflect(cfg: ExperimentConfig):
@@ -224,6 +216,8 @@ def _conic_deviation_fit(body, sampler):
     generic non-quadric body by the fourth-order deviation law).
     """
     u0 = sampler.fixed_vector
+    if isinstance(body, RadialBody2D):  # its jets take the polar angle, not the normal's
+        u0 = body.gauss_inverse(u0)
     theta = math.atan2(u0[1], u0[0])
     germ, _, T, N = germ_at(body, theta, with_frame=True)
     conic = osculating_conic(germ)
@@ -373,14 +367,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="billiardlab",
         description="billiard reflection, projectivity, osculation and "
-                    "capacity experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="override tolerance")
+                    "capacity experiments",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{fn.__doc__}"
+                                         for name, fn in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--seed", type=int, help="override RNG seed")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--tol", type=float, help="override tolerance")
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config, out=args.out, seed=args.seed,

@@ -197,8 +197,10 @@ def levenberg_marquardt(fun, x0, max_nfev):
     |f|^2 (the round-off floor of a minimum where f does not vanish);
     once its next step is below LM_XTOL * (LM_XTOL + |x|); after
     ``max_nfev`` residual evaluations; or at once if f(x0) is not
-    finite.  Every operation acts on one row at a time, so a row gets
-    the bits of its one-system solve.
+    finite; a singular damped matrix (a converged row whose damping fell
+    below round-off) gives a zero step, which stops it.  Every operation
+    acts on one row at a time, so a row gets the bits of its one-system
+    solve.
     """
     x = np.array(x0, dtype=float)
     nfev = np.ones(len(x), dtype=int)
@@ -221,7 +223,15 @@ def levenberg_marquardt(fun, x0, max_nfev):
         damping = lam[:, None] * d2
         M = A.copy()
         M.reshape(len(M), n * n)[:, ::n + 1] += damping
-        p = -np.linalg.solve(M, g[:, :, None])[:, :, 0]
+        try:
+            p = -np.linalg.solve(M, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular row takes no step, so it stops below
+            p = np.zeros_like(g)
+            for i in range(len(M)):
+                try:
+                    p[i] = -np.linalg.solve(M[i], g[i, :, None])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
         cost = _dot(f, f)
         # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
         predicted = _dot(p, damping * p - g)

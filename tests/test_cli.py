@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import billiardlab
-from billiardlab.cli import main
+from billiardlab.cli import COMMANDS, main
 
 DISK = "kind = ball\ndim = 2\nradius = 1.0\n"
 ELLIPSE = "kind = ellipsoid\ndim = 2\nmatrix = 0.25 0 0 1\n"
 SUPERELLIPSE = "kind = superellipse\ndim = 2\nexponent = 4\n"
+RADIAL = "kind = radial\nfourier_cos = 1 0 0.06 0 0.01\nfourier_sin = 0 0 0.02\n"
 
 
 def write(tmp, name, text):
@@ -103,6 +104,19 @@ def test_projtest_superellipse_detects_nonquadric(tmp_path):
     fitted = [float(r[4]) for r in rows[1:] if r[4]]
     assert fitted
     assert sum(1 for k in fitted if 3.5 <= k <= 4.5) >= len(fitted) * 2 // 3
+
+
+def test_projtest_radial_body_fits_the_fourth_order_law(tmp_path):
+    # the conic twin is built at the boundary point whose normal is the
+    # fixed vector: a radial body's jets take its polar angle
+    write(tmp_path, "r.body", RADIAL)
+    cfg = write(tmp_path, "p.cfg", "experiment = projtest\nbody = r.body\nclasses = 8\n")
+    rc = main(["projtest", "--config", str(cfg), "--seed", "3",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    fitted = [r[4] for r in read_rows(tmp_path / "out" / "projtest.csv")[1:]]
+    assert len(fitted) == 8 and all(fitted)
+    assert all(abs(float(k) - 4.0) <= 0.2 for k in fitted)
 
 
 def test_capacity_command_prints_value(tmp_path, capsys):
@@ -206,6 +220,39 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert f"config error: line {line}: bad value for '{key}'" in err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    for name, fn in COMMANDS.items():
+        assert f"{name:<10}{fn.__doc__}" in out
+
+
+@pytest.mark.parametrize("argv", [["nope", "--config", "x.cfg"], ["sweep"], []],
+                         ids=["unknown command", "no config", "no command"])
+def test_bad_command_line_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 2
+    assert "usage: billiardlab" in capsys.readouterr().err
+
+
+def test_flags_parse_the_same_before_the_command(tmp_path, capsys):
+    cfg = write(tmp_path, "s.cfg", "experiment = sweep\nexponents = 2.0 4.0\nclasses = 2\n")
+    after = ["sweep", "--config", str(cfg), "--seed", "4", "--tol", "1e-6",
+             "--out", str(tmp_path / "a")]
+    before = ["--config", str(cfg), "--seed", "4", "--tol", "1e-6",
+              "--out", str(tmp_path / "b"), "sweep"]
+    assert main(after) == main(before) == 0
+    for name in ("sweep.csv", "sweep.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    capsys.readouterr()
+    # the command must still match the experiment the config declares
+    assert main(["--config", str(cfg), "projtest"]) == 1
+    assert "command is 'projtest'" in capsys.readouterr().err
 
 
 def test_numeric_failures_exit_two(tmp_path, capsys):

@@ -243,6 +243,15 @@ def test_closed_orbit_search_in_three_dimensions(ball3):
     assert abs(orbit2.action - 4.0) <= 1e-7
 
 
+@pytest.mark.parametrize("multistarts", [2, 4, 8])
+def test_singular_damped_system_stops_its_row(ball3, superellipsoid3, multistarts):
+    # a converged 2-gon row whose damping falls below the round-off of its
+    # singular J^T J stops there instead of failing the batched solve
+    orbit = bl.closed_orbit_search(superellipsoid3, ball3, 2, multistarts=multistarts)
+    assert orbit.status == "ok"
+    assert abs(orbit.action - 4.0) <= 1e-9
+
+
 def test_capacity_disk_disk(disk):
     report = bl.capacity_estimate(disk, disk, 5, multistarts=8)
     assert abs(report.value - 4.0) <= 1e-4
