@@ -20,9 +20,10 @@ F = h_polar - 1 from the normal-angle solve of its polar, the radial 1/h.
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
 an (N, d) array of rows, and so do the closed-orbit search's
-``_boundary_in_direction``, ``implicit_hess``, ``support_hess``,
-``gauge_hess`` and ``_gauge_hess_at``; ``chord_second_intersections``
-and ``_exit`` solve N rays at once (tangential chords flagged in a mask).
+``_boundary_in_direction``, ``implicit_hess`` and ``support_hess``, and
+``gauge_hess`` (a polar body's support Hessian);
+``chord_second_intersections`` and ``_exit`` solve N rays at once
+(tangential chords flagged in a mask).
 Every body writes each query once over rows, a single vector being the
 one-row case: a root solve is one ``find_root`` over rows, whose callback
 indexes the rows still searching, so one vector takes the kernel's scalar
@@ -230,19 +231,16 @@ class ConvexBody:
     def gauge_hess(self, x):
         """Hessian at x != 0 of the gauge g of the body (g = 1 on the
         boundary, 1-homogeneous, so the Hessian at x is that at the
-        boundary point p on its ray times |p| / |x|)."""
+        boundary point p on its ray times |p| / |x|): Q^T H Q / <grad F, p>
+        at p, with H the Hessian of F, Q = I - p nu^T and
+        nu = grad F / <grad F, p> (the gauge's gradient)."""
         x = np.asarray(x, dtype=float)
         p = self._boundary_in_direction(x)
-        G = self._gauge_hess_at(p, self.implicit_grad(p))
-        return G * (np.sqrt(_dot(p, p)) / np.sqrt(_dot(x, x)))[..., None, None]
-
-    def _gauge_hess_at(self, p, grad):
-        """Gauge Hessian Q^T H Q / <grad F, p> at the boundary point p (or at
-        each row), with grad = grad F(p), H the Hessian of F, Q = I - p nu^T
-        and nu = grad / <grad, p> (the gauge's gradient)."""
+        grad = self.implicit_grad(p)
         gp = _dot(grad, p)[..., None, None]
         Q = np.eye(self.dim) - p[..., :, None] * (grad[..., None, :] / gp)
-        return np.swapaxes(Q, -1, -2) @ self.implicit_hess(p) @ Q / gp
+        G = np.swapaxes(Q, -1, -2) @ self.implicit_hess(p) @ Q / gp
+        return G * (np.sqrt(_dot(p, p)) / np.sqrt(_dot(x, x)))[..., None, None]
 
     # -- chords and line intersections ---------------------------------------
 
@@ -955,7 +953,8 @@ class SupportBody2D(ConvexBody):
         if np.min(h + h2) <= 0.0:
             raise ConvexityViolationError("support body has h + h'' <= 0")
         self._radius = float(np.max(h)) * 1.0001
-        # the gauge of the body is the support function of its polar
+        # the gauge of the body is the support function of its polar, which
+        # polar_dual returns
         self._polar = RadialBody2D(_reciprocal(self.h))
 
     def support(self, u):
@@ -1313,7 +1312,18 @@ def polar_dual(body):
     B K to B^-T K polar.  Ellipsoids map to the inverse matrix,
     superellipses to the dual exponent, polygons to the dual polygon and
     a PolarBody to its base.  Other ConvexBody subclasses get the generic
-    PolarBody, whose queries go through the base's support function."""
+    PolarBody, whose queries go through the base's support function.
+
+    The polar is built on the first call and kept with the body (bodies
+    are immutable), so later calls return that same object; threads that
+    ask at once may each build one, all equal."""
+    polar = getattr(body, "_polar", None)
+    if polar is None:
+        polar = body._polar = _build_polar(body)
+    return polar
+
+
+def _build_polar(body):
     if isinstance(body, Ellipsoid):
         return Ellipsoid(body.A_inv)
     if isinstance(body, Superellipse):
@@ -1324,8 +1334,6 @@ def polar_dual(body):
         return body.polar()
     if isinstance(body, RadialBody2D):
         return SupportBody2D(_reciprocal(body.radial))
-    if isinstance(body, SupportBody2D):
-        return body._polar
     if isinstance(body, LinearImageBody):
         return LinearImageBody(polar_dual(body.base), body.B_inv.T)
     if isinstance(body, PolarBody):

@@ -83,11 +83,17 @@ class KTOrbit:
         return np.array([s.q_end for s in self.segments if s.kind == "q"])
 
 
+def _require_same_dimension(K, T):
+    if K.dim != T.dim:
+        raise DomainError(f"bodies must share their dimension ({K.dim} and {T.dim})")
+
+
 def iterate_t_billiard(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     """Iterate the T-billiard map, recording bounce points and lengths.
 
     Grazing incidence truncates the orbit and marks its status.
     """
+    _require_same_dimension(K, T)
     points = []
     directions = [line.direction]
     current = line
@@ -118,6 +124,7 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     reaches dK, p moves along the interior normal of dK at the bounce
     point until it reaches dT again.
     """
+    _require_same_dimension(K, T)
     if not K.contains(line.point):
         raise PreconditionError("lifted orbit starts at an interior point of K")
     orbit = KTOrbit()
@@ -145,25 +152,26 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
 # ---------------------------------------------------------------------------
 
 def _sphere_chart(phi, frames):
-    """Rows u = frame @ unit_vector(phi) for the angle rows phi (N, k) in
-    the frames (N, d, d), with the first derivatives U (N, d, k; a column
-    per angle) and the second derivatives U2 (N, k, k, d) in the angles."""
+    """Rows u of the unit sphere at the chart angle rows phi (N, k), with
+    the first derivatives U (N, d, k; a column per angle) and the second
+    derivatives U2 (N, k, k, d) in the angles.  In the plane u is
+    unit_vector(phi), the global angle, and ``frames`` is None; in space
+    u = frame @ unit_vector(phi) in the frames (N, 3, 3)."""
     if phi.shape[1] == 1:
         c, s = np.cos(phi[:, 0]), np.sin(phi[:, 0])
         u = np.stack([c, s], axis=-1)
-        U = np.stack([-s, c], axis=-1)[:, :, None]
-        U2 = -u[:, None, None, :]
-    else:
-        ca, sa = np.cos(phi[:, 0]), np.sin(phi[:, 0])
-        cp, sp = np.cos(phi[:, 1]), np.sin(phi[:, 1])
-        zero = np.zeros_like(ca)
-        u = np.stack([ca * sp, sa * sp, cp], axis=-1)
-        U = np.stack([np.stack([-sa * sp, ca * cp], axis=-1),
-                      np.stack([ca * sp, sa * cp], axis=-1),
-                      np.stack([zero, -sp], axis=-1)], axis=1)
-        u_ap = np.stack([-sa * cp, ca * cp, zero], axis=-1)
-        u_aa = np.stack([-ca * sp, -sa * sp, zero], axis=-1)
-        U2 = np.stack([np.stack([u_aa, u_ap], axis=1), np.stack([u_ap, -u], axis=1)], axis=1)
+        return u, np.stack([-s, c], axis=-1)[:, :, None], -u[:, None, None, :]
+    ca, sa = np.cos(phi[:, 0]), np.sin(phi[:, 0])
+    cp, sp = np.cos(phi[:, 1]), np.sin(phi[:, 1])
+    u = np.stack([ca * sp, sa * sp, cp], axis=-1)
+    U = np.zeros((len(phi), 3, 2))
+    U[:, 0, 0], U[:, 1, 0] = -sa * sp, ca * sp
+    U[:, 0, 1], U[:, 1, 1], U[:, 2, 1] = ca * cp, sa * cp, -sp
+    U2 = np.zeros((len(phi), 2, 2, 3))
+    U2[:, 0, 0, :2] = -u[:, :2]
+    U2[:, 0, 1, 0], U2[:, 0, 1, 1] = -sa * cp, ca * cp
+    U2[:, 1, 0] = U2[:, 0, 1]
+    U2[:, 1, 1] = -u
     return ((frames @ u[:, :, None])[:, :, 0], frames @ U,
             U2 @ np.swapaxes(frames, 1, 2)[:, None])
 
@@ -178,8 +186,10 @@ class _StationaritySystem:
     in radial charts of K, and their exact Jacobians.
 
     Vertex i of polygon s is q = rho_K(u) u, the boundary point on the ray
-    of u = frames[s, i] @ unit_vector(phi) from the origin (inside every
-    body).  With nu = grad F / <grad F, q>, the chart derivative is
+    from the origin (inside every body) along the unit vector u of its
+    chart angles phi: u = unit_vector(phi) in the plane, where ``frames``
+    is None, and u = frames[s, i] @ unit_vector(phi) in space.  With
+    nu = grad F / <grad F, q>, the chart derivative is
     J = rho (I - q nu^T) U, U = du/dphi; it needs only the gradient of F,
     so it stays regular at flat points.  The gradient block of vertex i is
     J_i^T w_i with w_i = t_{i-1} - t_i and t_i = grad h_T(q_{i+1} - q_i).
@@ -191,7 +201,7 @@ class _StationaritySystem:
 
     def __init__(self, K, T, frames):
         self.K, self.T = K, T
-        self.frames = frames  # (S, m, d, d): one chart frame per vertex
+        self.frames = frames  # (S, m, 3, 3), one chart frame per vertex; None in the plane
         self.min_gap = 1e-9 * K.diameter()
 
     def evaluate(self, x, rows):
@@ -200,23 +210,29 @@ class _StationaritySystem:
         with consecutive vertices closer than the distinctness threshold
         is degenerate: its gradient is NaN."""
         K = self.K
-        frames = self.frames[rows]
-        S, m, d = frames.shape[:3]
-        u, U, U2 = _sphere_chart(np.reshape(x, (S * m, d - 1)), frames.reshape(-1, d, d))
+        d = K.dim
+        phi = np.reshape(x, (-1, d - 1))
+        S = len(rows)
+        m = len(phi) // S
+        frames = None if self.frames is None else self.frames[rows].reshape(-1, d, d)
+        u, U, U2 = _sphere_chart(phi, frames)
         q = K._boundary_in_direction(u)
         rho = np.sqrt(_dot(q, q))
         grad = K.implicit_grad(q)
-        nu = grad / _dot(grad, q)[:, None]
+        gq = _dot(grad, q)
+        nu = grad / gq[:, None]
         J = rho[:, None, None] * (U - q[:, :, None] * (nu[:, None, :] @ U))
         diffs = _chords(q.reshape(S, m, d)).reshape(-1, d)
         self.degenerate = (np.sqrt(_dot(diffs, diffs)) < self.min_gap).reshape(S, m).any(axis=1)
         # the vertex rows of the nondegenerate polygons
         live = np.repeat(~self.degenerate, m) if self.degenerate.any() else slice(None)
         touch = self.T.support_point(diffs[live]).reshape(-1, m, d)
-        w = np.full((S * m, d), np.nan)
-        w[live] = (touch[:, np.arange(m) - 1] - touch).reshape(-1, d)
+        w = (touch[:, np.arange(m) - 1] - touch).reshape(-1, d)
+        if self.degenerate.any():
+            w_live, w = w, np.full((S * m, d), np.nan)
+            w[live] = w_live
         self.r = (np.swapaxes(J, 1, 2) @ w[:, :, None])[:, :, 0]
-        self.q, self.rho, self.grad, self.nu, self.J = q, rho, grad, nu, J
+        self.q, self.rho, self.grad, self.gq, self.nu, self.J = q, rho, grad, gq, nu, J
         self.U, self.U2, self.diffs, self.w, self.live = U, U2, diffs, w, live
         self.shape = (S, m)
 
@@ -233,34 +249,38 @@ class _StationaritySystem:
         self.evaluate(x, rows)
         live = self.live
         S, m = self.shape
-        J, q, nu, rho, w, U = (a[live] for a in (self.J, self.q, self.nu, self.rho,
-                                                 self.w, self.U))
+        J, q, gq, nu, rho, w, U, U2, r = (
+            a[live] for a in (self.J, self.q, self.gq, self.nu, self.rho, self.w, self.U,
+                              self.U2, self.r))
         d, k = J.shape[1:]
         Jt = np.swapaxes(J, 1, 2)
-        Ut = np.swapaxes(U, 1, 2)
-        r = self.r[live]
-        a = (Ut @ nu[:, :, None])[:, :, 0]
+        a = (np.swapaxes(U, 1, 2) @ nu[:, :, None])[:, :, 0]
         wq = _dot(w, q)
         # second derivative of the chart s -> s / g_K(s) contracted with w:
-        # the gauge Hessian of K, the nu-coupling term and the curvature of
-        # the angle chart itself
+        # the gauge Hessian term -rho^2 <w, q> U^T G_K U, where
+        # G_K = Q^T H_K Q / <grad F, q> with Q = I - q nu^T and J = rho Q U,
+        # so it is -(<w, q> / <grad F, q>) J^T H_K J; the nu-coupling term;
+        # and the curvature of the angle chart itself
         ar = rho[:, None, None] * (a[:, :, None] * r[:, None, :])
-        G = self.K._gauge_hess_at(q, self.grad[live])
         tilt = rho[:, None] * (w - wq[:, None] * nu)
-        curv = ((-rho * rho * wq)[:, None, None] * (Ut @ G @ U) - ar - np.swapaxes(ar, 1, 2)
-                + (self.U2[live] @ tilt[:, None, :, None])[..., 0])
+        curv = ((-wq / gq)[:, None, None] * (Jt @ self.K.implicit_hess(q) @ J)
+                - ar - np.swapaxes(ar, 1, 2) + (U2 @ tilt[:, None, :, None])[..., 0])
         H = self.T.support_hess(self.diffs[live]).reshape(-1, m, d, d)
         i = np.arange(m)
         nxt = (i + 1) % m
         H_prev = H[:, i - 1]
         J, Jt = J.reshape(-1, m, d, k), Jt.reshape(-1, m, k, d)
-        blocks = np.zeros((len(H), m, m, k, k))
-        blocks[:, i, i] = Jt @ (H_prev + H) @ J + curv.reshape(-1, m, k, k)
-        blocks[:, i, nxt] -= Jt @ H @ J[:, nxt]
-        blocks[:, i, i - 1] -= Jt @ H_prev @ J[:, i - 1]
-        jac = np.zeros((S, m * k, m * k))
-        jac[~self.degenerate] = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * k, m * k)
-        return self.r.reshape(S, -1), jac
+        # jac[s, i, :, j, :] is block (i, j) of polygon s; degenerate
+        # polygons keep zeros
+        jac = np.zeros((S, m, k, m, k))
+        blocks = np.zeros((len(H), m, k, m, k)) if self.degenerate.any() else jac
+        by_block = blocks.transpose(0, 1, 3, 2, 4)
+        by_block[:, i, i] = Jt @ (H_prev + H) @ J + curv.reshape(-1, m, k, k)
+        by_block[:, i, nxt] -= Jt @ H @ J[:, nxt]
+        by_block[:, i, i - 1] -= Jt @ H_prev @ J[:, i - 1]
+        if blocks is not jac:
+            jac[~self.degenerate] = blocks
+        return self.r.reshape(S, -1), jac.reshape(S, m * k, m * k)
 
     def reflection_defect(self):
         """max_i |P_i (t_{i-1} - t_i)| of each polygon, P_i the projection
@@ -273,23 +293,21 @@ class _StationaritySystem:
 
 def _seed_charts(K, angles):
     """Radial charts through the boundary points with Gauss angles
-    ``angles`` (S, m, n - 1): (frames (S, m, n, n), initial angles (S, m (n - 1))).
+    ``angles`` (S, m, n - 1): (frames, initial angles (S, m (n - 1))).
 
-    In the plane the chart is the global angle; in space each vertex gets
-    an (azimuth, polar) chart centered on its seed direction, at (0, pi/2),
-    far from the chart's poles.
+    In the plane the chart is the global angle, which needs no frame
+    (frames is None); in space each vertex gets an (azimuth, polar) chart
+    centered on its seed direction, at (0, pi/2), far from the chart's
+    poles, with frames (S, m, 3, 3).
     """
     S, m, k = angles.shape
     dirs = _unit(K.gauss_inverse(np.array([unit_vector(a, K.dim)
                                            for a in angles.reshape(-1, k)])))
     if K.dim == 2:
-        frames = np.broadcast_to(np.eye(2), (S, m, 2, 2))
-        x0 = np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
-    else:
-        frames = np.array([np.column_stack([s, tangent_frame(s).T])
-                           for s in dirs]).reshape(S, m, 3, 3)
-        x0 = np.tile([0.0, math.pi / 2.0], (S, m))
-    return frames, x0
+        return None, np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
+    frames = np.array([np.column_stack([s, tangent_frame(s).T])
+                       for s in dirs]).reshape(S, m, 3, 3)
+    return frames, np.tile([0.0, math.pi / 2.0], (S, m))
 
 
 def _seed_angles(dim, m, multistarts, seed):
@@ -352,6 +370,7 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
     1e-8 * scale * diam(K) is returned; if there is none, the orbit with
     the smallest defect is returned with status "stagnated".
     """
+    _require_same_dimension(K, T)
     if m < 2:
         raise DomainError("closed orbits need at least two bounces")
     scale = max(T.support(unit_vector(np.zeros(K.dim - 1), K.dim)), 1.0)
@@ -404,6 +423,7 @@ def capacity_estimate(K: ConvexBody, T: ConvexBody, m_max, multistarts=32,
                       seed=0):
     """Capacity of K x T as the minimal action over closed T-billiard
     orbits with 2..m_max bounces."""
+    _require_same_dimension(K, T)
     if m_max < 2:
         raise DomainError("m_max must be at least 2")
     table = []
@@ -438,7 +458,5 @@ def mahler_product(K):
 def viterbo_ratio(K: ConvexBody, T: ConvexBody, m_max=5, **kw):
     """Exploration quantity capacity^n / (n! vol(K) vol(T))."""
     n = K.dim
-    if T.dim != n:
-        raise DomainError("bodies must share their dimension")
     cap = capacity_estimate(K, T, m_max, **kw).value
     return cap ** n / (math.factorial(n) * K.volume() * T.volume())

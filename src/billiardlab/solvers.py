@@ -213,6 +213,7 @@ def levenberg_marquardt(fun, x0, max_nfev):
     k, n = f.shape[1], x.shape[1]
     d2 = None
     lam, nu = np.full(len(rows), LM_DAMPING), np.full(len(rows), 2.0)
+    cost = _dot(f, f)
     evals = 1  # residual evaluations so far of each system still searching
     while True:
         Jt = np.swapaxes(J, -1, -2)
@@ -232,7 +233,6 @@ def levenberg_marquardt(fun, x0, max_nfev):
                     p[i] = -np.linalg.solve(M[i], g[i, :, None])[:, 0]
                 except np.linalg.LinAlgError:
                     pass
-        cost = _dot(f, f)
         # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
         predicted = _dot(p, damping * p - g)
         stop = ((abs(g) <= LM_GTOL).all(axis=1)
@@ -251,12 +251,20 @@ def levenberg_marquardt(fun, x0, max_nfev):
         f_new, J_new = fun(x_new, rows)
         evals += 1
         cost_new = _dot(f_new, f_new)
-        good = np.isfinite(cost_new) & (cost_new < cost)
-        rho = np.where(good, (cost - cost_new) / predicted, 0.0)
-        lam = np.where(good, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
-                       lam * nu)
-        nu = np.where(good, 2.0, 2.0 * nu)
-        xr = np.where(good[:, None], x_new, xr)
-        f = np.where(good[:, None], f_new, f)
-        J = np.where(good[:, None, None], J_new, J)
+        good = cost_new < cost  # False for a non-finite cost
+        every = good.all()  # the usual iteration: every row takes its step
+        rho = (cost - cost_new) / predicted
+        if not every:
+            rho = np.where(good, rho, 0.0)
+        shrunk = lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        if every:
+            lam, nu = shrunk, np.full(len(rows), 2.0)
+            xr, f, J, cost = x_new, f_new, J_new, cost_new
+        else:
+            lam = np.where(good, shrunk, lam * nu)
+            nu = np.where(good, 2.0, 2.0 * nu)
+            xr = np.where(good[:, None], x_new, xr)
+            f = np.where(good[:, None], f_new, f)
+            J = np.where(good[:, None, None], J_new, J)
+            cost = np.where(good, cost_new, cost)
     return RowSolution(x, nfev)

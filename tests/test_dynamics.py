@@ -317,6 +317,27 @@ def test_viterbo_ratio_disk(disk):
     assert abs(ratio - 8.0 / math.pi ** 2) <= 1e-4
 
 
+DIMENSION_ENTRY_POINTS = {
+    "closed_orbit_search": lambda K, T, line: bl.closed_orbit_search(K, T, 2, multistarts=2),
+    "capacity_estimate": lambda K, T, line: bl.capacity_estimate(K, T, 3, multistarts=2),
+    "viterbo_ratio": lambda K, T, line: bl.viterbo_ratio(K, T, m_max=3, multistarts=2),
+    "iterate_t_billiard": lambda K, T, line: bl.iterate_t_billiard(K, T, line, 5),
+    "lift_kt_orbit": lambda K, T, line: bl.lift_kt_orbit(K, T, line, 5),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["plane_in_space", "space_in_plane"])
+@pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRY_POINTS))
+def test_bodies_of_different_dimensions_raise_domain_error(entry, swap):
+    # a typed error at entry, not numpy's matmul dimension mismatch
+    K, T = bl.Ball(), bl.Ball(dim=3)
+    if swap:
+        K, T = T, K
+    line = bl.OrientedLine(np.zeros(K.dim), np.eye(K.dim)[0])
+    with pytest.raises(DomainError, match="share their dimension"):
+        DIMENSION_ENTRY_POINTS[entry](K, T, line)
+
+
 def test_finsler_length_uses_support_function(ellipse):
     v = np.array([0.7, -0.2])
     assert abs(bl.finsler_length(ellipse, v) - ellipse.support(v)) == 0.0
@@ -452,13 +473,34 @@ def test_jacobian_finite_at_flat_normals_of_T():
         warnings.simplefilter("error", RuntimeWarning)
         for phis in ([math.pi / 2, -math.pi / 2], [0.0, 2.0, -2.0]):
             m = len(phis)
-            frames = np.broadcast_to(np.eye(2), (1, m, 2, 2))
-            system = dynamics._StationaritySystem(K, T, frames)
+            system = dynamics._StationaritySystem(K, T, None)
             assert np.all(np.isfinite(_residual(system, np.array(phis))))
             assert np.all(np.isfinite(_jacobian(system, np.array(phis))))
         orbit = bl.closed_orbit_search(K, T, 3)
     assert orbit.status == "ok"
     assert orbit.stationarity <= 1e-12 * K.diameter()
+
+
+@pytest.mark.parametrize("name", ["ellipse", "ellipsoid3"])
+def test_degenerate_and_live_polygons_in_one_batch(name):
+    # polygon 1 has two coincident vertices: its residual row is NaN and
+    # its Jacobian zero, while polygons 0 and 2 get the bits of their
+    # evaluation alone (a batch without a degenerate polygon)
+    K, T = JACOBIAN_PAIRS[name]()
+    T = bl.polar_dual(K) if T is None else T
+    angles = dynamics._seed_angles(K.dim, 3, 3, seed=7)
+    angles[1, 1] = angles[1, 0]
+    frames, x = dynamics._seed_charts(K, angles)
+    x[[0, 2]] += np.random.default_rng(8).normal(scale=0.05, size=x[[0, 2]].shape)
+    system = dynamics._StationaritySystem(K, T, frames)
+    r, jac = system(x, np.arange(3))
+    assert system.degenerate.tolist() == [False, True, False]
+    assert np.all(np.isnan(r[1])) and not np.any(jac[1])
+    for s in (0, 2):
+        r_one, jac_one = system(x[s:s + 1], np.array([s]))
+        assert not system.degenerate.any()
+        assert r[s].tobytes() == r_one[0].tobytes(), s
+        assert jac[s].tobytes() == jac_one[0].tobytes(), s
 
 
 def test_stationarity_is_the_reflection_law_defect(ellipse):

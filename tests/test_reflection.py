@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiardlab as bl
+from billiardlab import bodies
 from billiardlab.errors import DegenerateChordError, DomainError, GrazingError
 
 from conftest import random_line
@@ -296,6 +297,33 @@ def test_finsler_laws_are_involutions(ellipse_rot):
         w = bl.finsler_reflect_concurrency(ellipse_rot, m, u)
         back2 = bl.finsler_reflect_concurrency(ellipse_rot, m, w)
         assert np.linalg.norm(back2 - u) <= 1e-8
+
+
+FIGURATRIX_BODIES = {
+    "ellipse": lambda: bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])),
+    "radial": lambda: bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02]),
+    "ellipsoid3": lambda: bl.Ellipsoid(np.diag([1.0, 1.5625, 2.7778])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURATRIX_BODIES))
+def test_legendre_law_builds_the_figuratrix_once(name, monkeypatch):
+    # the polar dual is kept with the indicatrix: repeated calls build no
+    # second polar and return the bytes that a fresh indicatrix gives
+    built = []
+    build = bodies._build_polar
+    monkeypatch.setattr(bodies, "_build_polar", lambda body: built.append(body) or build(body))
+    I = FIGURATRIX_BODIES[name]()
+    rng = np.random.default_rng(24)
+    m = unit(rng.normal(size=I.dim))
+    u = I._boundary_in_direction(m + 0.3 * rng.normal(size=I.dim))
+    first = bl.finsler_reflect_legendre(I, m, u)
+    for _ in range(3):
+        assert bl.finsler_reflect_legendre(I, m, u).tobytes() == first.tobytes()
+    assert built == [I]
+    assert bl.polar_dual(I) is bl.polar_dual(I)
+    fresh = bl.finsler_reflect_legendre(FIGURATRIX_BODIES[name](), m, u)
+    assert fresh.tobytes() == first.tobytes()
 
 
 def test_finsler_laws_agree_in_three_dimensions(ellipsoid3):

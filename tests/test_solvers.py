@@ -170,6 +170,50 @@ def test_batched_solver_stops_each_row_on_its_own_rules():
     assert np.array_equal(budget.nfev, [1, 3, 3, 1])
 
 
+def arctan_systems(c):
+    """Residuals (arctan(a (x - 1)), y + x^2 - b) and their Jacobians for
+    the rows (a, b) of c: steps from far out on the arctan overshoot."""
+    def fun(x, rows):
+        a, b = c[rows, 0], c[rows, 1]
+        t = a * (x[:, 0] - 1.0)
+        f = np.stack([np.arctan(t), x[:, 1] + x[:, 0] ** 2 - b], axis=1)
+        J = np.stack([np.stack([a / (1.0 + t * t), np.zeros(len(x))], axis=1),
+                      np.stack([2.0 * x[:, 0], np.ones(len(x))], axis=1)], axis=1)
+        return f, J
+
+    return fun
+
+
+def test_mixed_accept_and_reject_iterations_keep_one_system_bits():
+    # row 2 has its trial step rejected in iterations where rows 0 and 1
+    # take theirs, and other iterations accept every row: both update
+    # paths must give each row the bits of its solve alone
+    c = np.array([[3.0, 2.0], [0.5, 1.0], [2.0, 0.5]])
+    x0 = np.array([[3.0, 0.0], [1.2, 0.3], [-1.0, 1.0]])
+    calls = []
+    fun = arctan_systems(c)
+
+    def logged(x, rows):
+        f, J = fun(x, rows)
+        calls.append((rows.copy(), np.einsum("si,si->s", f, f)))
+        return f, J
+
+    sol = levenberg_marquardt(logged, x0, max_nfev=100)
+    cost = dict(zip(*calls[0]))
+    outcomes = []  # (rows accepting, rows rejecting) of each iteration
+    for rows, new in calls[1:]:
+        accept = {r for r, value in zip(rows, new) if value < cost[r]}
+        cost.update({r: value for r, value in zip(rows, new) if r in accept})
+        outcomes.append((accept, set(rows) - accept))
+    assert any(accept and reject for accept, reject in outcomes)
+    assert any(len(accept) > 1 and not reject for accept, reject in outcomes)
+    for s in range(len(c)):
+        one = levenberg_marquardt(arctan_systems(c[s:s + 1]), x0[s:s + 1], max_nfev=100)
+        assert np.array_equal(sol.x[s], one.x[0]), s
+        assert sol.nfev[s] == one.nfev[0], s
+    assert np.max(np.abs(fun(sol.x, np.arange(3))[0])) <= 1e-15
+
+
 def exponential_fit(seed, ulps=None):
     """Residuals a exp(b t) - y of an exponential fit to 40 noisy samples
     y (each moved by ``ulps`` units in the last place) and their
