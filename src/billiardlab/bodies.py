@@ -87,7 +87,7 @@ def _unit(v):
     else:
         zero = n == 0.0  # a scalar: cheaper than all()
     if zero:
-        raise ValueError("zero vector has no direction")
+        raise DomainError("zero vector has no direction")
     return v / n
 
 
@@ -278,6 +278,21 @@ class ConvexBody:
         tangential = abs(t) < TANGENCY_FRACTION * self.diameter()
         return np.where(tangential[:, None], a, a + t[:, None] * d), tangential
 
+    def _chord_normal(self, u, d):
+        """The exterior normal at the far end of the chord along the unit d
+        from the boundary point of unit exterior normal u, or for each row
+        of u: the parallel-chord transport of normals.  A tangential chord
+        raises DegenerateChordError for one vector, and a tangential row
+        maps to itself."""
+        a = self.gauss_inverse(u)
+        if u.ndim == 1:
+            return self.exterior_normal(self.chord_second_intersection(a, d))
+        b, tangential = self.chord_second_intersections(a, d)
+        out = u.copy()
+        if not tangential.all():
+            out[~tangential] = self.exterior_normal(b[~tangential])
+        return out
+
     def _sphere_chord(self, p, v):
         """Parameters (t0 < t1) where the line p + t v, or each row's line,
         meets the bounding sphere padded to radius^2 = 1.1 R^2."""
@@ -459,6 +474,21 @@ class Ellipsoid(ConvexBody):
         d = _unit(d)
         t = -2.0 * _dot(a @ self.A, d) / _dot(d @ self.A, d)
         return a + t[..., None] * d, abs(t) < TANGENCY_FRACTION * self.diameter()
+
+    def _chord_normal(self, u, d):
+        # from a = A^-1 u / s, s = sqrt<u, A^-1 u>, the chord along d has
+        # t = -2 <u, d> / (s <d, A d>), and the normal at its end is
+        # A (a + t d) = (u - 2 <u, d> / <d, A d> A d) / s: the projective
+        # reflection with the transversal field A d
+        Ad = self.A @ d
+        c = 2.0 * _dot(u, d) / _dot(d, Ad)
+        tangential = abs(c) / np.sqrt(_dot(u, _apply(self.A_inv, u))) < (
+            TANGENCY_FRACTION * self.diameter())
+        if u.ndim == 1:
+            if tangential:
+                raise DegenerateChordError(f"chord along {d} from the normal {u} is tangential")
+            return _unit(u - c * Ad)
+        return np.where(tangential[:, None], u, _unit(u - c[:, None] * Ad))
 
     def line_intersections(self, line: OrientedLine):
         p, v = line.point, line.direction

@@ -97,9 +97,15 @@ class ExperimentConfig:
     def body(self, key):
         return load_body(self.base_dir / _get(self.values, key, str, required=True))
 
-    def line(self):
+    def line(self, dim):
+        """The oriented line of the config, in the dimension of its body."""
         p = _get(self.values, "line_point", _floats, required=True)
         d = _get(self.values, "line_direction", _floats, required=True)
+        for key, v in (("line_point", p), ("line_direction", d)):
+            if len(v) != dim:
+                raise BodyFileError(f"'{key}' has {len(v)} entries for a body of dimension {dim}")
+        if not d.any():
+            raise BodyFileError("'line_direction' is the zero vector")
         return OrientedLine(p, d)
 
 
@@ -149,7 +155,7 @@ def cmd_reflect(cfg: ExperimentConfig):
     """Reflect one oriented line and write the incoming/outgoing pair."""
     K = cfg.body("body_k")
     T = cfg.body("body_t")
-    line = cfg.line()
+    line = cfg.line(K.dim)
     out = t_billiard_reflect(K, T, line)
     dim = K.dim
     header = (["role"] + [f"x{i}" for i in range(dim)]
@@ -168,7 +174,7 @@ def cmd_trace(cfg: ExperimentConfig):
     """Iterate the billiard map; write the orbit CSV and an SVG overlay."""
     K = cfg.body("body_k")
     T = cfg.body("body_t")
-    line = cfg.line()
+    line = cfg.line(K.dim)
     steps = _get(cfg.values, "steps", int, default=0)
     print("line", " ".join(_fmt(v) for v in line.point),
           " ".join(_fmt(v) for v in line.direction))

@@ -32,7 +32,7 @@ from .bodies import (
     unit_vector,
 )
 from .errors import DomainError, GrazingError, PreconditionError
-from .reflection import GRAZING_ANGLE, t_billiard_reflect
+from .reflection import GRAZING_ANGLE, _require_same_dimension, t_billiard_reflect
 from .solvers import _dot, levenberg_marquardt as least_squares
 
 ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search polygon
@@ -83,17 +83,12 @@ class KTOrbit:
         return np.array([s.q_end for s in self.segments if s.kind == "q"])
 
 
-def _require_same_dimension(K, T):
-    if K.dim != T.dim:
-        raise DomainError(f"bodies must share their dimension ({K.dim} and {T.dim})")
-
-
 def iterate_t_billiard(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     """Iterate the T-billiard map, recording bounce points and lengths.
 
     Grazing incidence truncates the orbit and marks its status.
     """
-    _require_same_dimension(K, T)
+    _require_same_dimension(K, T, line)
     points = []
     directions = [line.direction]
     current = line
@@ -124,7 +119,7 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     reaches dK, p moves along the interior normal of dK at the bounce
     point until it reaches dT again.
     """
-    _require_same_dimension(K, T)
+    _require_same_dimension(K, T, line)
     if not K.contains(line.point):
         raise PreconditionError("lifted orbit starts at an interior point of K")
     orbit = KTOrbit()

@@ -72,21 +72,34 @@ def parallel_chord_involution(T: ConvexBody, cls: ParallelClass, u):
     DegenerateChordError (callers may treat those directions as fixed).
     u may also be an (N, d) array of directions, mapped in one pass of
     the body's row forms; there the tangential rows map to themselves.
+    An ellipsoid T {<Ap, p> <= 1} is answered in closed form, as the
+    projective reflection u -> unit(u - 2 <u, d> / <d, A d> A d).
     """
     u = _unit(u)
-    d = cls.direction
+    if not u.shape[-1] == len(cls.direction) == T.dim:
+        raise DomainError(f"directions of dimension {u.shape[-1]} and a class of "
+                          f"dimension {len(cls.direction)} for a body of dimension {T.dim}")
+    return _chord_involution(T, cls.direction, u)
+
+
+def _chord_involution(T, d, u):
+    """parallel_chord_involution for the unit class direction d (either
+    sign: the chords along d and -d are the same) and the unit u."""
     if u.ndim == 1:  # without the row bookkeeping, which each billiard bounce would pay
         if abs(float(np.dot(u, d))) < _PERP_TOL:
             return u
-        return T.exterior_normal(T.chord_second_intersection(T.gauss_inverse(u), d))
+        return T._chord_normal(u, d)
     out = u.copy()
     live = abs(u @ d) >= _PERP_TOL
     if live.any():
-        b, tangential = T.chord_second_intersections(T.gauss_inverse(u[live]), d)
-        live[live] = ~tangential
-        if live.any():
-            out[live] = T.exterior_normal(b[~tangential])
+        out[live] = T._chord_normal(u[live], d)
     return out
+
+
+def _require_same_dimension(K, T, *lines):
+    dims = [K.dim, T.dim] + [len(line.direction) for line in lines]
+    if min(dims) != max(dims):
+        raise DomainError(f"bodies and lines must share their dimension ({dims})")
 
 
 def t_billiard_reflect(K: ConvexBody, T: ConvexBody, line: OrientedLine):
@@ -94,14 +107,16 @@ def t_billiard_reflect(K: ConvexBody, T: ConvexBody, line: OrientedLine):
 
     The bounce point is the last intersection q of the line with dK; the
     outgoing direction is the parallel-chord involution of the incoming
-    one, for the class of lines parallel to the normal of dK at q.
+    one, for the class of lines parallel to the normal of dK at q.  An
+    ellipsoid T is answered in closed form (see parallel_chord_involution).
     """
+    _require_same_dimension(K, T, line)
     q = K.last_intersection(line)
     n = K.exterior_normal(q)
     inc = float(np.dot(line.direction, n))
     if inc <= GRAZING_ANGLE:
         raise GrazingError(f"grazing incidence at {q} (sin = {inc:.2e})")
-    v_out = parallel_chord_involution(T, ParallelClass(n), line.direction)
+    v_out = _chord_involution(T, n, line.direction)
     if float(np.dot(v_out, n)) >= 0.0:
         raise SolverError("reflected direction does not point into the body")
     return OrientedLine(q, v_out)

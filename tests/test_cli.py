@@ -222,6 +222,22 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
         assert f"config error: line {line}: bad value for '{key}'" in err
 
 
+@pytest.mark.parametrize("experiment", ["reflect", "trace"])
+@pytest.mark.parametrize("point, direction, message", [
+    ("0 0", "0 0", "'line_direction' is the zero vector"),
+    ("0 0 0", "1 0", "'line_point' has 3 entries for a body of dimension 2"),
+    ("0 0", "1", "'line_direction' has 1 entries for a body of dimension 2"),
+], ids=["zero_direction", "long_point", "short_direction"])
+def test_malformed_line_exits_one(experiment, point, direction, message, tmp_path, capsys):
+    write(tmp_path, "disk.body", DISK)
+    cfg = write(tmp_path, "l.cfg", (
+        f"experiment = {experiment}\nbody_k = disk.body\nbody_t = disk.body\n"
+        f"line_point = {point}\nline_direction = {direction}\nsteps = 3\n"))
+    rc = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as done:
         main(["--help"])
@@ -278,7 +294,7 @@ DEMO_CSV_SHA256 = {
     ("osculate_germ.cfg", "osculate.csv"):
         "13f4558caa0e13645cc732dfc951f6414a0238b99d3ea22ba9ae3ee9e2a5b884",
     ("projtest_ellipse.cfg", "projtest.csv"):
-        "8e66e6c777d24bee2b15f3b5c5b2bbcc46b5f77a97b98e7279e34b2b75364a5e",
+        "47ce9f7c13cc3930964c8d84e40947ae43f46ab00383abafe8e3490c8f4638fd",
     ("projtest_superellipse.cfg", "projtest.csv"):
         "024a6e1c4e6424e067041793f0bd94b7ae73e21a82301f9c7763aa394ca6be7d",
     ("sweep_family.cfg", "sweep.csv"):
@@ -303,9 +319,9 @@ DEMOS = CONFIGS.parent
 # SHA-256 of what each demo script prints, pinned like the demo CSVs.
 DEMO_STDOUT_SHA256 = {
     "01_reflection_laws.py":
-        "de045f968eb8853c20a3c066950b86ac7f6de311b6a518eab46d74d33167ede5",
+        "9c46864964d667b4c12921b0c729b955de5af603cc0ab2913363f9f0989b8143",
     "02_projectivity_of_reflections.py":
-        "78311969b37b38251bb04341dfd38338d5d2b1781c774b6da099c0abf9218858",
+        "43fe53e2a24e99962be8397386a3bc591496214de6305c396c7f942dd09bc1c7",
     "03_osculating_conics_and_quadrics.py":
         "a4c74c45a5d3d00687138e174d80481eadac000164c28b31777e3923d0230fa3",
     "04_capacity_and_volume_products.py":

@@ -323,6 +323,7 @@ DIMENSION_ENTRY_POINTS = {
     "viterbo_ratio": lambda K, T, line: bl.viterbo_ratio(K, T, m_max=3, multistarts=2),
     "iterate_t_billiard": lambda K, T, line: bl.iterate_t_billiard(K, T, line, 5),
     "lift_kt_orbit": lambda K, T, line: bl.lift_kt_orbit(K, T, line, 5),
+    "t_billiard_reflect": lambda K, T, line: bl.t_billiard_reflect(K, T, line),
 }
 
 

@@ -19,6 +19,11 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def unit_rows(rng, n, dim):
+    U = rng.normal(size=(n, dim))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # euclidean_reflect
 # ---------------------------------------------------------------------------
@@ -115,6 +120,122 @@ def test_chord_involution_is_involution(ellipse_rot, superellipse, radial_blob):
         assert worst <= 1e-9, type(body).__name__
 
 
+def random_ellipsoid(rng, dim, semiaxes):
+    """(the Ellipsoid {<Ax, x> <= 1}, B) with B the unit ball's map onto it:
+    semiaxes in a random orthonormal frame Q, B = Q diag(semiaxes)."""
+    Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    B = Q * semiaxes
+    return bl.Ellipsoid(Q @ np.diag(1.0 / semiaxes ** 2) @ Q.T), B
+
+
+def test_ellipsoid_chord_involution_matches_the_generic_chain():
+    # the same ellipsoid as a linear image of the ball takes the generic
+    # gauss_inverse -> chord -> exterior_normal chain
+    rng = np.random.default_rng(31)
+    worst, chords = 0.0, 0
+    for dim in (2, 3):
+        for aspect in (1.5, 4.0, 16.0):
+            for _ in range(8):
+                semiaxes = np.exp(rng.uniform(0.0, math.log(aspect), size=dim))
+                semiaxes[:2] = 1.0, aspect
+                E, B = random_ellipsoid(rng, dim, semiaxes)
+                L = bl.LinearImageBody(bl.Ball(dim=dim), B)
+                cls = bl.ParallelClass(rng.normal(size=dim))
+                U = unit_rows(rng, 100, dim)
+                U = U[abs(U @ cls.direction) > 1e-3]
+                V = bl.parallel_chord_involution(E, cls, U)
+                for u, v in zip(U, V):
+                    try:
+                        w = bl.parallel_chord_involution(L, cls, u)
+                    except DegenerateChordError:
+                        continue
+                    worst = max(worst, float(np.max(np.abs(v - w))))
+                    chords += 1
+    assert chords > 4000
+    assert worst <= 1e-12
+
+
+def test_ellipsoid_chord_involution_matches_mpmath():
+    # the closed form against u - 2 <u, d> / <d, A d> A d in 50 digits, for
+    # the same float A, u and d.  Semiaxes within a factor 4: the relative
+    # error of A d grows with the squared aspect ratio, and at 16:1 one ulp
+    # of d moves the exact image by up to 3e-14
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for dim in (2, 3):
+        for _ in range(20):
+            E, _ = random_ellipsoid(rng, dim, rng.uniform(0.5, 2.0, size=dim))
+            A = mp.matrix(E.A.tolist())
+            cls = bl.ParallelClass(rng.normal(size=dim))
+            d = mp.matrix(cls.direction.tolist())
+            for u in unit_rows(rng, 15, dim):
+                v = bl.parallel_chord_involution(E, cls, u)
+                um = mp.matrix(u.tolist())
+                w = um - 2 * (um.T * d)[0] / (d.T * A * d)[0] * (A * d)
+                w /= mp.sqrt((w.T * w)[0])
+                worst = max(worst, max(abs(float(v[i] - w[i])) for i in range(dim)))
+    assert worst <= 2e-15
+
+
+def test_ellipsoid_chord_involution_rows_keep_their_bits(ellipse_rot, ellipsoid3):
+    rng = np.random.default_rng(33)
+    for E in (ellipse_rot, ellipsoid3):
+        cls = bl.ParallelClass(rng.normal(size=E.dim))
+        U = unit_rows(rng, 200, E.dim)
+        V = bl.parallel_chord_involution(E, cls, U)
+        singles = []
+        for u in U:
+            try:
+                singles.append(bl.parallel_chord_involution(E, cls, u))
+            except DegenerateChordError:
+                singles.append(u)
+        assert np.array_equal(V, singles)
+        # the class direction's sign does not matter
+        assert np.array_equal(V, bl.reflection._chord_involution(E, -cls.direction,
+                                                                 bodies._unit(U)))
+        # directions orthogonal to the class are fixed
+        for w in bodies._unit(bodies.tangent_frame(cls.direction)):
+            assert np.array_equal(bl.parallel_chord_involution(E, cls, w), w)
+            assert np.array_equal(bl.parallel_chord_involution(E, cls, w[None])[0], w)
+
+
+@pytest.mark.parametrize("fraction", [1e-8, 1e-4])
+def test_ellipsoid_tangential_chords_are_the_ones_the_chord_flags(fraction, ellipse_rot,
+                                                                   ellipsoid3):
+    # chords of length fraction * diameter from a boundary point a to a
+    # nearby boundary point b: the threshold is TANGENCY_FRACTION = 1e-6
+    rng = np.random.default_rng(34)
+    for E in (ellipse_rot, ellipsoid3):
+        for _ in range(20):
+            x = unit(rng.normal(size=E.dim))
+            y = unit(rng.normal(size=E.dim) - x * (x @ rng.normal(size=E.dim)))
+            y -= (y @ x) * x
+            a = E._boundary_in_direction(x)
+            step = fraction * E.diameter()
+            for _ in range(3):  # scale the step in angle to a chord of that length
+                b = E._boundary_in_direction(x + step * y)
+                step *= fraction * E.diameter() / np.linalg.norm(b - a)
+            d = unit(b - a)
+            u = E.exterior_normal(a)
+            cls = bl.ParallelClass(d)
+            try:
+                E.chord_second_intersection(a, d)
+                flagged = False
+            except DegenerateChordError:
+                flagged = True
+            assert flagged == (fraction < bodies.TANGENCY_FRACTION)
+            if flagged:
+                with pytest.raises(DegenerateChordError):
+                    bl.parallel_chord_involution(E, cls, u)
+            else:
+                bl.parallel_chord_involution(E, cls, u)
+            row = bl.parallel_chord_involution(E, cls, u[None])[0]
+            # a fixed row comes back as its input, normalized once more
+            assert (np.max(np.abs(row - u)) <= 1e-15) == flagged
+
+
 # ---------------------------------------------------------------------------
 # t_billiard_reflect
 # ---------------------------------------------------------------------------
@@ -168,6 +289,49 @@ def test_t_billiard_grazing_raises(disk):
     line = bl.OrientedLine([-2.0, 1.0], [1.0, 0.0])
     with pytest.raises((GrazingError, DomainError)):
         bl.t_billiard_reflect(disk, disk, line)
+
+
+def test_ellipsoid_t_billiard_is_the_projective_billiard(ellipse_rot, superellipse,
+                                                         radial_blob):
+    # the paper's theorem: for T = {<Ap, p> <= 1} the T-billiard law is the
+    # projective billiard with the transversal field A n
+    rng = np.random.default_rng(35)
+    for K in (ellipse_rot, superellipse, radial_blob):
+        worst = 0.0
+        for _ in range(10):
+            T, _ = random_ellipsoid(rng, 2, rng.uniform(0.5, 2.0, size=2))
+            for _ in range(10):
+                line = random_line(rng)
+                out = bl.t_billiard_reflect(K, T, line)
+                n = K.exterior_normal(out.point)
+                expect = bl.projective_billiard_reflect(
+                    out.point, n, T.A @ n, bl.OrientedLine(out.point, line.direction))
+                worst = max(worst, np.linalg.norm(out.direction - expect.direction))
+        assert worst <= 1e-13, type(K).__name__
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bl.parallel_chord_involution(bl.Ball(), bl.ParallelClass([0.0, 0.0, 1.0]),
+                                         [1.0, 0.0]),
+    lambda: bl.parallel_chord_involution(bl.Ball(), bl.ParallelClass([0.0, 1.0]),
+                                         [1.0, 0.0, 0.0]),
+    lambda: bl.parallel_chord_involution(bl.Ball(), bl.ParallelClass([0.0, 1.0]),
+                                         np.eye(3)),
+    lambda: bl.iterate_t_billiard(bl.Ball(), bl.Ball(), bl.OrientedLine(np.zeros(3),
+                                                                         [1.0, 0.0, 0.0]), 3),
+    lambda: bl.lift_kt_orbit(bl.Ball(), bl.Ball(), bl.OrientedLine(np.zeros(3),
+                                                                   [1.0, 0.0, 0.0]), 3),
+    lambda: bl.OrientedLine([0.1, 0.2], [0.0, 0.0]),
+    lambda: bl.ParallelClass([0.0, 0.0]),
+    lambda: bl.finsler_reflect_legendre(bl.Ball(), [0.0, 0.0], [1.0, 0.0]),
+    lambda: bl.finsler_reflect_concurrency(bl.Ball(), [0.0, 0.0], [1.0, 0.0]),
+], ids=["class_dim", "direction_dim", "direction_rows_dim", "iterate_line_dim",
+        "lift_line_dim", "zero_line_direction", "zero_class", "zero_legendre_normal",
+        "zero_concurrency_normal"])
+def test_mismatched_or_zero_inputs_raise_domain_error(call):
+    # a typed error, not numpy's ValueError
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_rescale_conjugation_identity(ellipse, superellipse, radial_blob):
