@@ -104,6 +104,8 @@ class ExperimentConfig:
         for key, v in (("line_point", p), ("line_direction", d)):
             if len(v) != dim:
                 raise BodyFileError(f"'{key}' has {len(v)} entries for a body of dimension {dim}")
+            if not np.isfinite(v).all():
+                raise BodyFileError(f"'{key}' has an entry that is not finite")
         if not d.any():
             raise BodyFileError("'line_direction' is the zero vector")
         return OrientedLine(p, d)

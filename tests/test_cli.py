@@ -227,7 +227,9 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
     ("0 0", "0 0", "'line_direction' is the zero vector"),
     ("0 0 0", "1 0", "'line_point' has 3 entries for a body of dimension 2"),
     ("0 0", "1", "'line_direction' has 1 entries for a body of dimension 2"),
-], ids=["zero_direction", "long_point", "short_direction"])
+    ("0 inf", "1 0", "'line_point' has an entry that is not finite"),
+    ("0 0", "nan 1", "'line_direction' has an entry that is not finite"),
+], ids=["zero_direction", "long_point", "short_direction", "infinite_point", "nan_direction"])
 def test_malformed_line_exits_one(experiment, point, direction, message, tmp_path, capsys):
     write(tmp_path, "disk.body", DISK)
     cfg = write(tmp_path, "l.cfg", (

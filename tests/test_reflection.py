@@ -210,8 +210,8 @@ def test_ellipsoid_tangential_chords_are_the_ones_the_chord_flags(fraction, elli
     for E in (ellipse_rot, ellipsoid3):
         for _ in range(20):
             x = unit(rng.normal(size=E.dim))
-            y = unit(rng.normal(size=E.dim) - x * (x @ rng.normal(size=E.dim)))
-            y -= (y @ x) * x
+            y = rng.normal(size=E.dim)
+            y = unit(y - (y @ x) * x)
             a = E._boundary_in_direction(x)
             step = fraction * E.diameter()
             for _ in range(3):  # scale the step in angle to a chord of that length
