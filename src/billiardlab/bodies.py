@@ -16,6 +16,9 @@ exact bracket from the ray's start to the padded bounding sphere.
 ``polar_dual`` is in closed form for every library body, so only the
 polars of user-defined bodies are PolarBody.  A support body h takes its
 F = h_polar - 1 from the normal-angle solve of its polar, the radial 1/h.
+The Finsler Legendre law of an indicatrix is the chord transport of
+normals ``_chord_normal`` of its figuratrix, the polar: in closed form
+when the indicatrix is an ellipsoid.
 
 Row forms: ``implicit``, ``implicit_grad``, ``gauss_inverse``,
 ``support_point``, ``support`` and ``exterior_normal`` take one vector or
@@ -172,12 +175,12 @@ class ConvexBody:
     def contains(self, x):
         return bool(self.implicit(np.asarray(x, dtype=float)) < 0.0)
 
-    def _require_boundary(self, p, tol=BOUNDARY_TOL):
+    def _require_boundary(self, p):
         """p, once every point (one or (N, d) rows) is checked to be on the
         boundary; the first one that is not raises."""
         p = np.asarray(p, dtype=float)
         r = np.abs(self.implicit(p))
-        bound = tol * max(1.0, self.bounding_radius())
+        bound = BOUNDARY_TOL * max(1.0, self.bounding_radius())
         if (r > bound).any():  # the bound scales by max(1, |grad F|) >= 1
             g = self.implicit_grad(p)
             off = r > bound * np.maximum(1.0, np.sqrt((g * g).sum(-1)))
@@ -462,18 +465,6 @@ class Ellipsoid(ConvexBody):
         c = np.where((f_p == -1.0) & (c > -0.5), 0.0, c)
         s = np.sqrt(b * b - a * c)
         return (np.where(b > 0.0, -c, s - b) / np.where(b > 0.0, b + s, a))[()]
-
-    def chord_second_intersection(self, a, d):
-        b, tangential = self.chord_second_intersections(a, d)  # one chord is one row
-        if tangential:
-            raise DegenerateChordError(f"chord at {a} along {d} is tangential")
-        return b
-
-    def chord_second_intersections(self, a, d):
-        a = self._require_boundary(a)
-        d = _unit(d)
-        t = -2.0 * _dot(a @ self.A, d) / _dot(d @ self.A, d)
-        return a + t[..., None] * d, abs(t) < TANGENCY_FRACTION * self.diameter()
 
     def _chord_normal(self, u, d):
         # from a = A^-1 u / s, s = sqrt<u, A^-1 u>, the chord along d has

@@ -20,8 +20,10 @@ import numpy as np
 from .bodies import (
     Ball,
     BodyFileError,
+    ConvexBody,
+    GraphGerm,
     OrientedLine,
-    Polygon2D,
+    PlanarGerm,
     RadialBody2D,
     Superellipse,
     _dot,
@@ -95,7 +97,13 @@ class ExperimentConfig:
         )
 
     def body(self, key):
-        return load_body(self.base_dir / _get(self.values, key, str, required=True))
+        """The body that key names: a graph germ for 'germ', else a smooth convex body."""
+        body = load_body(self.base_dir / _get(self.values, key, str, required=True))
+        need = (PlanarGerm, GraphGerm) if key == "germ" else ConvexBody
+        if not isinstance(body, need):
+            raise BodyFileError(f"'{key}' is a {type(body).__name__}, not a "
+                                + ("graph germ" if key == "germ" else "smooth convex body"))
+        return body
 
     def line(self, dim):
         """The oriented line of the config, in the dimension of its body."""
@@ -134,8 +142,6 @@ def _svg_polyline(points, stroke, width, closed=False):
 
 
 def _body_outline(body):
-    if isinstance(body, Polygon2D):
-        return body.vertices
     thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     return body.gauss_inverse(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
 
@@ -277,7 +283,7 @@ def cmd_osculate(cfg: ExperimentConfig):
     germ = cfg.body("germ")
     coeff_rows = []
     fit_rows = []
-    if hasattr(germ, "nvars"):  # hypersurface germ
+    if isinstance(germ, GraphGerm):  # hypersurface germ
         quadric = osculating_quadric_along_curve(germ)
         M = quadric.matrix
         coeff_rows.append(["frame", "", "", (

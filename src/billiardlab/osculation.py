@@ -467,16 +467,21 @@ def section_points(body, frame: PlanarSectionFrame, n_samples):
     """Points of the planar section sampled by rays inside the plane."""
     o = frame.origin
     f_o = float(body.implicit(o))
-    if f_o >= 0.0:
-        # walk toward the deepest nearby in-plane point
-        grid = np.linspace(-body.bounding_radius(), body.bounding_radius(), 101)
-        vals = np.array([[body.implicit(o + s * frame.e1 + t * frame.e2)
-                          for s in grid] for t in grid])
-        k = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[k] >= 0.0:
-            raise DomainError("plane does not meet the body")
-        o = o + grid[k[1]] * frame.e1 + grid[k[0]] * frame.e2
-        f_o = vals[k]
+    if f_o >= 0.0:  # cast the rays from an interior point of the section instead
+        if body.dim == 2:
+            o = body.interior_point()
+        elif body.dim == 3:
+            # the plane <x, n> = <o, n> meets the segment between the support
+            # points of -n and n, which lies inside the body, at that height
+            n = np.cross(frame.e1, frame.e2)
+            lo, hi = body.gauss_inverse(-n), body.gauss_inverse(n)
+            t = float((o - lo) @ n) / float((hi - lo) @ n)
+            if not 0.0 < t < 1.0:
+                raise DomainError("plane does not meet the body")
+            o = lo + t * (hi - lo)
+        else:
+            raise DomainError("section frame origin must lie inside the body")
+        f_o = float(body.implicit(o))
     cs = np.array([(math.cos(phi), math.sin(phi))
                    for phi in np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)])
     w = cs[:, :1] * frame.e1 + cs[:, 1:] * frame.e2

@@ -248,8 +248,8 @@ def _chart_function(f):
 # Projectivity residual
 # ---------------------------------------------------------------------------
 
-def _sample_quadruple(rng, scale, max_tries=200):
-    for _ in range(max_tries):
+def _sample_quadruple(rng, scale):
+    for _ in range(200):
         t = np.sort(rng.uniform(-scale, scale, size=4))
         if np.min(np.diff(t)) >= QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0:
             return t

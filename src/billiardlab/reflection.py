@@ -182,22 +182,19 @@ def finsler_reflect_legendre(I: ConvexBody, hyperplane_normal, u):
     """Finsler reflection via the Legendre transform.
 
     Returns the point v on the indicatrix for which D(u) - D(v)
-    annihilates the reflecting hyperplane; realized as a chord of the
-    figuratrix (the polar dual) in the direction of the hyperplane
-    normal.
+    annihilates the reflecting hyperplane.  D(u) and D(v) are the ends of
+    the chord along the hyperplane normal of the figuratrix J (the polar
+    dual), whose normals there point along u and v: the law is J's
+    parallel-chord involution of u / |u| (the T-billiard reflection with
+    T = J), in closed form for an ellipsoid indicatrix.
     """
     _require_symmetric(I)
     m = _unit(hyperplane_normal)
-    u = np.asarray(u, dtype=float)
+    u = I._require_boundary(u)
     _check_grazing(m, u)
     J = polar_dual(I)
-    du = legendre_point(I, u)
-    w = J.chord_second_intersection(du, m)
-    v = legendre_point(J, w)
-    gap = du - w
-    residual = np.linalg.norm(gap - float(np.dot(gap, m)) * m)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(gap)):
-        raise SolverError(f"Legendre reflection residual {residual:.2e}")
+    n = _chord_involution(J, m, _unit(u))
+    v = n / J.support(n)
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("reflected vector is on the wrong side of the hyperplane")
     return v

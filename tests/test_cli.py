@@ -240,6 +240,28 @@ def test_malformed_line_exits_one(experiment, point, direction, message, tmp_pat
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+GERM = "kind = graph_germ\ndim = 2\nc[2] = 0.5\nc[5] = 0.01\n"
+POLYGON = "kind = polygon\nvertices = 1 0 0 1 -1 0 0 -1\n"
+BODY_KEYS = {"reflect": ("body_k", "body_t"), "trace": ("body_k", "body_t"),
+             "capacity": ("body_k", "body_t"), "projtest": ("body",), "osculate": ("germ",)}
+
+
+@pytest.mark.parametrize("experiment, kind, text", [
+    *[(e, k, t) for e in ("trace", "reflect", "capacity", "projtest")
+      for k, t in (("graph_germ", GERM), ("polygon", POLYGON))],
+    ("osculate", "ball", DISK),
+])
+def test_body_of_the_wrong_kind_exits_one(experiment, kind, text, tmp_path, capsys):
+    write(tmp_path, "b.body", text)
+    cfg = write(tmp_path, "k.cfg", f"experiment = {experiment}\n"
+                + "".join(f"{key} = b.body\n" for key in BODY_KEYS[experiment])
+                + "line_point = 0 0\nline_direction = 1 0\nsteps = 2\nm_max = 2\n")
+    rc = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and BODY_KEYS[experiment][0] in err
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as done:
         main(["--help"])
@@ -321,7 +343,7 @@ DEMOS = CONFIGS.parent
 # SHA-256 of what each demo script prints, pinned like the demo CSVs.
 DEMO_STDOUT_SHA256 = {
     "01_reflection_laws.py":
-        "9c46864964d667b4c12921b0c729b955de5af603cc0ab2913363f9f0989b8143",
+        "30c154cfc1a60d93d681940dd6db5873d060f8a6b9c43b335c4c8ac8a397365b",
     "02_projectivity_of_reflections.py":
         "43fe53e2a24e99962be8397386a3bc591496214de6305c396c7f942dd09bc1c7",
     "03_osculating_conics_and_quadrics.py":

@@ -7,13 +7,14 @@ import pytest
 
 import billiardlab as bl
 from billiardlab.errors import (
+    DomainError,
     FrameNormalizationError,
     IndistinguishableError,
     PreconditionError,
     SamplePlanError,
 )
 from billiardlab.jets import dyadic_grid
-from billiardlab.osculation import conic_quintic_coefficient
+from billiardlab.osculation import conic_quintic_coefficient, section_points
 
 
 def unit(v):
@@ -420,6 +421,23 @@ def test_section_needs_enough_points(ellipsoid3):
     rng = np.random.default_rng(43)
     with pytest.raises(SamplePlanError):
         bl.planar_section_conic_residual(ellipsoid3, _random_frame(rng), 5)
+
+
+@pytest.mark.parametrize("origin", [[2.4, 0.0, 0.3], [3.0, 0.0, 0.3]])
+def test_section_from_an_origin_outside_the_body(origin):
+    # the plane z = 0.3 cuts the body, though its frame origin lies outside
+    body = bl.Ellipsoid(np.diag([1.0, 2.0, 0.5]))
+    frame = bl.PlanarSectionFrame(np.array(origin), np.eye(3)[0], np.eye(3)[1])
+    P = section_points(body, frame, 32)
+    X = frame.origin + P[:, :1] * frame.e1 + P[:, 1:] * frame.e2
+    assert np.abs(body.implicit(X)).max() <= 1e-12
+
+
+def test_section_by_a_plane_that_misses_the_body_raises():
+    body = bl.Ellipsoid(np.diag([1.0, 2.0, 0.5]))  # |z| <= sqrt(2) on it
+    frame = bl.PlanarSectionFrame(np.array([0.0, 0.0, 1.5]), np.eye(3)[0], np.eye(3)[1])
+    with pytest.raises(DomainError, match="does not meet"):
+        section_points(body, frame, 32)
 
 
 def test_conic_quintic_helper_consistent_with_branch():

@@ -490,6 +490,59 @@ def test_legendre_law_builds_the_figuratrix_once(name, monkeypatch):
     assert fresh.tobytes() == first.tobytes()
 
 
+INDICATRICES = {
+    "ellipse": lambda: bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])),
+    "radial": lambda: bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02]),
+    "support": lambda: bl.SupportBody2D([1.0, 0.0, 0.05]),
+    "superellipse4": lambda: bl.Superellipse(4.0),
+    "superellipse3.5": lambda: bl.Superellipse(3.5),
+    "linear_image": lambda: bl.LinearImageBody(bl.Superellipse(4.0), [[1.1, 0.25], [0.05, 0.9]]),
+    "ellipsoid3": lambda: bl.Ellipsoid(np.diag([1.0, 2.0, 0.5])),
+    "superellipsoid3": lambda: bl.Superellipse(4.0, dim=3),
+}
+
+
+@pytest.mark.parametrize("name", list(INDICATRICES))
+def test_legendre_law_is_the_chord_involution_of_the_figuratrix(name):
+    # the Legendre images D(u), D(v) are the ends of the chord of the
+    # figuratrix J along m: the chain through them is the oracle
+    I = INDICATRICES[name]()
+    J = bl.polar_dual(I)
+    rng = np.random.default_rng(25)
+    cases = 0
+    while cases < 12:
+        m = unit(rng.normal(size=I.dim))
+        u = I._boundary_in_direction(unit(rng.normal(size=I.dim)))
+        if abs(np.dot(m, unit(u))) < 0.05:
+            continue
+        cases += 1
+        oracle = bl.legendre_point(J, J.chord_second_intersection(bl.legendre_point(I, u), m))
+        assert np.linalg.norm(bl.finsler_reflect_legendre(I, m, u) - oracle) <= 1e-11
+
+
+@pytest.mark.parametrize("name, quadric", [
+    ("ellipse", True), ("ball", True), ("ellipsoid3", True), ("radial", False),
+    ("superellipse3.5", False), ("superellipse4", False), ("superellipsoid3", False)])
+def test_finsler_law_is_projective_exactly_for_quadric_indicatrices(name, quadric):
+    # the Finsler law is the T-billiard of the figuratrix, so the paper's
+    # theorem carries over: projective iff the indicatrix is a quadric.  A
+    # class along a mirror axis of a body is a linear reflection, projective
+    # for every body, so the planar normals sit halfway between the multiples
+    # of pi / 20 (the axes and diagonals of these bodies)
+    I = bl.Ball() if name == "ball" else INDICATRICES[name]()
+    rng = np.random.default_rng(26)
+    for k in range(20):
+        m = (unit(rng.normal(size=3)) if I.dim == 3
+             else bl.unit_vector((k + 0.5) * math.pi / 20, 2))
+        sampler = bl.SphereInvolutionSampler.from_parallel_chord(bl.polar_dual(I), m)
+        residual = bl.projectivity_residual(sampler, bl.SamplePlan(0.3, seed=k))
+        assert residual <= 1e-12 if quadric else residual >= 1e-4, (k, residual)
+        e = unit(rng.normal(size=I.dim))
+        if abs(np.dot(e, m)) >= 0.05:
+            v = bl.finsler_reflect_legendre(I, m, I._boundary_in_direction(e))
+            assert np.linalg.norm(sampler(e) - unit(v)) <= 1e-12
+
+
 def test_finsler_laws_agree_in_three_dimensions(ellipsoid3):
     rng = np.random.default_rng(22)
     worst = 0.0
