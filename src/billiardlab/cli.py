@@ -213,6 +213,14 @@ def cmd_trace(cfg: ExperimentConfig):
     return EXIT_OK
 
 
+def _classes(cfg, default):
+    """The config's number of direction classes, at least one."""
+    classes = _get(cfg.values, "classes", int, default=default)
+    if classes < 1:
+        raise BodyFileError(f"'classes' is {classes}, not a positive count")
+    return classes
+
+
 def _direction_classes(rng, dim, count):
     if dim == 2:
         angles = rng.uniform(0.0, math.pi, size=count)
@@ -225,9 +233,11 @@ def _conic_deviation_fit(body, sampler):
     """Deviation exponent of the involution from its osculating-conic twin.
 
     Both involutions act in the slope chart of the tangent frame at the
-    fixed boundary point; the conic twin is always projective, so the
-    fitted power is the order of contact with projectivity (four for a
-    generic non-quadric body by the fourth-order deviation law).
+    fixed boundary point.  The conic twin is the osculating conic's
+    parallel-chord involution, a harmonic homology in closed form
+    (``SphereInvolutionSampler.from_conic_branch``), so the fitted power
+    is the order of contact with projectivity (four for a generic
+    non-quadric body by the fourth-order deviation law).
     """
     u0 = sampler.fixed_vector
     if isinstance(body, RadialBody2D):  # its jets take the polar angle, not the normal's
@@ -235,7 +245,7 @@ def _conic_deviation_fit(body, sampler):
     theta = math.atan2(u0[1], u0[0])
     germ, _, T, N = germ_at(body, theta, with_frame=True)
     conic = osculating_conic(germ)
-    twin = SphereInvolutionSampler.from_planar_curve(ConicGraphBranch(conic))
+    twin = SphereInvolutionSampler.from_conic_branch(ConicGraphBranch(conic))
 
     def chart(t):  # the grid in one sampler call
         v = sampler(_unit(t[:, None] * T - N))
@@ -248,7 +258,7 @@ def cmd_projtest(cfg: ExperimentConfig):
     """Projectivity residuals and chart asymptotics per direction class."""
     body = cfg.body("body")
     body_id = _get(cfg.values, "body", str)
-    classes = _get(cfg.values, "classes", int, default=20)
+    classes = _classes(cfg, default=20)
     patch = _get(cfg.values, "patch_scale", float, default=0.3)
     plan_base = dict(
         patch_scale=patch,
@@ -342,7 +352,9 @@ def cmd_capacity(cfg: ExperimentConfig):
 def cmd_sweep(cfg: ExperimentConfig):
     """Projectivity residual along an ellipse-to-superellipse family."""
     exponents = _get(cfg.values, "exponents", _floats, default=np.linspace(2.0, 4.0, 9))
-    classes = _get(cfg.values, "classes", int, default=8)
+    if len(exponents) == 0:
+        raise BodyFileError("'exponents' is empty")
+    classes = _classes(cfg, default=8)
     patch = _get(cfg.values, "patch_scale", float, default=0.3)
     rng = np.random.default_rng(cfg.seed)
     dirs = _direction_classes(rng, 2, classes)

@@ -208,6 +208,26 @@ class SphereInvolutionSampler:
                    axis_normal=np.array([1.0, 0.0]),
                    name=name or f"R_L[{type(curve).__name__}]")
 
+    @classmethod
+    def from_conic_branch(cls, branch):
+        """Parallel-chord involution of a conic graph branch (see
+        ``from_planar_curve``), in closed form.
+
+        The conic's points at height y solve
+        axx x^2 + 2 axy y x + (ayy y^2 + 2 by y) = 0, so the chord partner
+        of x is -x - 2 c y with c = axy / axx.  That is a linear involution
+        L of the plane, and normals move by L^T = I - 2 P m^T / <m, P>, the
+        harmonic homology with center P = (1, c) and axis normal m = (1, 0);
+        in the slope chart t -> -t / (1 + 2 c t).
+        """
+        if branch.axx == 0.0:
+            raise DegenerateDataError("conic chords have no partner (a_xx = 0)")
+        H = ProjectiveMap.harmonic_homology(center=(1.0, branch.axy / branch.axx),
+                                            axis_normal=(1.0, 0.0))
+        return cls(H.apply, np.array([0.0, 1.0]), 2,
+                   axis_normal=np.array([1.0, 0.0]),
+                   name=f"R_L[{type(branch).__name__}]")
+
     def chart_map(self):
         """Scalar involution in the gnomonic chart at the fixed vector; it
         maps one t, or an array of t with one sampler call."""
@@ -248,12 +268,28 @@ def _chart_function(f):
 # Projectivity residual
 # ---------------------------------------------------------------------------
 
-def _sample_quadruple(rng, scale):
-    for _ in range(200):
-        t = np.sort(rng.uniform(-scale, scale, size=4))
-        if np.min(np.diff(t)) >= QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0:
-            return t
-    raise SamplePlanError("could not sample a separated quadruple")
+def _separated_quadruples(rng, scale, count):
+    """The first count draws of rng.uniform(-scale, scale, size=4), each
+    sorted, whose gaps all reach the quadruple separation; 200 rejected
+    draws in a row raise SamplePlanError.
+
+    The draws come in blocks of (4 count, 4), which yield the same
+    doubles in the same order as one draw of four at a time.
+    """
+    gap = QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0
+    kept, run = [], 0  # run: rejected draws since the last kept one
+    while True:
+        block = np.sort(rng.uniform(-scale, scale, size=(4 * count, 4)), axis=1)
+        for t, separated in zip(block, np.min(np.diff(block, axis=1), axis=1) >= gap):
+            if not separated:
+                run += 1
+                if run == 200:
+                    raise SamplePlanError("could not sample a separated quadruple")
+                continue
+            kept.append(t)
+            if len(kept) == count:
+                return np.array(kept)
+            run = 0
 
 
 def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
@@ -262,17 +298,21 @@ def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
     On S^1 this is the max cross-ratio discrepancy over sampled angle
     quadruples in the patch; in higher dimension it is the residual of
     the best harmonic-homology fit.  Values at round-off scale mean the
-    involution is projectively liftable on the sampled patch.
+    involution is projectively liftable on the sampled patch.  The patch
+    half-width must lie in (0, pi/2): wider angles wrap the circle, and
+    the 3D patch is the tangent-plane square of half-side tan(patch_scale).
+    Every sample is drawn first (the angle quadruples in blocks of
+    separated draws), then the sampler maps them all in one call.
     """
     if plan.n_quadruples < 1 or plan.n_points < 6:
         raise SamplePlanError("sample plan too small")
+    if not 0.0 < plan.patch_scale < 0.5 * math.pi:
+        raise SamplePlanError("patch_scale must lie in (0, pi/2)")
     rng = np.random.default_rng(plan.seed)
     u0 = sampler.fixed_vector
-    # every sample is drawn first, then the sampler maps them all at once
     if sampler.dim == 2:
         w = rot90(u0)
-        angles = np.array([_sample_quadruple(rng, plan.patch_scale)
-                           for _ in range(plan.n_quadruples)])[..., None]
+        angles = _separated_quadruples(rng, plan.patch_scale, plan.n_quadruples)[..., None]
         us = np.cos(angles) * u0 + np.sin(angles) * w
         vs = sampler(us.reshape(-1, 2)).reshape(us.shape)
         return float(np.max(np.abs(cross_ratio_rp1(us) - cross_ratio_rp1(vs))))

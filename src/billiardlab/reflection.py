@@ -174,7 +174,8 @@ def _require_symmetric(I: ConvexBody):
 
 
 def _check_grazing(m, u):
-    if abs(float(np.dot(_unit(m), _unit(u)))) < GRAZING_ANGLE:
+    # m and u are unit vectors
+    if abs(float(np.dot(m, u))) < GRAZING_ANGLE:
         raise GrazingError("incidence vector lies in the reflecting hyperplane")
 
 
@@ -191,9 +192,10 @@ def finsler_reflect_legendre(I: ConvexBody, hyperplane_normal, u):
     _require_symmetric(I)
     m = _unit(hyperplane_normal)
     u = I._require_boundary(u)
-    _check_grazing(m, u)
+    u_hat = _unit(u)
+    _check_grazing(m, u_hat)
     J = polar_dual(I)
-    n = _chord_involution(J, m, _unit(u))
+    n = _chord_involution(J, m, u_hat)
     v = n / J.support(n)
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("reflected vector is on the wrong side of the hyperplane")
@@ -213,7 +215,7 @@ def finsler_reflect_concurrency(I: ConvexBody, hyperplane_normal, u):
         raise DomainError("concurrency law implemented for dimensions 2 and 3")
     m = _unit(hyperplane_normal)
     u = np.asarray(u, dtype=float)
-    _check_grazing(m, u)
+    _check_grazing(m, _unit(u))
     a = legendre_point(I, u)
     a_norm = np.linalg.norm(a)
     if np.linalg.norm(a - float(np.dot(a, m)) * m) < 1e-12 * a_norm:

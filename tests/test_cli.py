@@ -222,6 +222,42 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
         assert f"config error: line {line}: bad value for '{key}'" in err
 
 
+@pytest.mark.parametrize("experiment, line, rc, message", [
+    ("sweep", "classes = 0", 1, "config error: 'classes' is 0, not a positive count"),
+    ("sweep", "exponents =", 1, "config error: 'exponents' is empty"),
+    ("projtest", "classes = 0", 1, "config error: 'classes' is 0, not a positive count"),
+    ("projtest", "classes = -2", 1, "config error: 'classes' is -2, not a positive count"),
+    ("projtest", "patch_scale = nan", 2, "SamplePlanError: patch_scale must lie in (0, pi/2)"),
+    ("projtest", "patch_scale = 5", 2, "SamplePlanError: patch_scale must lie in (0, pi/2)"),
+], ids=["sweep_no_class", "sweep_no_exponent", "projtest_no_class",
+        "projtest_negative_classes", "projtest_nan_patch", "projtest_wrapping_patch"])
+def test_bad_sampling_config_fails_cleanly(experiment, line, rc, message, tmp_path, capsys):
+    # no class used to give sweep residual 0 (a "projective" answer) and
+    # projtest a traceback; a patch of 5 rad wraps the circle
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    cfg = write(tmp_path, "c.cfg", f"experiment = {experiment}\nbody = s.body\n"
+                "exponents = 2 3\nclasses = 2\n" + line + "\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == rc
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_projtest_conic_twin_needs_no_root_solve(tmp_path, monkeypatch):
+    # the osculating conic's chord involution is a harmonic homology in
+    # closed form, so the fitted cells must not need the row root solves
+    def refuse(*args):
+        raise AssertionError("root-solved conic twin")
+
+    monkeypatch.setattr(billiardlab.projectivity, "slope_point", refuse)
+    monkeypatch.setattr(billiardlab.projectivity, "height_partner", refuse)
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    cfg = write(tmp_path, "p.cfg", "experiment = projtest\nbody = s.body\nclasses = 4\n")
+    assert main(["projtest", "--config", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    fitted = [r[4:] for r in read_rows(tmp_path / "out" / "projtest.csv")[1:]]
+    assert len(fitted) == 4 and all(k and c for k, c in fitted)
+
+
 @pytest.mark.parametrize("experiment", ["reflect", "trace"])
 @pytest.mark.parametrize("point, direction, message", [
     ("0 0", "0 0", "'line_direction' is the zero vector"),
@@ -320,7 +356,7 @@ DEMO_CSV_SHA256 = {
     ("projtest_ellipse.cfg", "projtest.csv"):
         "47ce9f7c13cc3930964c8d84e40947ae43f46ab00383abafe8e3490c8f4638fd",
     ("projtest_superellipse.cfg", "projtest.csv"):
-        "024a6e1c4e6424e067041793f0bd94b7ae73e21a82301f9c7763aa394ca6be7d",
+        "7edce056f6174d4f48958c7297ca69a2b71ee65a2d4de5c152247dbc1eb8b478",
     ("sweep_family.cfg", "sweep.csv"):
         "68f21f24b08dd000c596f14ed37394f51ba0c4f0d633f7594d8b7582aa4d5503",
     ("trace_ellipse.cfg", "orbit.csv"):

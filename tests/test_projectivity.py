@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiardlab as bl
+from billiardlab import projectivity
 from billiardlab.errors import (
     DegenerateDataError,
     DomainError,
@@ -17,6 +18,7 @@ from billiardlab.errors import (
     SamplePlanError,
 )
 from billiardlab.jets import dyadic_grid
+from billiardlab.osculation import germ_at
 
 
 def unit(v):
@@ -132,6 +134,107 @@ def test_residual_plan_validation(superellipse):
     f = bl.SphereInvolutionSampler.from_parallel_chord(superellipse, [0.0, 1.0])
     with pytest.raises(SamplePlanError):
         bl.projectivity_residual(f, bl.SamplePlan(n_quadruples=0))
+    # angles beyond a quarter turn wrap the circle; the 3D patch takes tan
+    for scale in (0.0, -0.3, 0.5 * math.pi, 5.0, math.nan):
+        with pytest.raises(SamplePlanError):
+            bl.projectivity_residual(f, bl.SamplePlan(patch_scale=scale))
+
+
+def quadruples_one_at_a_time(rng, scale, count):
+    # the per-quadruple loop that the block draw replaced, as its oracle
+    def one():
+        for _ in range(200):
+            t = np.sort(rng.uniform(-scale, scale, size=4))
+            if np.min(np.diff(t)) >= projectivity.QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0:
+                return t
+        raise SamplePlanError("could not sample a separated quadruple")
+
+    return np.array([one() for _ in range(count)])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1011])
+@pytest.mark.parametrize("count", [1, 20, 40, 200])
+@pytest.mark.parametrize("scale", [0.05, 0.3, 1.0, 1.5])
+def test_block_draw_keeps_the_quadruples_of_one_draw_at_a_time(seed, count, scale):
+    block = projectivity._separated_quadruples(np.random.default_rng(seed), scale, count)
+    oracle = quadruples_one_at_a_time(np.random.default_rng(seed), scale, count)
+    assert np.array_equal(block, oracle)
+
+
+def test_block_draw_counts_a_rejection_run_across_blocks(monkeypatch):
+    # about 1 draw in 90 is separated enough, so 200 rejections in a row
+    # happen on some seeds; a block for three quadruples holds 12 draws,
+    # so those runs span many blocks
+    monkeypatch.setattr(projectivity, "QUADRUPLE_MIN_SEPARATION", 0.9)
+    outcomes = set()
+    for seed in range(40):
+        try:
+            oracle = quadruples_one_at_a_time(np.random.default_rng(seed), 0.3, 3)
+        except SamplePlanError:
+            with pytest.raises(SamplePlanError):
+                projectivity._separated_quadruples(np.random.default_rng(seed), 0.3, 3)
+            outcomes.add("raised")
+            continue
+        block = projectivity._separated_quadruples(np.random.default_rng(seed), 0.3, 3)
+        assert np.array_equal(block, oracle)
+        outcomes.add("drawn")
+    assert outcomes == {"raised", "drawn"}
+
+
+class DrawStream:
+    """Stands in for a Generator: uniform() hands out a fixed stream of
+    draws in whatever block shape is asked for."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float).ravel()
+        self.at = 0
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        self.at += n
+        return self.draws[self.at - n:self.at].reshape(size)
+
+
+@pytest.mark.parametrize("count", [2, 40])
+@pytest.mark.parametrize("rejected", [199, 200])
+def test_block_draw_raises_on_the_200th_rejection_in_a_row(count, rejected):
+    # after a kept draw, a separated draw that follows 199 rejected ones
+    # is kept, and one that follows 200 is not
+    separated = [-0.9, -0.3, 0.3, 0.9]
+    stream = np.concatenate([[separated], np.zeros((rejected, 4)),
+                             np.tile(separated, (8 * count, 1))])
+    if rejected < 200:
+        expected = quadruples_one_at_a_time(DrawStream(stream), 1.0, count)
+        block = projectivity._separated_quadruples(DrawStream(stream), 1.0, count)
+        assert np.array_equal(block, expected)
+    else:
+        for draw in (quadruples_one_at_a_time, projectivity._separated_quadruples):
+            with pytest.raises(SamplePlanError):
+                draw(DrawStream(stream), 1.0, count)
+
+
+def test_residual_raises_when_no_quadruple_is_separated(superellipse, monkeypatch):
+    # three gaps of 1.4 quarter widths do not fit in the patch; the blocks
+    # of 160 draws are shorter than the 200 rejections that end the search
+    monkeypatch.setattr(projectivity, "QUADRUPLE_MIN_SEPARATION", 1.4)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, low, high, size):
+            drawn.append(size[0])
+            if sum(drawn) > 10_000:
+                raise AssertionError("the draw does not stop")
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    f = bl.SphereInvolutionSampler.from_parallel_chord(superellipse, [0.0, 1.0])
+    with pytest.raises(SamplePlanError):
+        bl.projectivity_residual(f, bl.SamplePlan(n_quadruples=40))
+    assert drawn == [160, 160]
 
 
 def test_fitted_involution_squares_to_identity(ellipsoid3):
@@ -388,3 +491,47 @@ def test_sampler_involution_property(superellipse):
         t = rng.uniform(-0.3, 0.3)
         u = unit(f.fixed_vector + t * bl.bodies.rot90(f.fixed_vector))
         assert np.linalg.norm(f(f(u)) - u) <= 1e-9
+
+
+OSCULATED_BODIES = {
+    "superellipse4": bl.Superellipse(4.0),
+    "superellipse3.5": bl.Superellipse(3.5),
+    "ellipse": bl.Ellipsoid(np.diag([0.25, 1.0])),
+    "radial": bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02]),
+}
+
+
+def osculating_branches(body):
+    return [bl.ConicGraphBranch(bl.osculating_conic(germ_at(body, theta)))
+            for theta in np.linspace(0.1, 0.1 + 2.0 * math.pi, 7, endpoint=False)]
+
+
+@pytest.mark.parametrize("name", sorted(OSCULATED_BODIES))
+def test_closed_form_conic_twin_matches_the_root_solved_one(name):
+    grid = dyadic_grid(4, 12)
+    for branch in osculating_branches(OSCULATED_BODIES[name]):
+        twin = bl.SphereInvolutionSampler.from_conic_branch(branch)
+        assert np.array_equal(twin.fixed_vector, [0.0, 1.0])
+        solved = bl.SphereInvolutionSampler.from_planar_curve(branch).chart_map()(grid)
+        closed = twin.chart_map()(grid)
+        assert np.max(np.abs(closed - solved) / np.abs(solved)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(OSCULATED_BODIES))
+def test_closed_form_conic_twin_against_50_digits(name):
+    # the partner slope of t is -t / (1 + 2 c t), c = a_xy / a_xx
+    mp = pytest.importorskip("mpmath")
+    grid = dyadic_grid(4, 12)
+    for branch in osculating_branches(OSCULATED_BODIES[name]):
+        closed = bl.SphereInvolutionSampler.from_conic_branch(branch).chart_map()(grid)
+        with mp.workdps(50):
+            c = mp.mpf(branch.axy) / mp.mpf(branch.axx)
+            exact = np.array([float(-mp.mpf(t) / (1 + 2 * c * mp.mpf(t))) for t in grid])
+        assert np.max(np.abs(closed - exact) / np.abs(exact)) <= 4.5e-16
+
+
+def test_conic_twin_needs_a_quadratic_term_in_x():
+    # a x^2 + b xy + c y^2 - y = 0 with a = 0 is the line pair y (b x + c y - 1) = 0
+    branch = bl.ConicGraphBranch(bl.conic_from_graph_coefficients(0.0, 0.5, 0.2))
+    with pytest.raises(DegenerateDataError):
+        bl.SphereInvolutionSampler.from_conic_branch(branch)
