@@ -213,12 +213,13 @@ def cmd_trace(cfg: ExperimentConfig):
     return EXIT_OK
 
 
-def _classes(cfg, default):
-    """The config's number of direction classes, at least one."""
-    classes = _get(cfg.values, "classes", int, default=default)
-    if classes < 1:
-        raise BodyFileError(f"'classes' is {classes}, not a positive count")
-    return classes
+def _count(cfg, key, default):
+    """The config's positive count ``key`` (direction classes,
+    multistarts)."""
+    count = _get(cfg.values, key, int, default=default)
+    if count < 1:
+        raise BodyFileError(f"'{key}' is {count}, not a positive count")
+    return count
 
 
 def _direction_classes(rng, dim, count):
@@ -258,7 +259,7 @@ def cmd_projtest(cfg: ExperimentConfig):
     """Projectivity residuals and chart asymptotics per direction class."""
     body = cfg.body("body")
     body_id = _get(cfg.values, "body", str)
-    classes = _classes(cfg, default=20)
+    classes = _count(cfg, "classes", 20)
     patch = _get(cfg.values, "patch_scale", float, default=0.3)
     plan_base = dict(
         patch_scale=patch,
@@ -331,7 +332,7 @@ def cmd_capacity(cfg: ExperimentConfig):
     K = cfg.body("body_k")
     T = cfg.body("body_t")
     m_max = _get(cfg.values, "m_max", int, default=5)
-    multistarts = _get(cfg.values, "multistarts", int, default=16)
+    multistarts = _count(cfg, "multistarts", 16)
     report = capacity_estimate(K, T, m_max, multistarts=multistarts,
                                seed=cfg.seed)
     _write_csv(cfg.out_dir / "capacity.csv",
@@ -354,7 +355,7 @@ def cmd_sweep(cfg: ExperimentConfig):
     exponents = _get(cfg.values, "exponents", _floats, default=np.linspace(2.0, 4.0, 9))
     if len(exponents) == 0:
         raise BodyFileError("'exponents' is empty")
-    classes = _classes(cfg, default=8)
+    classes = _count(cfg, "classes", 8)
     patch = _get(cfg.values, "patch_scale", float, default=0.3)
     rng = np.random.default_rng(cfg.seed)
     dirs = _direction_classes(rng, 2, classes)

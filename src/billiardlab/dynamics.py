@@ -11,7 +11,9 @@ the ray of a unit direction), and a batched Levenberg-Marquardt solver
 (``solvers.levenberg_marquardt``, imported here as ``least_squares``)
 finds the zeros of all multistart polygons in one call, with exact
 Jacobians assembled from the gradient and Hessian of F_K and the support
-Hessian of T; nothing is differenced.
+Hessian of T; nothing is differenced.  2-bounce orbits are seeded from
+a scan of the reduced action h_T(d) + h_T(-d) over the chords d on the
+boundary of the difference body K - K.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .reflection import GRAZING_ANGLE, _require_same_dimension, t_billiard_refle
 from .solvers import _dot, levenberg_marquardt as least_squares
 
 ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search polygon
+# radial directions of K scanned for the 2-bounce seeds, by dimension
+TWO_GON_SCAN = {2: 256, 3: 512}
 
 
 def finsler_length(T: ConvexBody, dq):
@@ -286,31 +290,31 @@ class _StationaritySystem:
         return np.linalg.norm(tangential, axis=1).reshape(self.shape).max(axis=1)
 
 
-def _seed_charts(K, angles):
-    """Radial charts through the boundary points with Gauss angles
-    ``angles`` (S, m, n - 1): (frames, initial angles (S, m (n - 1))).
+def _seed_charts(points):
+    """Radial charts through the seed vertices ``points`` (S, m, d):
+    (frames, initial angles (S, m (d - 1))).
 
     In the plane the chart is the global angle, which needs no frame
     (frames is None); in space each vertex gets an (azimuth, polar) chart
-    centered on its seed direction, at (0, pi/2), far from the chart's
-    poles, with frames (S, m, 3, 3).
+    centered on its direction, at (0, pi/2), far from the chart's poles,
+    with frames (S, m, 3, 3).
     """
-    S, m, k = angles.shape
-    dirs = _unit(K.gauss_inverse(np.array([unit_vector(a, K.dim)
-                                           for a in angles.reshape(-1, k)])))
-    if K.dim == 2:
+    S, m, d = points.shape
+    dirs = _unit(points.reshape(-1, d))
+    if d == 2:
         return None, np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
     frames = np.array([np.column_stack([s, tangent_frame(s).T])
                        for s in dirs]).reshape(S, m, 3, 3)
     return frames, np.tile([0.0, math.pi / 2.0], (S, m))
 
 
-def _seed_angles(dim, m, multistarts, seed):
-    """Gauss angles (multistarts, m, dim - 1) of the multistart polygons:
-    equally spaced exterior normals, turned by s / multistarts of a full
-    turn for seed s, random polar angles in space, and normal
-    perturbations (from ``seed``) on the second half."""
-    n_angles = dim - 1
+def _seed_polygons(K, m, multistarts, seed):
+    """Vertices (multistarts, m, dim) of the multistart polygons: the
+    boundary points of K with equally spaced exterior normals, turned by
+    s / multistarts of a full turn for seed s, random polar angles in
+    space, and normal perturbations of the Gauss angles (from ``seed``)
+    on the second half."""
+    n_angles = K.dim - 1
     rng = np.random.default_rng(seed)
     seeds = []
     for s in range(multistarts):
@@ -323,16 +327,56 @@ def _seed_angles(dim, m, multistarts, seed):
             seeds.append(np.column_stack([base, polar]).ravel())
         if s >= multistarts // 2:
             seeds[-1] = seeds[-1] + rng.normal(scale=0.3, size=m * n_angles)
-    return np.reshape(seeds, (len(seeds), m, n_angles))
+    normals = np.array([unit_vector(a, K.dim)
+                        for a in np.reshape(seeds, (-1, n_angles))])
+    return K.gauss_inverse(normals).reshape(multistarts, m, K.dim)
 
 
-def _solve_seeds(K, T, angles):
-    """Stationary polygons from the seed polygons with Gauss angles
-    ``angles`` (S, m, dim - 1), solved together by one batched
-    Levenberg-Marquardt call: the final chart angles (S, m (dim - 1)) and
-    a closed Orbit per seed, None for a degenerate polygon."""
-    S, m = angles.shape[:2]
-    frames, x0 = _seed_charts(K, angles)
+def _scan_directions(dim):
+    """The fixed grid of TWO_GON_SCAN[dim] unit directions of the 2-gon
+    scan: equally spaced angles from 0 in the plane, a Fibonacci lattice
+    on the sphere in space."""
+    count = TWO_GON_SCAN[dim]
+    j = np.arange(count)
+    if dim == 2:
+        angle = 2.0 * math.pi * j / count
+        return np.column_stack([np.cos(angle), np.sin(angle)])
+    z = 1.0 - (2.0 * j + 1.0) / count
+    r = np.sqrt(1.0 - z * z)
+    azimuth = math.pi * (3.0 - math.sqrt(5.0)) * j  # the golden angle
+    return np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z])
+
+
+def _two_gon_seeds(K, T, count):
+    """Vertices (count, 2, dim) of the ``count`` 2-gons of least action
+    on the scan grid, least first, each in the order (x_K(nu), x_K(-nu)).
+
+    A closed 2-bounce orbit touches K at points of opposite exterior
+    normals nu and -nu, so its chord d = x_K(-nu) - x_K(nu) lies on the
+    boundary of the difference body K - K, and the least 2-bounce action
+    is the minimum over nu of phi(nu) = h_T(d) + h_T(-d).  phi is
+    evaluated at the normals nu of the boundary points of K on the rays
+    of the scan grid: one row call each of ``_boundary_in_direction``,
+    ``exterior_normal``, ``gauss_inverse`` and ``T.support`` (on +-d).
+    """
+    near = K._boundary_in_direction(_scan_directions(K.dim))
+    far = K.gauss_inverse(-K.exterior_normal(near))
+    d = far - near
+    h = T.support(np.concatenate([d, -d])).reshape(2, -1)
+    # Python's stable sort: numpy's argsort maps about 128 kB more of its
+    # code into the process
+    phi = (h[0] + h[1]).tolist()
+    best = sorted(range(len(phi)), key=phi.__getitem__)[:count]
+    return np.stack([near[best], far[best]], axis=1)
+
+
+def _solve_seeds(K, T, points):
+    """Stationary polygons from the seed polygons with vertices ``points``
+    (S, m, dim), solved together by one batched Levenberg-Marquardt call:
+    the final chart angles (S, m (dim - 1)) and a closed Orbit per seed,
+    None for a degenerate polygon."""
+    S, m = points.shape[:2]
+    frames, x0 = _seed_charts(points)
     system = _StationaritySystem(K, T, frames)
     x = least_squares(system, x0, max_nfev=ORBIT_MAX_NFEV).x
     system.evaluate(x, np.arange(S))
@@ -347,6 +391,11 @@ def _solve_seeds(K, T, angles):
     return x, orbits
 
 
+def _require_multistarts(multistarts):
+    if multistarts < 1:
+        raise DomainError("multistarts must be at least 1")
+
+
 def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
                         seed=0):
     """Minimal-action closed m-bounce orbit of the T-billiard in K.
@@ -355,23 +404,42 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
     sum h_T(q_{i+1} - q_i) over m-tuples of boundary points; stationarity
     at each vertex is exactly the T-billiard reflection law.  Each vertex
     moves in a radial chart of K (the boundary point on the ray of a unit
-    direction).  The multistart polygons (boundary points with equally
-    spaced exterior normals, half of them perturbed) are solved together
-    by one batched Levenberg-Marquardt call (``solvers.levenberg_marquardt``,
-    exact Jacobians, ORBIT_MAX_NFEV evaluations per polygon).  Degenerate
-    polygons (consecutive points closer than the distinctness threshold)
-    are rejected, and the least action among the orbits whose
-    reflection-law defect (``Orbit.stationarity``) is within
-    1e-8 * scale * diam(K) is returned; if there is none, the orbit with
-    the smallest defect is returned with status "stagnated".
+    direction).  The seed polygons are solved together by one batched
+    Levenberg-Marquardt call (``solvers.levenberg_marquardt``, exact
+    Jacobians, ORBIT_MAX_NFEV evaluations per polygon).
+
+    For m >= 3 the ``multistarts`` seeds are the boundary points with
+    equally spaced exterior normals, turned by s / multistarts of a turn
+    for seed s, with the second half perturbed by normal noise drawn
+    from ``seed`` (in space the polar angles are drawn from it too).
+
+    For m = 2 the search reduces to one minimum: a 2-bounce orbit touches
+    K at opposite normals nu and -nu, so its action is
+    phi(nu) = h_T(d) + h_T(-d) with d = x_K(-nu) - x_K(nu) on the
+    boundary of K - K.  phi is scanned on a fixed grid of TWO_GON_SCAN[n]
+    radial directions of K, and the ``multistarts`` 2-gons of least phi
+    are polished; ``seed`` is not used unless the polished 2-gon of least
+    phi fails the stationarity gate, in which case the m >= 3 seeds are
+    solved as well and the least certified action of both sets wins.
+
+    Degenerate polygons (consecutive points closer than the
+    distinctness threshold) are rejected, and the least action among the
+    orbits whose reflection-law defect (``Orbit.stationarity``) is
+    within 1e-8 * scale * diam(K) is returned; if there is none, the
+    orbit with the smallest defect is returned with status "stagnated".
     """
     _require_same_dimension(K, T)
     if m < 2:
         raise DomainError("closed orbits need at least two bounces")
+    _require_multistarts(multistarts)
     scale = max(T.support(unit_vector(np.zeros(K.dim - 1), K.dim)), 1.0)
     tol_stationary = 1e-8 * scale * K.diameter()
-    angles = _seed_angles(K.dim, m, multistarts, seed)
-    candidates = _solve_seeds(K, T, angles)[1] if len(angles) else []
+    seeds = (_two_gon_seeds(K, T, multistarts) if m == 2
+             else _seed_polygons(K, m, multistarts, seed))
+    candidates = _solve_seeds(K, T, seeds)[1]
+    first = candidates[0]
+    if m == 2 and (first is None or first.stationarity > tol_stationary):
+        candidates += _solve_seeds(K, T, _seed_polygons(K, 2, multistarts, seed))[1]
 
     best = None
     best_key = None
@@ -414,13 +482,16 @@ class CapacityReport:
     table: list  # rows (m, action, stationarity)
 
 
-def capacity_estimate(K: ConvexBody, T: ConvexBody, m_max, multistarts=32,
+def capacity_estimate(K: ConvexBody, T: ConvexBody, m_max=None, multistarts=32,
                       seed=0):
     """Capacity of K x T as the minimal action over closed T-billiard
-    orbits with 2..m_max bounces."""
+    orbits with 2..m_max bounces; m_max defaults to n + 1, the most
+    bounces a minimal orbit needs in R^n (Rudolf 2022)."""
     _require_same_dimension(K, T)
+    m_max = K.dim + 1 if m_max is None else m_max
     if m_max < 2:
         raise DomainError("m_max must be at least 2")
+    _require_multistarts(multistarts)
     table = []
     best = None
     for m in range(2, int(m_max) + 1):

@@ -242,6 +242,18 @@ def test_bad_sampling_config_fails_cleanly(experiment, line, rc, message, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("multistarts", [0, -2])
+def test_capacity_without_multistarts_is_a_config_error(multistarts, tmp_path, capsys):
+    # a count below one used to exit 2 with "no admissible closed polygon found"
+    write(tmp_path, "disk.body", DISK)
+    cfg = write(tmp_path, "c.cfg", "experiment = capacity\nbody_k = disk.body\n"
+                f"body_t = disk.body\nm_max = 2\nmultistarts = {multistarts}\n")
+    assert main(["capacity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: 'multistarts' is {multistarts}, not a positive count" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_projtest_conic_twin_needs_no_root_solve(tmp_path, monkeypatch):
     # the osculating conic's chord involution is a harmonic homology in
     # closed form, so the fitted cells must not need the row root solves

@@ -53,7 +53,9 @@ SCRIPT = textwrap.dedent('''
 
     report = bl.capacity_estimate(bl.Ball(), bl.polar_dual(bl.Superellipse(4.0)), 3,
                                   multistarts=4)
-    assert abs(report.value - 4.0) < 1e-6, report.value
+    # c(disk x B_4) = 4 min over the unit circle of |x|_4 = 4 * 2^(-1/4): the
+    # diagonal 2-gon +-(1, 1)/sqrt(2), with 2^(-1/4) Superellipse(4) in the disk
+    assert abs(report.value - 4.0 * 2.0 ** -0.25) < 1e-10, report.value
 
     planar = (bl.Ellipsoid(np.array([[0.8, 0.1], [0.1, 1.4]])),
               np.array([0.6, 0.8]), np.array([1.0, 0.3]))
