@@ -94,6 +94,23 @@ def _unit(v):
     return v / n
 
 
+def _increasing_cubic_root(c1, c2, c3, c4):
+    """The one real root of the increasing cubic c1 + c2 t + c3 t^2 + c4 t^3
+    (or of each row's) by Cardano: s = w - p / (3 w) for s^3 + p s + q, w
+    the cube root of the larger term.  Rows take ``math.cbrt`` too (numpy's
+    rounds differently), so a row gets the bits of its one-cubic call."""
+    A, B = c3 / c4, c2 / c4
+    p = B - A * A / 3.0
+    q = (2.0 / 27.0 * A * A - B / 3.0) * A + c1 / c4
+    D = 0.25 * q * q + p * p * p / 27.0
+    if getattr(q, "ndim", 0):
+        w = -0.5 * q - np.copysign(np.sqrt(np.maximum(D, 0.0)), q)
+        w = np.array([math.cbrt(r) for r in w.tolist()])
+    else:
+        w = math.cbrt(-0.5 * q - math.copysign(math.sqrt(max(D, 0.0)), q))
+    return w - p / (3.0 * (w + (w == 0.0))) - A / 3.0  # w = 0 only where p = q = 0
+
+
 def unit_vector(angles, dim):
     """Point of S^(dim-1) from one angle (2D) or (azimuth, polar) (3D)."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -256,14 +273,7 @@ class ConvexBody:
         """
         a = self._require_boundary(a)
         d = _unit(d)
-        g = float(np.dot(self.implicit_grad(a), d))
-        sign = -1.0 if g > 0.0 else 1.0
-        # the chord enters the body, so F < 0 just after a
-        t = sign * self._exit(a, sign * d, -1.0)
-        if abs(t) < TANGENCY_FRACTION * self.diameter():
-            raise DegenerateChordError(
-                f"chord at {a} along {d} is tangential (|t|={abs(t):.2e})")
-        return a + t * d
+        return self._chord_end(a, d, float(np.dot(self.implicit_grad(a), d)))
 
     def chord_second_intersections(self, a, d):
         """Row form of chord_second_intersection over (N, dim) base points a
@@ -275,22 +285,34 @@ class ConvexBody:
         """
         a = self._require_boundary(a)
         d = np.broadcast_to(_unit(d), a.shape)
-        sign = np.where(_dot(self.implicit_grad(a), d) > 0.0, -1.0, 1.0)
-        # the chords enter the body, so F < 0 just after a
+        return self._chord_end(a, d, _dot(self.implicit_grad(a), d))
+
+    def _chord_end(self, a, d, g):
+        """chord_second_intersection(s) from the boundary point a, or rows,
+        along the unit d, where g = <normal at a, d> (one per row): the chord
+        enters the body along -sign(g) d, so F < 0 just after a."""
+        if a.ndim == 1:
+            sign = -1.0 if g > 0.0 else 1.0
+            t = sign * self._exit(a, sign * d, -1.0)
+            if abs(t) < TANGENCY_FRACTION * self.diameter():
+                raise DegenerateChordError(
+                    f"chord at {a} along {d} is tangential (|t|={abs(t):.2e})")
+            return a + t * d
+        sign = np.where(g > 0.0, -1.0, 1.0)
         t = sign * self._exit(a, sign[:, None] * d, -1.0)
         tangential = abs(t) < TANGENCY_FRACTION * self.diameter()
         return np.where(tangential[:, None], a, a + t[:, None] * d), tangential
 
     def _chord_normal(self, u, d):
         """The exterior normal at the far end of the chord along the unit d
-        from the boundary point of unit exterior normal u, or for each row
-        of u: the parallel-chord transport of normals.  A tangential chord
-        raises DegenerateChordError for one vector, and a tangential row
-        maps to itself."""
-        a = self.gauss_inverse(u)
+        from the boundary point a = gauss_inverse(u) of unit normal u, or for
+        each row of u: the parallel-chord transport of normals, whose chord
+        takes its sign from <u, d>.  A tangential chord raises
+        DegenerateChordError for one vector; a tangential row maps to itself."""
+        a = self._require_boundary(self.gauss_inverse(u))
         if u.ndim == 1:
-            return self.exterior_normal(self.chord_second_intersection(a, d))
-        b, tangential = self.chord_second_intersections(a, d)
+            return self.exterior_normal(self._chord_end(a, d, float(u @ d)))
+        b, tangential = self._chord_end(a, d, _dot(u, d))
         out = u.copy()
         if not tangential.all():
             out[~tangential] = self.exterior_normal(b[~tangential])
@@ -619,7 +641,8 @@ class Superellipse(ConvexBody):
         p is inside (t P' - P >= -c_0), from c_1 from the boundary (f_p = -1
         off the centre, where F = -1 too, or a rounded c_0 >= 0), which c_0 = 0
         deflates; c_1 >= 0 leaves at once.  The search starts at the root of
-        c_1 + c_2 t + c_3 t^2."""
+        c_1 + c_2 t + c_3 t^2, or for m = 4 from the boundary at the real root
+        of the cubic P(t) / t (Cardano's), which one or two steps polish."""
         if not self._even:
             return super()._exit(p, v, f_p)
         m = int(self.m)
@@ -633,6 +656,11 @@ class Superellipse(ConvexBody):
         c1, c2, c3 = c[1], c[2], c[3] if m > 2 else 0.0
         q = c2 * c2 - 4.0 * c1 * c3
         den = c2 + (q * (q > 0.0)) ** 0.5  # 0 only where c_1 = 0 too: x0 = 0
+        x0 = -2.0 * c1 / (den + (den == 0.0))
+        if m == 4 and p.ndim == 1:
+            x0 = _increasing_cubic_root(c1, c2, c3, c[4]) if deflate else x0
+        elif m == 4 and deflate.any():
+            x0 = np.where(deflate, _increasing_cubic_root(c1, c2, c3, c[4]), x0)
         f_lo = np.where(deflate, np.minimum(c1, 0.0), f_p)
         hi, coeffs = 2.2 * self._radius, c[::-1]  # c_m, ..., c_0
         if p.ndim > 1:
@@ -647,8 +675,7 @@ class Superellipse(ConvexBody):
             r = c0 / t
             return value + r, slope - r / t
 
-        return find_root(jet, 0.0, hi, x0=-2.0 * c1 / (den + (den == 0.0)), f_lo=f_lo[()],
-                         f_hi=1.0)
+        return find_root(jet, 0.0, hi, x0=x0, f_lo=f_lo[()], f_hi=1.0)
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -213,12 +214,13 @@ def cmd_trace(cfg: ExperimentConfig):
     return EXIT_OK
 
 
-def _count(cfg, key, default):
-    """The config's positive count ``key`` (direction classes,
-    multistarts)."""
+def _count(cfg, key, default, least=1):
+    """The config's count ``key`` (direction classes, multistarts, the
+    largest bounce count), at least ``least``."""
     count = _get(cfg.values, key, int, default=default)
-    if count < 1:
-        raise BodyFileError(f"'{key}' is {count}, not a positive count")
+    if count < least:
+        raise BodyFileError(f"'{key}' is {count}, "
+                            + ("not a positive count" if least == 1 else f"less than {least}"))
     return count
 
 
@@ -331,7 +333,7 @@ def cmd_capacity(cfg: ExperimentConfig):
     """Minimal-action table over bounce counts plus the best orbit."""
     K = cfg.body("body_k")
     T = cfg.body("body_t")
-    m_max = _get(cfg.values, "m_max", int, default=5)
+    m_max = _count(cfg, "m_max", 5, least=2)
     multistarts = _count(cfg, "multistarts", 16)
     report = capacity_estimate(K, T, m_max, multistarts=multistarts,
                                seed=cfg.seed)
@@ -390,7 +392,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call of ``main``."""
     parser = argparse.ArgumentParser(
         prog="billiardlab",
         description="billiard reflection, projectivity, osculation and "
@@ -403,7 +407,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, help="override RNG seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol", type=float, help="override tolerance")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config, out=args.out, seed=args.seed,
                                     tol=args.tol)

@@ -16,20 +16,23 @@ from typing import Callable
 import numpy as np
 
 from .bodies import (ConvexBody, OrientedLine, _unit, legendre_point,
-                     mirror_symmetric, polar_dual, rot90, unit_vector)
+                     mirror_symmetric, polar_dual)
 from .errors import (
     ConvergenceError,
     DomainError,
     GrazingError,
     SolverError,
 )
-from .solvers import find_root, levenberg_marquardt as least_squares
+from .solvers import find_root, levenberg_marquardt
+
+# no law here solves least squares, but the benchmark tracer
+# (benchmarks/tracing.py) wraps this module's least_squares, so the name stays
+least_squares = levenberg_marquardt
 
 # incidence angles below this (radians, small-angle regime) are grazing
 GRAZING_ANGLE = 1e-6
 _PERP_TOL = 1e-13
 TRANSVERSAL_MARGIN = 1e-8  # least |<field, normal>| at a projective bounce
-CONCURRENCY_MAX_NFEV = 100  # _concurrency_nd: residual evaluations
 
 
 @dataclass(frozen=True)
@@ -203,100 +206,61 @@ def finsler_reflect_legendre(I: ConvexBody, hyperplane_normal, u):
 
 
 def finsler_reflect_concurrency(I: ConvexBody, hyperplane_normal, u):
-    """Finsler reflection via the concurrent-hyperplanes law.
+    """Finsler reflection via the concurrent-hyperplanes law, in any dimension.
 
     Finds v on the indicatrix whose tangent hyperplane meets the tangent
     hyperplane at u inside the reflecting hyperplane (the three are
     concurrent); when the tangent plane at u is parallel to the
-    reflecting hyperplane the antipode is returned.
+    reflecting hyperplane the antipode is returned.  The hyperplanes
+    through the plane L where those two meet form a pencil, whose normals
+    e(theta) = cos(theta) f1 + sin(theta) f2 span D(u) and the mirror
+    normal: v is one root on that circle (theta = 0 is the normal at u),
+    started at the mirror image of the normal at u.
     """
     _require_symmetric(I)
-    if I.dim > 3:
-        raise DomainError("concurrency law implemented for dimensions 2 and 3")
     m = _unit(hyperplane_normal)
     u = np.asarray(u, dtype=float)
     _check_grazing(m, _unit(u))
     a = legendre_point(I, u)
-    a_norm = np.linalg.norm(a)
-    if np.linalg.norm(a - float(np.dot(a, m)) * m) < 1e-12 * a_norm:
+    a_norm = float(np.linalg.norm(a))
+    f1 = a / a_norm
+    cos_m = float(f1 @ m)
+    f2 = m - cos_m * f1
+    sin_m = float(np.linalg.norm(f2))
+    if sin_m < 1e-12:
         return -u
-    if I.dim == 2:
-        return _concurrency_2d(I, m, a, u)
-    return _concurrency_nd(I, m, a, u)
+    f2 = f2 / sin_m
+    # p* = (f1 - cot f2) / |a| is the point of L in span(f1, f2): <a, p*> = 1,
+    # <m, p*> = 0, so <e(theta), p*> = (cos(theta) - cot sin(theta)) / |a|
+    p1, p2 = 1.0 / a_norm, -cos_m / (sin_m * a_norm)
 
-
-def _concurrency_2d(I, m, a, u):
-    # point where the tangent line at u meets the reflecting line
-    M = np.stack([a, m])
-    p_star = np.linalg.solve(M, np.array([1.0, 0.0]))
-
-    # the tangency angles seen from p_star are the two roots of the gap
-    # <e, p*> / h(e) - 1; one of them is u itself, so deflate it: the gap /
-    # sin((theta-theta_u)/2) changes sign exactly once more on the circle,
-    # even when the roots nearly merge (p_star close to the boundary at
-    # near-grazing incidence)
-    n_u = I.exterior_normal(u)
-    theta_u = float(np.arctan2(n_u[1], n_u[0]))
+    # the tangency angles seen from p* are the two roots of the gap
+    # <e, p*> / h(e) - 1; one of them is theta = 0, so deflate it: the gap /
+    # sin(theta / 2) changes sign exactly once more on the circle, even when
+    # the roots nearly merge (p* near the boundary at near-grazing incidence)
     last = [None, None]  # the last (theta, v): the root is usually its last iterate
+    frame = np.stack([f1, f2])
 
     def deflated(theta):
         # as grad h(e) = v = gauss_inverse(e), the gap has the slope
-        # <e', p*> / h - <e, p*> <v, e'> / h^2 with e' = rot90(e)
-        e = unit_vector(theta, 2)
-        v = I.gauss_inverse(e)
+        # <e', p*> / h - <e, p*> <v, e'> / h^2 with e' = de / dtheta
+        c, s = math.cos(theta), math.sin(theta)
+        v = I.gauss_inverse(c * f1 + s * f2)
         last[:] = theta, v
-        h, ep, e1 = float(e @ v), float(e @ p_star), rot90(e)
-        g, slope = ep / h - 1.0, float(e1 @ p_star) / h - ep * float(v @ e1) / (h * h)
-        s, c = math.sin(0.5 * (theta - theta_u)), math.cos(0.5 * (theta - theta_u))
-        return g / s, slope / s - 0.5 * g * c / (s * s)
+        v1, v2 = (frame @ v).tolist()
+        h, ep = c * v1 + s * v2, c * p1 + s * p2  # <e, v> and <e, p*>
+        g, slope = ep / h - 1.0, (c * p2 - s * p1) / h - ep * (c * v2 - s * v1) / (h * h)
+        s2, c2 = math.sin(0.5 * theta), math.cos(0.5 * theta)
+        return g / s2, slope / s2 - 0.5 * g * c2 / (s2 * s2)
 
+    # the mirror image f1 - 2 cos_m m sits at 2 phi + pi, phi the angle of m
+    theta0 = math.fmod(2.0 * math.atan2(sin_m, cos_m) + math.pi, 2.0 * math.pi)
     try:
-        theta = find_root(deflated, theta_u + 1e-4, theta_u + 2.0 * np.pi - 1e-4)
+        theta = find_root(deflated, 1e-4, 2.0 * math.pi - 1e-4, x0=theta0)
     except ConvergenceError as exc:
         raise SolverError("no transversal concurrency solution found") from exc
-    v = last[1] if theta == last[0] else I.gauss_inverse(unit_vector(theta, 2))
-    if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
-        raise SolverError("concurrency solution on the wrong side")
-    return v
-
-
-def _concurrency_nd(I, m, a, u):
-    # the plane (tangent at u) n (hyperplane) is w0 + span E, where <a, w0> = 1,
-    # <m, w0> = 0 and the rows of E span the directions orthogonal to a and m
-    U, sig, vt = np.linalg.svd(np.stack([a, m]))
-    W = np.vstack([(U[0] / sig) @ vt[:2], vt[2:]])  # rows w0, E
-
-    # the normal e moves in the stereographic chart from the antipode of the
-    # normal n at the Euclidean reflection of u: e = ((1 - |s|^2) n + 2 F s)
-    # / (1 + |s|^2) reaches the whole sphere but -n (a tangent chart only
-    # reaches the hemisphere around n, and a solution may lie beyond it)
-    v_seed = euclidean_reflect(m, I._boundary_in_direction(u))
-    n_seed = I.exterior_normal(I._boundary_in_direction(v_seed))
-    F = np.linalg.svd(n_seed[None])[2][1:].T  # orthonormal, orthogonal to n
-
-    def residuals(s):
-        # the tangent plane <e, x> = h(e) at v = gauss_inverse(e) contains
-        # the plane w0 + span E: r = [<w0, e> / h - 1, E e / h]; as
-        # grad h(e) = v, d(W e / h) = (W de - W e <v, de> / h) / h, with
-        # de/ds = 2 (F - (n + e) s^T) / (1 + |s|^2).  Returns (r, dr/ds, v).
-        q = float(s @ s)
-        e = ((1.0 - q) * n_seed + 2.0 * (F @ s)) / (1.0 + q)
-        v = I.gauss_inverse(e)
-        h = float(e @ v)
-        We = W @ e
-        r = We / h
-        r[0] -= 1.0
-        de = 2.0 * (F - (n_seed + e)[:, None] * s) / (1.0 + q)
-        return r, (W @ de - We[:, None] * (v @ de) / h) / h, v
-
-    def system(s, rows):
-        r, dr, _ = residuals(s[0])
-        return r[None], dr[None]
-
-    s = least_squares(system, np.zeros((1, 2)), max_nfev=CONCURRENCY_MAX_NFEV).x
-    r, _, v = residuals(s[0])
-    if not math.sqrt(float(r @ r)) <= 1e-9:
-        raise SolverError("concurrency solve did not converge")
+    v = last[1] if theta == last[0] else I.gauss_inverse(
+        math.cos(theta) * f1 + math.sin(theta) * f2)
     if np.sign(np.dot(m, v)) == np.sign(np.dot(m, u)):
         raise SolverError("concurrency solution on the wrong side")
     return v

@@ -6,12 +6,11 @@ through it, one scalar bracket at a time or an array of brackets (one
 per row) in one solve.  ``levenberg_marquardt`` solves S nonlinear
 least-squares problems together, one row each, with one batched linear
 solve per iteration and exact Jacobians from the caller: the
-closed-orbit search solves all its multistarts with it, the projectivity
-test fits its harmonic homology and the concurrency law in space finds
-its tangent plane.  Each kernel takes one callback, which returns the
-value and its derivative from one evaluation at the point: (value,
-slope) for ``find_root``, (residuals, Jacobians) for
-``levenberg_marquardt``.  The package needs nothing but numpy.
+closed-orbit search solves all its multistarts with it and the
+projectivity test fits its harmonic homology.  Each kernel takes one
+callback, which returns the value and its derivative from one evaluation
+at the point: (value, slope) for ``find_root``, (residuals, Jacobians)
+for ``levenberg_marquardt``.  The package needs nothing but numpy.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Convex body representations: normals, Gauss maps, chords, duality."""
 
+import itertools
 import math
 
 import numpy as np
@@ -940,3 +941,56 @@ def test_even_superellipse_exits_are_accurate_roots(body):
         assert abs(t - root) <= 8 * eps * max(1.0, float(cond)) * abs(root)
         smallest = min(smallest, abs(t))
     assert smallest < 1e-5 * body.diameter()
+
+
+def _axis_and_diagonal_classes(dim):
+    classes = [np.eye(dim)[i] for i in range(dim)]
+    for signs in itertools.product((1.0, -1.0), repeat=dim - 1):
+        classes.append(unit((1.0,) + signs))  # the diagonals
+    for i, j in itertools.combinations(range(dim), 2):
+        if dim > 2:  # and the diagonals of the coordinate planes
+            for s in (1.0, -1.0):
+                e = np.zeros(dim)
+                e[i], e[j] = 1.0, s
+                classes.append(unit(e))
+    return classes
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_quartic_superellipse_chords_start_at_cardano_root(dim, monkeypatch):
+    # from a boundary point, P(t) / t of Superellipse(4) is an increasing
+    # cubic, and Cardano's formula gives its one real root: the kernel
+    # polishes it in at most 2 evaluations, for one chord and for rows.  The
+    # root of the quadratic model took 2-9, 7-8 on chords along a flat side,
+    # where the cubic has an inflection plateau before its root.
+    body = bl.Superellipse(4.0, dim=dim)
+    evals = []
+    real = bodies_module.find_root
+
+    def counting(f, *args, **kwargs):
+        return real(lambda *a: evals.append(1) or f(*a), *args, **kwargs)
+
+    monkeypatch.setattr(bodies_module, "find_root", counting)
+    rng = np.random.default_rng(29)
+    U = rng.normal(size=(160, dim))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for d in _axis_and_diagonal_classes(dim):
+        cls = bl.ParallelClass(d)
+        rows = U[abs(U @ cls.direction) >= 1e-13]
+        for u in rows:
+            evals.clear()
+            bl.parallel_chord_involution(body, cls, u)
+            assert len(evals) <= 2, (d, u)
+        evals.clear()
+        bl.parallel_chord_involution(body, cls, rows)
+        assert len(evals) <= 2, d
+    # on other classes a few chords meet the rounding of P before the
+    # kernel's 2 eps step, and take another evaluation or two there
+    counts = []
+    for d in rng.normal(size=(5, dim)):
+        cls = bl.ParallelClass(d)
+        for u in U:
+            evals.clear()
+            bl.parallel_chord_involution(body, cls, u)
+            counts.append(len(evals))
+    assert max(counts) <= 4 and np.mean(np.array(counts) > 2) <= 0.01

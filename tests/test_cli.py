@@ -254,6 +254,18 @@ def test_capacity_without_multistarts_is_a_config_error(multistarts, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("m_max", [1, 0, -3])
+def test_capacity_with_m_max_below_two_is_a_config_error(m_max, tmp_path, capsys):
+    # m_max = 1 used to exit 2 with "numeric failure: DomainError"
+    write(tmp_path, "disk.body", DISK)
+    cfg = write(tmp_path, "c.cfg", "experiment = capacity\nbody_k = disk.body\n"
+                f"body_t = disk.body\nm_max = {m_max}\nmultistarts = 2\n")
+    assert main(["capacity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: 'm_max' is {m_max}, less than 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_projtest_conic_twin_needs_no_root_solve(tmp_path, monkeypatch):
     # the osculating conic's chord involution is a harmonic homology in
     # closed form, so the fitted cells must not need the row root solves
@@ -317,6 +329,28 @@ def test_help_lists_every_command(capsys):
     out = capsys.readouterr().out
     for name, fn in COMMANDS.items():
         assert f"{name:<10}{fn.__doc__}" in out
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # rebuilding the parser cost about 200 us per call, and a projtest pass
+    # makes 20 calls; the help and the errors come from the one parser
+    from billiardlab import cli
+
+    built = []
+    real = cli.argparse.ArgumentParser.__init__
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    cli._parser.cache_clear()
+    try:
+        cfg = write(tmp_path, "s.cfg", "experiment = sweep\nexponents = 2.0 4.0\nclasses = 2\n")
+        for k in range(3):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"o{k}")]) == 0
+        with pytest.raises(SystemExit):
+            main(["sweep"])
+        assert "usage: billiardlab" in capsys.readouterr().err
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [["nope", "--config", "x.cfg"], ["sweep"], []],
@@ -391,7 +425,7 @@ DEMOS = CONFIGS.parent
 # SHA-256 of what each demo script prints, pinned like the demo CSVs.
 DEMO_STDOUT_SHA256 = {
     "01_reflection_laws.py":
-        "30c154cfc1a60d93d681940dd6db5873d060f8a6b9c43b335c4c8ac8a397365b",
+        "a632070f32fc48773c73fa496283dc0d08f72ee1039e7d77b70a97eb68d6b91a",
     "02_projectivity_of_reflections.py":
         "43fe53e2a24e99962be8397386a3bc591496214de6305c396c7f942dd09bc1c7",
     "03_osculating_conics_and_quadrics.py":

@@ -587,10 +587,61 @@ def test_concurrency_law_in_space_meets_the_legendre_law_at_round_off(ellipsoid3
         assert np.linalg.norm(v1 - v2) <= 1e-12
 
 
+def test_concurrency_law_meets_the_legendre_law_in_any_dimension():
+    # the hyperplanes through L = (tangent plane at u) n (mirror) form a
+    # pencil, so the law is one root on a circle of normals in every
+    # dimension: random 4D and 5D ellipsoids and Superellipse(4, dim=3)
+    rng = np.random.default_rng(27)
+    indicatrices = [bl.Superellipse(4.0, dim=3)]
+    for dim in (4, 5):
+        for _ in range(4):
+            R = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            indicatrices.append(bl.Ellipsoid(R @ np.diag(rng.uniform(0.5, 2.0, dim)) @ R.T))
+    for I in indicatrices:
+        cases = 0
+        while cases < 8:
+            m = unit(rng.normal(size=I.dim))
+            u = I._boundary_in_direction(unit(rng.normal(size=I.dim)))
+            if abs(np.dot(m, unit(u))) < 0.05:
+                continue
+            cases += 1
+            v1 = bl.finsler_reflect_legendre(I, m, u)
+            v2 = bl.finsler_reflect_concurrency(I, m, u)
+            assert np.linalg.norm(v1 - v2) <= 1e-12, (I.dim, cases)
+
+
+def test_concurrency_law_in_space_is_one_root_on_a_circle(ellipsoid3, monkeypatch):
+    # no least-squares solve in a chart of the sphere: one Newton root of
+    # the deflated gap on the circle of the pencil's normals, with at most
+    # the planar law's 20 gauss_inverse calls
+    def refuse(*args, **kwargs):
+        raise AssertionError("the concurrency law called a least-squares solver")
+
+    monkeypatch.setattr(bl.solvers, "levenberg_marquardt", refuse)
+    monkeypatch.setattr(bl.reflection, "least_squares", refuse)
+    calls = []
+    real = bl.Ellipsoid.gauss_inverse
+    monkeypatch.setattr(bl.Ellipsoid, "gauss_inverse",
+                        lambda self, w: calls.append(1) or real(self, w))
+    rng = np.random.default_rng(28)
+    cases = 0
+    while cases < 20:
+        m = unit(rng.normal(size=3))
+        u = ellipsoid3._boundary_in_direction(unit(rng.normal(size=3)))
+        if abs(np.dot(m, unit(u))) < 0.05:
+            continue
+        cases += 1
+        expected = bl.finsler_reflect_legendre(ellipsoid3, m, u)
+        calls.clear()
+        v = bl.finsler_reflect_concurrency(ellipsoid3, m, u)
+        assert np.linalg.norm(v - expected) <= 1e-12
+        assert len(calls) <= 20, cases
+
+
 def test_planar_concurrency_law_takes_no_angle_scan(ellipse, monkeypatch):
     # one Newton solve with the exact slope on the circle of normal angles:
-    # 11 gauss_inverse calls (55 with bisection alone), shared by the gap
-    # and its slope
+    # 8 gauss_inverse calls from the mirror-image start (11 from the
+    # midpoint, 55 with bisection alone), shared by the gap and its slope
     u = ellipse.gauss_inverse(unit([0.6, 0.8]))
     m = unit([1.0, 0.3])
     expected = bl.finsler_reflect_legendre(ellipse, m, u)
