@@ -219,8 +219,7 @@ def _count(cfg, key, default, least=1):
     largest bounce count), at least ``least``."""
     count = _get(cfg.values, key, int, default=default)
     if count < least:
-        raise BodyFileError(f"'{key}' is {count}, "
-                            + ("not a positive count" if least == 1 else f"less than {least}"))
+        raise BodyFileError(f"'{key}' is {count}, less than {least}")
     return count
 
 

@@ -223,10 +223,10 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, line, rc, message", [
-    ("sweep", "classes = 0", 1, "config error: 'classes' is 0, not a positive count"),
+    ("sweep", "classes = 0", 1, "config error: 'classes' is 0, less than 1"),
     ("sweep", "exponents =", 1, "config error: 'exponents' is empty"),
-    ("projtest", "classes = 0", 1, "config error: 'classes' is 0, not a positive count"),
-    ("projtest", "classes = -2", 1, "config error: 'classes' is -2, not a positive count"),
+    ("projtest", "classes = 0", 1, "config error: 'classes' is 0, less than 1"),
+    ("projtest", "classes = -2", 1, "config error: 'classes' is -2, less than 1"),
     ("projtest", "patch_scale = nan", 2, "SamplePlanError: patch_scale must lie in (0, pi/2)"),
     ("projtest", "patch_scale = 5", 2, "SamplePlanError: patch_scale must lie in (0, pi/2)"),
 ], ids=["sweep_no_class", "sweep_no_exponent", "projtest_no_class",
@@ -250,7 +250,7 @@ def test_capacity_without_multistarts_is_a_config_error(multistarts, tmp_path, c
                 f"body_t = disk.body\nm_max = 2\nmultistarts = {multistarts}\n")
     assert main(["capacity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert f"config error: 'multistarts' is {multistarts}, not a positive count" in err
+    assert f"config error: 'multistarts' is {multistarts}, less than 1" in err
     assert not (tmp_path / "out").exists()
 
 

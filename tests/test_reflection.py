@@ -617,7 +617,6 @@ def test_concurrency_law_in_space_is_one_root_on_a_circle(ellipsoid3, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("the concurrency law called a least-squares solver")
 
-    monkeypatch.setattr(bl.solvers, "levenberg_marquardt", refuse)
     monkeypatch.setattr(bl.reflection, "least_squares", refuse)
     calls = []
     real = bl.Ellipsoid.gauss_inverse
