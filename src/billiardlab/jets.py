@@ -2,7 +2,11 @@
 
 Everything here is exact polynomial algebra on truncated coefficient
 arrays; no symbolic dependencies.  A ``Taylor1D`` holds coefficients of
-sum_k c[k] t^k around a base point, so c[k] = f^(k)(x0)/k!.
+sum_k c[k] t^k around a base point, so c[k] = f^(k)(x0)/k!.  Every
+operation is a closed recurrence on the coefficients, not an iteration
+to convergence: series reversion is Lagrange inversion (one reciprocal and n - 1
+truncated products at order n), and sin and cos of a series come as a
+pair from one recurrence.
 """
 
 from __future__ import annotations
@@ -128,9 +132,9 @@ class Taylor1D:
         n = len(u)
         e = np.zeros(n)
         e[0] = math.exp(u[0])
+        ju = np.arange(1, n) * u[1:]  # j u[j], j = 1..n-1
         for k in range(n - 1):
-            j = np.arange(1, k + 2)
-            e[k + 1] = np.dot(j * u[j], e[k + 1 - j]) / (k + 1)
+            e[k + 1] = np.dot(ju[: k + 1], e[k::-1]) / (k + 1)
         return Taylor1D(e)
 
     def log(self):
@@ -154,25 +158,29 @@ class Taylor1D:
         s = np.zeros(n)
         co = np.zeros(n)
         co[0] = 1.0
+        jv = np.arange(1, n) * v[1:]  # j v[j], j = 1..n-1
         for k in range(n - 1):
-            j = np.arange(1, k + 2)
-            sdot = np.dot(j * v[j], co[k + 1 - j])
-            cdot = np.dot(j * v[j], s[k + 1 - j])
-            s[k + 1] = sdot / (k + 1)
-            co[k + 1] = -cdot / (k + 1)
+            s[k + 1] = np.dot(jv[: k + 1], co[k::-1]) / (k + 1)
+            co[k + 1] = -np.dot(jv[: k + 1], s[k::-1]) / (k + 1)
         return Taylor1D(s), Taylor1D(co)
 
-    def sin(self):
+    def sin_cos(self):
+        """(sin self, cos self) from one recurrence: with a = c[0] and v the
+        rest, sin(a + v) = sin v cos a + cos v sin a and cos(a + v) =
+        cos v cos a - sin v sin a, where sin v and cos v of the series v
+        without constant term come together from (sin v)' = v' cos v and
+        (cos v)' = -v' sin v."""
         a0 = self.c[0]
         v = Taylor1D(np.concatenate(([0.0], self.c[1:])))
         sv, cv = v._sin_cos_nilpotent()
-        return sv * math.cos(a0) + cv * math.sin(a0)
+        ca, sa = math.cos(a0), math.sin(a0)
+        return sv * ca + cv * sa, cv * ca - sv * sa
+
+    def sin(self):
+        return self.sin_cos()[0]
 
     def cos(self):
-        a0 = self.c[0]
-        v = Taylor1D(np.concatenate(([0.0], self.c[1:])))
-        sv, cv = v._sin_cos_nilpotent()
-        return cv * math.cos(a0) - sv * math.sin(a0)
+        return self.sin_cos()[1]
 
     def compose(self, inner):
         """self(inner(t)); inner must have zero constant term."""
@@ -184,20 +192,26 @@ class Taylor1D:
         return out
 
     def invert(self):
-        """Compositional inverse; requires c[0] = 0 and c[1] != 0."""
-        if self.c[0] != 0.0:
+        """Compositional inverse; requires c[0] = 0 and c[1] != 0.
+
+        Lagrange inversion: with h(t) = t / f(t) (one reciprocal of
+        f(t) / t), the inverse series has b_1 = h_0 and
+        b_k = [t^(k-1)] h^k / k for k >= 2, so order n takes one
+        reciprocal and n - 1 truncated products.
+        """
+        c = self.c
+        if c[0] != 0.0:
             raise ValueError("inversion requires zero constant term")
-        if self.c[1] == 0.0:
+        if c[1] == 0.0:
             raise ValueError("inversion requires non-vanishing linear term")
-        n = self.order
-        t = Taylor1D(np.zeros(n + 1))
-        t.c[1] = 1.0 / self.c[1]
-        x = Taylor1D.variable(0.0, n)
-        dself = self.diff()
-        for _ in range(max(1, math.ceil(math.log2(n + 1)) + 1)):
-            t = t - (self.compose(t) - x) * dself.compose(t).recip()
-            t.c[0] = 0.0
-        return t
+        h = Taylor1D(np.append(c[1:], 0.0)).recip()
+        b = np.zeros(len(c))
+        b[1] = h.c[0]
+        hk = h
+        for k in range(2, len(c)):
+            hk = hk * h
+            b[k] = hk.c[k - 1] / k
+        return Taylor1D(b)
 
 
 def taylor_from_derivatives(derivs):

@@ -1,11 +1,31 @@
 """Shared body fixtures for the test suite."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import billiardlab as bl
+from billiardlab.jets import Taylor1D
+
+TAYLOR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "recip", "sqrt", "exp", "log",
+              "pow", "sin", "cos", "sin_cos", "_sin_cos_nilpotent", "diff", "compose",
+              "invert")
+
+
+@pytest.fixture
+def taylor_ops(monkeypatch):
+    """Counter of the Taylor1D operations made while the test runs, by name."""
+    counts = collections.Counter()
+    for name in TAYLOR_OPS:
+        def counted(*args, _real=getattr(Taylor1D, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(Taylor1D, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

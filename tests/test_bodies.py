@@ -713,6 +713,39 @@ def test_exit_crossing_takes_few_evaluations(monkeypatch):
     assert len(evals) <= 6 * 50
 
 
+def test_rounded_negative_boundary_starts_deflate(monkeypatch):
+    # an exit point whose F rounds below zero is a boundary start: its exits
+    # deflate the root at t = 0 and take 1-2 evaluations together.  As an
+    # interior start it took 1-8 per forward exit and up to 68 per chord,
+    # whose backward exit bisected down onto a root within eps of t = 0.
+    body = bl.Superellipse(4.0)
+    evals = []
+    real = bodies_module.find_root
+
+    def counting(f, *args, **kwargs):
+        return real(lambda *a: evals.append(1) or f(*a), *args, **kwargs)
+
+    monkeypatch.setattr(bodies_module, "find_root", counting)
+    rng = np.random.default_rng(11)
+    starts = 0
+    while starts < 50:
+        q = body.last_intersection(bl.OrientedLine(0.5 * rng.uniform(-1.0, 1.0, 2),
+                                                   rng.normal(size=2)))
+        f = float(body.implicit(q))
+        if f >= 0.0:
+            continue
+        starts += 1
+        line = bl.OrientedLine(q, rng.normal(size=2))
+        if body.implicit_grad(q) @ line.direction > 0.0:
+            line = bl.OrientedLine(q, -line.direction)
+        evals.clear()
+        t = body.line_intersections(line)[1]
+        assert len(evals) <= 2, f
+        # the exit of the level set through q: within round-off of the exit
+        # that the interior start F(q) = f solves for
+        assert abs(t - body._exit(q, line.direction, f)) <= 1e-14
+
+
 def test_outside_start_takes_a_newton_slope_search(monkeypatch):
     # from a point outside, the minimum of F along the line is a Newton
     # search on its slope with the derivative v^T H v: bisecting the slope

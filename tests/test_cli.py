@@ -402,7 +402,7 @@ DEMO_CSV_SHA256 = {
     ("projtest_ellipse.cfg", "projtest.csv"):
         "47ce9f7c13cc3930964c8d84e40947ae43f46ab00383abafe8e3490c8f4638fd",
     ("projtest_superellipse.cfg", "projtest.csv"):
-        "7edce056f6174d4f48958c7297ca69a2b71ee65a2d4de5c152247dbc1eb8b478",
+        "bae15a37e544b1c3b900343191334dff6b882a46664df0317f59a03b60e94f50",
     ("sweep_family.cfg", "sweep.csv"):
         "68f21f24b08dd000c596f14ed37394f51ba0c4f0d633f7594d8b7582aa4d5503",
     ("trace_ellipse.cfg", "orbit.csv"):
@@ -418,7 +418,11 @@ def test_demo_config_csvs_are_byte_identical(config, tmp_path, capsys):
     assert main([experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
     written = {(config, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*.csv")}
-    assert written == {key: h for key, h in DEMO_CSV_SHA256.items() if key[0] == config}
+    pinned = {key: h for key, h in DEMO_CSV_SHA256.items() if key[0] == config}
+    # on a mismatch, show the text of each CSV whose hash moved, for review
+    assert written == pinned, "".join(
+        f"\n--- {name} ---\n" + (tmp_path / name).read_text(encoding="utf-8")
+        for (_, name), h in sorted(written.items()) if pinned.get((config, name)) != h)
 
 
 DEMOS = CONFIGS.parent
@@ -429,7 +433,7 @@ DEMO_STDOUT_SHA256 = {
     "02_projectivity_of_reflections.py":
         "43fe53e2a24e99962be8397386a3bc591496214de6305c396c7f942dd09bc1c7",
     "03_osculating_conics_and_quadrics.py":
-        "a4c74c45a5d3d00687138e174d80481eadac000164c28b31777e3923d0230fa3",
+        "50a6fc90f633e8a351db83e76f97f72e4eb98e8bf78b3063ee32b004d7d3125d",
     "04_capacity_and_volume_products.py":
         "a0094a90121e725d6d2afa8b16b1c799a91a5f1c19eb55bd9d0ffd4d82af1954",
 }
@@ -441,4 +445,5 @@ def test_demo_printouts_are_byte_identical(demo, tmp_path):
     done = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
                           timeout=120, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo], (
+        "printed:\n" + done.stdout.decode())

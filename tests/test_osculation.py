@@ -15,6 +15,7 @@ from billiardlab.errors import (
 )
 from billiardlab.jets import dyadic_grid
 from billiardlab.osculation import conic_quintic_coefficient, section_points
+from billiardlab.solvers import EPS
 
 
 def unit(v):
@@ -109,6 +110,83 @@ def test_osculating_conic_affinely_natural():
     moved = conic.transform(L)
     back = moved.pullback(L)
     assert conic.distance_to(back) <= 1e-9
+
+
+def _mp_germ(mp, position, theta, order=5):
+    """Graph coefficients k[0..order] of the curve t -> position(t) in its
+    frame of unit tangent at theta, in mpmath: each value of the graph
+    function comes from a root solve for the curve parameter, and k from
+    its numerical Taylor expansion (no series reversion)."""
+    theta = mp.mpf(theta)
+    base = position(theta)
+    vel = [mp.diff(lambda t, i=i: position(t)[i], theta) for i in (0, 1)]
+    speed = mp.sqrt(vel[0] ** 2 + vel[1] ** 2)
+    tx, ty = vel[0] / speed, vel[1] / speed
+
+    def local(t):
+        x, y = position(theta + t)
+        return (x - base[0]) * tx + (y - base[1]) * ty, (y - base[1]) * tx - (x - base[0]) * ty
+
+    def graph(x):
+        return local(mp.findroot(lambda t: local(t)[0] - x, x / speed))[1]
+
+    k = mp.taylor(graph, 0, order)
+    return [-c for c in k] if k[2] < 0 else k
+
+
+def test_germ_matches_high_precision_germ():
+    # germ_at's k[2..5] against the 40-digit graph of the boundary, for the
+    # Gauss-angle parametrizations of an ellipse and of Superellipse(3.5);
+    # the worst is 122 eps, from the jets of the fractional powers (the
+    # reversion alone is within 4 eps of its majorant, see test_jets)
+    mp = pytest.importorskip("mpmath")
+    A = np.array([[1.7, 0.4], [0.4, 0.6]])
+    m = 3.5
+
+    def ellipse(t):
+        Ai = mp.inverse(mp.matrix(A.tolist()))
+        w = Ai * mp.matrix([mp.cos(t), mp.sin(t)])
+        s = mp.sqrt(w[0] * mp.cos(t) + w[1] * mp.sin(t))
+        return w[0] / s, w[1] / s
+
+    def superellipse(t):
+        w = [mp.sign(u) * abs(u) ** (1 / mp.mpf(m - 1)) for u in (mp.cos(t), mp.sin(t))]
+        scale = mp.fsum(abs(wi) ** m for wi in w) ** (-1 / mp.mpf(m))
+        return w[0] * scale, w[1] * scale
+
+    with mp.workdps(40):
+        for body, position in ((bl.Ellipsoid(A), ellipse), (bl.Superellipse(m), superellipse)):
+            for theta in (0.3, 1.1, 2.5, 4.0):
+                k = bl.germ_at(body, theta).coeffs
+                exact = _mp_germ(mp, position, theta)
+                for j in range(2, 6):
+                    assert abs(mp.mpf(float(k[j])) - exact[j]) <= (
+                        256 * EPS * max(1, abs(exact[j]))), (body, theta, j)
+
+
+def test_germ_costs_a_fixed_number_of_taylor_operations(taylor_ops):
+    # one sin/cos recurrence per argument in the position jet, one series
+    # reversion without a Newton loop (nothing composed inside it), and one
+    # composition for the graph: at most 80 Taylor1D operations per germ
+    bodies = [bl.Ellipsoid(np.array([[1.7, 0.4], [0.4, 0.6]])), bl.Superellipse(3.5),
+              bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02])]
+    for body in bodies:
+        for theta in (0.4, 2.0):
+            taylor_ops.clear()
+            bl.germ_at(body, theta)
+            assert taylor_ops["compose"] == 1
+            assert taylor_ops["invert"] == 1
+            assert sum(taylor_ops.values()) - taylor_ops["_sin_cos_nilpotent"] <= 80, body
+
+
+@pytest.mark.parametrize("body, arguments", [
+    (bl.Ellipsoid(np.diag([0.25, 1.0])), 1),
+    (bl.Superellipse(4.0), 1),
+    (bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02]), 4),  # t, 2t, 3t, 4t
+    (bl.RadialBody2D([1.0]), 1)])
+def test_position_jet_runs_one_sin_cos_recurrence_per_argument(body, arguments, taylor_ops):
+    body.position_jet(0.7)
+    assert taylor_ops["_sin_cos_nilpotent"] == arguments
 
 
 def test_zero_curvature_is_degenerate():
