@@ -10,9 +10,11 @@ ray exit, ``ConvexBody._exit``, which each body overrides with its own
 structure: the quadratic formula for ellipsoids, the root of the convex
 line polynomial for even superellipses, the pulled-back ray for linear
 images, the normal angle on the exit arc for support bodies and the polar
-angle on the swept arc for radial bodies.  Fractional superellipses and
-the generic PolarBody take the base exit: one ``solvers.find_root`` on the
-exact bracket from the ray's start to the padded bounding sphere.
+angle on the swept arc for radial bodies.  Fractional superellipses deflate
+the root at a boundary start from their power sum, started at the root of
+its Taylor model; their interior starts and the generic PolarBody take the
+base exit: one ``solvers.find_root`` on the exact bracket from the ray's
+start to the padded bounding sphere.
 ``polar_dual`` is in closed form for every library body, so only the
 polars of user-defined bodies are PolarBody.  A support body h takes its
 F = h_polar - 1 from the normal-angle solve of its polar, the radial 1/h.
@@ -117,6 +119,41 @@ def _increasing_cubic_root(c1, c2, c3, c4):
     return w - p / (3.0 * (w + (w == 0.0))) - A / 3.0  # w = 0 only where p = q = 0
 
 
+def _halley_slope(g, g1, g2):
+    """g1 (1 - g g2 / (2 g1^2)), kept >= g1 / 2: returned as the slope of g,
+    it makes the root kernel's Newton step Halley's (at most twice the
+    Newton step); g1 = 0 gives slope 0."""
+    q = g1 * g1
+    return g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
+
+
+def _even_interior_start(c, x0, hi):
+    """The start of an even superellipse's exit from an interior point, for
+    the coefficients c_0, ..., c_m of its line polynomial P (or rows of
+    them) and x0, the root of c_1 + c_2 t + c_3 t^2.  For m = 4, one Newton
+    step on P from Cardano's root of (P - c_0) / t (the exit of the level set
+    of the start) where it lands in (0, hi); else x0 where it lies in
+    (0, hi); else, as on a ray that leaves at once near the boundary, the
+    root x1 of c_0 + c_1 t + c_2 t^2 (about -c_0 / c_1 there) where
+    x1 < hi / 2; else x0, for the kernel's midpoint (near the centre, where
+    c_2 is small, x1 overshoots)."""
+    c0, c1, c2 = c[0], c[1], c[2]
+    q = c1 * c1 - 4.0 * c0 * c2
+    den = c1 + (q * (q > 0.0)) ** 0.5
+    x1 = -2.0 * c0 / (den + (den == 0.0))
+    # choices by arithmetic masks (exact for these finite starts, and
+    # cheaper than where on one vector)
+    use = ((x0 <= 0.0) | (x0 >= hi)) & (x1 < 0.5 * hi)
+    x0 = use * x1 + (1.0 - use) * x0
+    if len(c) == 5:
+        tc = _increasing_cubic_root(c1, c2, c[3], c[4])
+        slope = c1 + tc * (2.0 * c2 + tc * (3.0 * c[3] + tc * 4.0 * c[4]))  # P'(tc)
+        x4 = tc - c0 / (slope + (slope == 0.0))
+        use = (x4 > 0.0) & (x4 < hi)
+        x0 = use * x4 + (1.0 - use) * x0
+    return x0
+
+
 def unit_vector(angles, dim):
     """Point of S^(dim-1) from one angle (2D) or (azimuth, polar) (3D)."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -198,14 +235,15 @@ class ConvexBody:
     def contains(self, x):
         return bool(self.implicit(np.asarray(x, dtype=float)) < 0.0)
 
-    def _require_boundary(self, p):
+    def _require_boundary(self, p, f=None, grad=None):
         """p, once every point (one or (N, d) rows) is checked to be on the
-        boundary; the first one that is not raises."""
+        boundary; the first one that is not raises.  A caller that has F(p)
+        and its gradient may pass them."""
         p = np.asarray(p, dtype=float)
-        r = np.abs(self.implicit(p))
+        r = np.abs(self.implicit(p) if f is None else f)
         bound = BOUNDARY_TOL * max(1.0, self.bounding_radius())
         if (r > bound).any():  # the bound scales by max(1, |grad F|) >= 1
-            g = self.implicit_grad(p)
+            g = self.implicit_grad(p) if grad is None else grad
             off = r > bound * np.maximum(1.0, np.sqrt((g * g).sum(-1)))
             if off.any():
                 i = np.flatnonzero(off)[0]
@@ -214,16 +252,19 @@ class ConvexBody:
                     f"(residual {np.ravel(r)[i]:.3e})")
         return p
 
+    def _boundary_grad(self, p):
+        """(p, grad F(p)) once p (or each row) is checked to be on the boundary."""
+        p = self._require_boundary(p)
+        return p, self.implicit_grad(p)
+
     def exterior_normal(self, p):
         """Unit exterior normal at a boundary point (or at each row)."""
-        p = self._require_boundary(p)
-        return _unit(self.implicit_grad(p))
+        return _unit(self._boundary_grad(p)[1])
 
     def second_fundamental_form(self, p):
         """Symmetric matrix of the second fundamental form in an
         orthonormal tangent frame; raises if not positive definite."""
-        p = self._require_boundary(p)
-        g = self.implicit_grad(p)
+        p, g = self._boundary_grad(p)
         H = self.implicit_hess(p)
         frame = tangent_frame(g)
         II = frame @ H @ frame.T / np.linalg.norm(g)
@@ -277,9 +318,9 @@ class ConvexBody:
         tangential chord (|t| below the tangency threshold) raises
         DegenerateChordError.
         """
-        a = self._require_boundary(a)
+        a, g = self._boundary_grad(a)
         d = _unit(d)
-        return self._chord_end(a, d, float(np.dot(self.implicit_grad(a), d)))
+        return self._chord_end(a, d, float(np.dot(g, d)))
 
     def chord_second_intersections(self, a, d):
         """Row form of chord_second_intersection over (N, dim) base points a
@@ -289,9 +330,9 @@ class ConvexBody:
         instead of raising, and keep b = a.  Generic chords are one row
         ``_exit``; the closed forms also take a single chord (the one-row case).
         """
-        a = self._require_boundary(a)
+        a, g = self._boundary_grad(a)
         d = np.broadcast_to(_unit(d), a.shape)
-        return self._chord_end(a, d, _dot(self.implicit_grad(a), d))
+        return self._chord_end(a, d, _dot(g, d))
 
     def _chord_end(self, a, d, g):
         """chord_second_intersection(s) from the boundary point a, or rows,
@@ -580,6 +621,10 @@ class Superellipse(ConvexBody):
         if self._even:
             m = int(self.m)
             self._binomial = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+        else:
+            # binom(m, k), k = 1..4: the Taylor coefficients of |1 + x|^m
+            self._binomial = np.cumprod([(self.m - k) / (k + 1.0) for k in range(4)]).tolist()
+            self._ones = np.ones(self.dim)
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
@@ -651,9 +696,25 @@ class Superellipse(ConvexBody):
         off the centre, where F = -1 too, or a rounded c_0 >= 0), which c_0 = 0
         deflates; c_1 >= 0 leaves at once.  The search starts at the root of
         c_1 + c_2 t + c_3 t^2, or for m = 4 from the boundary at the real root
-        of the cubic P(t) / t (Cardano's), which one or two steps polish."""
+        of the cubic P(t) / t (Cardano's), which one or two steps polish; an
+        interior start starts at ``_even_interior_start``.  A fractional m
+        answers a boundary start the same way, with the root at t = 0 deflated
+        from the power sum (``_deflated_exit``), and an interior start by the
+        base exit."""
         if not self._even:
-            return super()._exit(p, v, f_p)
+            if p.ndim == 1 and f_p != -1.0:
+                return super()._exit(p, v, f_p)
+            am = np.abs(p / self.a) ** self.m
+            on = (f_p == -1.0) & (am.sum(-1) > 0.5)  # the centre has F = -1 too
+            if p.ndim == 1:
+                return self._deflated_exit(p, v, am) if on else super()._exit(p, v, f_p)
+            if on.all():
+                return self._deflated_exit(p, v, am)
+            t, off = np.empty(len(p)), ~on
+            t[off] = super()._exit(p[off], v[off], np.broadcast_to(f_p, on.shape)[off])
+            if on.any():
+                t[on] = self._deflated_exit(p[on], v[on], am[on])
+            return t
         m = int(self.m)
         k = np.arange(m + 1)
         c = (self._binomial * (p / self.a)[..., None] ** (m - k)
@@ -666,12 +727,19 @@ class Superellipse(ConvexBody):
         q = c2 * c2 - 4.0 * c1 * c3
         den = c2 + (q * (q > 0.0)) ** 0.5  # 0 only where c_1 = 0 too: x0 = 0
         x0 = -2.0 * c1 / (den + (den == 0.0))
-        if m == 4 and p.ndim == 1:
-            x0 = _increasing_cubic_root(c1, c2, c3, c[4]) if deflate else x0
-        elif m == 4 and deflate.any():
-            x0 = np.where(deflate, _increasing_cubic_root(c1, c2, c3, c[4]), x0)
+        hi = 2.2 * self._radius
+        if p.ndim == 1:
+            if deflate:
+                x0 = _increasing_cubic_root(c1, c2, c3, c[4]) if m == 4 else x0
+            else:
+                x0 = _even_interior_start(c, x0, hi)
+        else:
+            if m == 4 and deflate.any():
+                x0 = np.where(deflate, _increasing_cubic_root(c1, c2, c3, c[4]), x0)
+            if not deflate.all():
+                x0 = np.where(deflate, x0, _even_interior_start(c, x0, hi))
         f_lo = np.where(deflate, np.minimum(c1, 0.0), f_p)
-        hi, coeffs = 2.2 * self._radius, c[::-1]  # c_m, ..., c_0
+        coeffs = c[::-1]  # c_m, ..., c_0
         if p.ndim > 1:
             hi, coeffs = np.full(len(p), hi), np.array(coeffs)
 
@@ -685,6 +753,87 @@ class Superellipse(ConvexBody):
             return value + r, slope - r / t
 
         return find_root(jet, 0.0, hi, x0=x0, f_lo=f_lo[()], f_hi=1.0)
+
+    def _deflated_exit(self, p, v, am):
+        """The exit of the ray p + t v from the boundary point p (or of each
+        row's), fractional m, with am = |y|^m, y = p / a.
+
+        The root at t = 0 is deflated: G(t) = (sum |y + t w|^m - sum |y|^m) / t,
+        w = v / a, is the secant slope of a convex function, so it increases
+        from g = <grad F(p), v> (g >= 0 leaves at once) and has one root on
+        (0, T], T the exit from the padded bounding sphere.  Its terms are
+        |y_i|^m expm1(m log1p(s_i t)), s_i = w_i / y_i = v_i / p_i (log1p of
+        |1 + s_i t| - 1 past the axis), free of the cancellation that F itself
+        suffers on a short chord; a y_i with |y_i|^m below 1e-200 lies on the
+        axis and adds |t w_i|^m.  The solve starts at the root t0 of the
+        Taylor model g + k t + q t^2 of G where the cubic term c t^3 shifts
+        that root by at most a tenth, s_i t0 stays within 1 (the series
+        converges) and 1.5 t0 <= T; elsewhere (long chords, flat or axis
+        points) at the kernel's step from T, where a negative G raises
+        ConvergenceError (a ray that never leaves).  The kernel's steps are
+        Halley's."""
+        m = self.m
+        axis = am < 1e-200
+        on_axis = axis.any()
+        s = v / np.where(axis, self.a, p) if on_axis else v / p  # w / y, or w on the axis
+        ams = am * s
+        ams2 = ams * s
+        g, k, q, c = (_dot(ams, self._ones), _dot(ams2, self._ones), _dot(ams2, s),
+                      _dot(ams2, s * s))  # sum am s^j, j = 1..4
+        one = p.ndim == 1
+        if one:
+            g, k, q, c = float(g), float(k), float(q), float(c)
+            if g >= 0.0:
+                return 0.0
+        b1, b2, b3, b4 = self._binomial
+        g, k, q, c = b1 * g, b2 * k, b3 * q, b4 * c
+
+        def jet(t, rows=None):
+            # G and its Halley slope, from the power sum phi:
+            # G' = (phi' - G) / t and G'' = (phi'' - 2 G') / t
+            if rows is None:
+                r, A, B, C, ax = t * s, am, ams, ams2, axis
+            else:
+                r, A, B, C, ax = t[:, None] * s[rows], am[rows], ams[rows], ams2[rows], axis[rows]
+            r2 = np.maximum(np.maximum(r, -2.0 - r), EPS - 1.0)  # |1 + r| - 1
+            e = np.expm1(m * np.log1p(r2))
+            u = np.copysign(1.0 + r2, 1.0 + r)  # 1 + r, kept off 0
+            w1 = (e + 1.0) / u  # sign(1 + r) |1 + r|^(m - 1)
+            N, N1, N2 = _dot(A, e), _dot(B, w1), _dot(C, w1 / u)
+            if on_axis:  # s_i t = t w_i there
+                z = (np.abs(r * ax) ** m).sum(-1)
+                N, N1, N2 = N + z, N1 + z / t, N2 + z / (t * t)
+            G = N / t
+            G1 = (m * N1 - G) / t
+            G2 = (m * (m - 1.0) * N2 - 2.0 * G1) / t
+            return G, _halley_slope(G, G1, G2)
+
+        hi = self._sphere_chord(p, v)[1]
+        sqrt = math.sqrt if one else np.sqrt
+        disc = k * k - 4.0 * g * q
+        root = sqrt(disc * (disc > 0.0))
+        den = k + root
+        t0 = -2.0 * g / (den + (den == 0.0))
+        trust = ((disc > 0.0) & (abs(c) * t0 * t0 <= 0.1 * root)
+                 & (np.abs(s).max(-1) * t0 <= 1.0) & (1.5 * t0 <= hi))
+        if on_axis:
+            trust = trust & ~(axis & (v != 0.0)).any(-1)
+        xtol = EPS * self._radius
+        if one:
+            hi, x0, f_hi = float(hi), t0, 1.0
+            if not trust:
+                f_hi, d = jet(hi)
+                if f_hi < 0.0:
+                    raise ConvergenceError("ray never leaves the body")
+                x0 = hi - f_hi / (d + (d == 0.0))
+            return find_root(jet, 0.0, hi, x0=x0, xtol=xtol, f_lo=min(g, 0.0), f_hi=f_hi)
+        x0, f_hi, i = t0.copy(), np.ones(len(p)), np.flatnonzero(~trust)
+        if i.size:
+            f_hi[i], d = jet(hi[i], i)
+            if (f_hi[i] < 0.0).any():
+                raise ConvergenceError("ray never leaves the body")
+            x0[i] = hi[i] - f_hi[i] / (d + (d == 0.0))
+        return find_root(jet, 0.0, hi, x0=x0, xtol=xtol, f_lo=np.minimum(g, 0.0), f_hi=f_hi)
 
     def position_jet(self, theta):
         """JET_ORDER Taylor jets of the Gauss-angle boundary parametrization.
@@ -933,9 +1082,7 @@ class RadialBody2D(ConvexBody):
         """The tau of _exit's sign change on [lo, hi] (of the deflated
         offset where w = 1), one root solve over rows."""
         def offset(tau, rows=None):
-            # g = gap / den and the Halley slope g' (1 - g g'' / (2 g'^2)), with
-            # which the kernel's Newton step is Halley's; the factor is kept
-            # >= 1/2 (at most twice the Newton step), and g' = 0 gives slope 0
+            # g = gap / den, with its Halley slope from g' and g''
             phi_p, sigma, c, vx, vy, s0, w = args if rows is None else [a[rows] for a in args]
             phi = phi_p + sigma * tau
             r, r1, r2 = self.radial.jet(phi)
@@ -948,8 +1095,7 @@ class RadialBody2D(ConvexBody):
             g = gap / den
             g1 = d1 / den - w * 0.5 * g * cs / den
             g2 = d2 / den - w * (d1 * cs / den - 0.25 * gap - 0.5 * g * cs * cs / den) / den
-            q = g1 * g1
-            return g, g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
+            return g, _halley_slope(g, g1, g2)
 
         return find_root(offset, lo, hi, x0=tau0, f_lo=-1.0, f_hi=1.0)
 
@@ -1044,6 +1190,13 @@ class SupportBody2D(ConvexBody):
 
     def implicit_hess(self, x):
         return self._polar.support_hess(x)
+
+    def _boundary_grad(self, p):
+        # the boundary check takes F = <p, grad F> - 1 from the one gradient:
+        # one normal-angle solve of the polar, not one for F and one for grad F
+        p = np.asarray(p, dtype=float)
+        g = self.implicit_grad(p)
+        return self._require_boundary(p, _dot(p, g) - 1.0, g), g
 
     def bounding_radius(self):
         return self._radius

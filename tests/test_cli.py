@@ -404,7 +404,7 @@ DEMO_CSV_SHA256 = {
     ("projtest_superellipse.cfg", "projtest.csv"):
         "bae15a37e544b1c3b900343191334dff6b882a46664df0317f59a03b60e94f50",
     ("sweep_family.cfg", "sweep.csv"):
-        "68f21f24b08dd000c596f14ed37394f51ba0c4f0d633f7594d8b7582aa4d5503",
+        "702aa87e655e79127be538baa87f8dd7814ac4a80e053fca09326f8c9dab849b",
     ("trace_ellipse.cfg", "orbit.csv"):
         "956ad22fb0462634bd38727624d31aac35e95a07b995c515c8f6dfdfa7206314",
 }

@@ -203,6 +203,82 @@ def test_generic_row_chords_take_one_march_and_one_root_solve(monkeypatch):
     assert len(calls) <= max(alone) <= 15
 
 
+class _GenericExitSuperellipse(bl.Superellipse):
+    """A fractional superellipse that takes the base exit from every start."""
+
+    _exit = bl.ConvexBody._exit
+
+
+def test_base_exit_row_chords_take_one_root_solve(monkeypatch):
+    # the generic exit's row form: 160 chords cost what the slowest of them
+    # costs alone (a boundary check, the value at the padded bounding sphere
+    # and the root iterations from the Newton step there), at most 15
+    # implicit calls
+    body = _GenericExitSuperellipse(3.5)
+    P = body.gauss_inverse(unit_rows(np.random.default_rng(25), 160, 2))
+    d = [0.8317, 0.5553]
+    calls = []
+    real = bl.Superellipse.implicit
+    monkeypatch.setattr(bl.Superellipse, "implicit",
+                        lambda self, x: calls.append(1) or real(self, x))
+    alone = []
+    for p in P:
+        calls.clear()
+        body.chord_second_intersection(p, d)
+        alone.append(len(calls))
+    calls.clear()
+    B, _ = body.chord_second_intersections(P, d)
+    assert len(calls) <= max(alone) <= 15
+    assert np.max(np.abs(B - bl.Superellipse(3.5).chord_second_intersections(P, d)[0])) <= 1e-12
+
+
+def test_fractional_row_chords_take_few_kernel_calls(monkeypatch):
+    # a boundary start of a fractional superellipse deflates the root at
+    # t = 0 and starts at the root of the Taylor model of the deflated sum
+    # (or at the kernel's step from the padded bounding sphere), with Halley
+    # steps: at most 7 kernel calls per row solve, for the 160 chords along
+    # (0.8317, 0.5553) and the 9-row grid of a deviation fit (measured 3 and
+    # 2; the generic exit took 12 and 17)
+    from billiardlab import bodies
+    from billiardlab.cli import _conic_deviation_fit
+    solves = []
+    real = bodies.find_root
+
+    def counting(f, *args, **kwargs):
+        solves.append(0)
+
+        def f_counted(*a):
+            solves[-1] += 1
+            return f(*a)
+        return real(f_counted, *args, **kwargs)
+
+    monkeypatch.setattr(bodies, "find_root", counting)
+    body = bl.Superellipse(3.5)
+    P = body.gauss_inverse(unit_rows(np.random.default_rng(25), 160, 2))
+    body.chord_second_intersections(P, [0.8317, 0.5553])
+    assert len(solves) == 1 and solves[0] <= 7
+    solves.clear()
+    sampler = bl.SphereInvolutionSampler.from_parallel_chord(
+        body, [0.831680156322, 0.555255002301])
+    _conic_deviation_fit(body, sampler)
+    assert len(solves) == 1 and solves[0] <= 7
+
+
+def test_fractional_exit_rows_mixing_boundary_and_interior_starts():
+    # boundary rows take the deflated exit, interior rows the base exit, in
+    # one call: each row keeps the bits of its one-vector exit
+    body = bl.Superellipse(2.5, dim=3)
+    rng = np.random.default_rng(29)
+    P = body.gauss_inverse(unit_rows(rng, 30, 3))
+    V = unit_rows(rng, 30, 3)
+    V *= np.where(np.sum(body.implicit_grad(P) * V, axis=1) > 0.0, -1.0, 1.0)[:, None]
+    P[::3] *= 0.7
+    f = np.where(np.arange(30) % 3 == 0, body.implicit(P), -1.0)
+    t = body._exit(P, V, f)
+    assert np.array_equal(t, [body._exit(p, v, fp) for p, v, fp in zip(P, V, f)])
+    assert np.max(np.abs(body.implicit(P + t[:, None] * V))) <= 1e-14
+
+
 @pytest.mark.parametrize("make", [
     lambda: (bl.SphereInvolutionSampler.from_parallel_chord(bl.Superellipse(3.5), [0.3, 1.0]),
              bl.SphereInvolutionSampler.from_parallel_chord(bl.Superellipse(4.0), [0.3, 1.0])),
