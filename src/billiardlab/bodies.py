@@ -77,9 +77,9 @@ VOLUME_NODES = 64
 _GRID = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
 
 
-# Row helpers (with ``solvers._dot``).  numpy's matmul takes the same BLAS
-# kernel for each row of a stack as for a single vector, so these give every
-# row the bits that the one-vector expression (np.dot, M @ v) gives it.
+# Row helpers (with ``solvers._dot``).  numpy's matmul (and vecdot) take the
+# same kernel for each row of a stack as for a single vector, so these give
+# every row the bits that the one-vector expression (np.dot, M @ v) gives it.
 
 def _apply(M, v):
     """M @ v for one vector or for each row of v."""
@@ -172,8 +172,21 @@ def rot90(v):
 
 
 def tangent_frame(u):
-    """Deterministic orthonormal basis of the hyperplane orthogonal to u."""
+    """Deterministic orthonormal basis of the hyperplane orthogonal to u,
+    as the rows of an (n - 1, n) array; for an (N, n) array of rows, the
+    (N, n - 1, n) frames of the rows, each with the bits of its one-vector
+    frame (one stacked QR factorization)."""
     u = _unit(u)
+    if u.ndim > 1:
+        N, n = u.shape
+        if n == 2:
+            return rot90(u)[:, None, :]
+        # the one-vector matrix: the identity with columns 0 and argmax |u_i|
+        # swapped, then u in column 0
+        M = np.tile(np.eye(n), (N, 1, 1))
+        M[np.arange(N), :, np.argmax(np.abs(u), axis=1)] = np.eye(n)[0]
+        M[:, :, 0] = u
+        return np.swapaxes(np.linalg.qr(M)[0][:, :, 1:], 1, 2)
     n = len(u)
     if n == 2:
         return rot90(u).reshape(1, 2)
@@ -494,6 +507,8 @@ class Ellipsoid(ConvexBody):
             raise ConvexityViolationError("ellipsoid matrix must be positive definite")
         self.A = 0.5 * (A + A.T)
         self.A_inv = np.linalg.inv(self.A)
+        self._hess = 2.0 * self.A
+        self._hess.flags.writeable = False
         self.dim = A.shape[0]
         self._radius = 1.0 / math.sqrt(w[0])
 
@@ -505,8 +520,10 @@ class Ellipsoid(ConvexBody):
         return 2.0 * np.asarray(x, dtype=float) @ self.A
 
     def implicit_hess(self, x):
-        H = 2.0 * self.A
-        return H if np.ndim(x) == 1 else np.broadcast_to(H, np.shape(x)[:-1] + H.shape)
+        shape = np.shape(x)[:-1]
+        if not shape:
+            return self._hess
+        return np.repeat(self._hess[None], math.prod(shape), 0).reshape(shape + self._hess.shape)
 
     def bounding_radius(self):
         return self._radius
@@ -607,6 +624,7 @@ class Superellipse(ConvexBody):
         if np.any(self.a <= 0.0):
             raise DomainError("semiaxes must be positive")
         self.dim = len(self.a)
+        self._eye, self._aa = np.eye(self.dim), np.outer(self.a, self.a)
         # farthest point: Lagrange gives |x| = (sum a_i^(2m/(m-2)))^((m-2)/2m)
         # for m > 2; for m <= 2 the maximum sits on the longest axis
         if self.m > 2.0:
@@ -643,7 +661,7 @@ class Superellipse(ConvexBody):
             # |y_i| keeps it finite (and large)
             y = np.maximum(y, EPS)
         diag = self.m * (self.m - 1.0) / self.a ** 2 * y ** (self.m - 2.0)
-        return diag[..., None] * np.eye(self.dim)
+        return diag[..., None] * self._eye
 
     def bounding_radius(self):
         return self._radius
@@ -673,8 +691,8 @@ class Superellipse(ConvexBody):
         sig = np.sign(y) * ay ** (q - 1.0)
         diag = np.maximum(ay, EPS * h) ** (q - 2.0) * h ** q
         H = ((q - 1.0) * h[..., None] ** (1.0 - 2.0 * q)
-             * (diag[..., None] * np.eye(self.dim) - sig[..., :, None] * sig[..., None, :]))
-        return H * np.outer(self.a, self.a)
+             * (diag[..., None] * self._eye - sig[..., :, None] * sig[..., None, :]))
+        return H * self._aa
 
     def _boundary_in_direction(self, s):
         s = np.asarray(s, dtype=float)

@@ -18,6 +18,7 @@ boundary of the difference body K - K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -156,12 +157,11 @@ def _sphere_chart(phi, frames):
     derivatives U2 (N, k, k, d) in the angles.  In the plane u is
     unit_vector(phi), the global angle, and ``frames`` is None; in space
     u = frame @ unit_vector(phi) in the frames (N, 3, 3)."""
+    c, s = np.cos(phi), np.sin(phi)
     if phi.shape[1] == 1:
-        c, s = np.cos(phi[:, 0]), np.sin(phi[:, 0])
-        u = np.stack([c, s], axis=-1)
-        return u, np.stack([-s, c], axis=-1)[:, :, None], -u[:, None, None, :]
-    ca, sa = np.cos(phi[:, 0]), np.sin(phi[:, 0])
-    cp, sp = np.cos(phi[:, 1]), np.sin(phi[:, 1])
+        u = np.concatenate((c, s), axis=1)
+        return u, np.concatenate((-s, c), axis=1)[:, :, None], -u[:, None, None, :]
+    (ca, cp), (sa, sp) = c.T, s.T
     u = np.stack([ca * sp, sa * sp, cp], axis=-1)
     U = np.zeros((len(phi), 3, 2))
     U[:, 0, 0], U[:, 1, 0] = -sa * sp, ca * sp
@@ -175,9 +175,16 @@ def _sphere_chart(phi, frames):
             U2 @ np.swapaxes(frames, 1, 2)[:, None])
 
 
-def _chords(qs):
-    """q_{i+1} - q_i around the closed polygons qs (S, m, d)."""
-    return qs[:, (np.arange(qs.shape[1]) + 1) % qs.shape[1]] - qs
+@functools.lru_cache(maxsize=64)
+def _cyclic(count, m):
+    """Indices of the next and of the previous vertex of each vertex of
+    ``count`` closed m-gons whose vertices are consecutive rows (read-only:
+    every caller shares them)."""
+    i = np.arange(count * m)
+    first = i - i % m
+    nxt, prv = first + (i + 1) % m, first + (i - 1) % m
+    nxt.flags.writeable = prv.flags.writeable = False
+    return nxt, prv
 
 
 class _StationaritySystem:
@@ -195,24 +202,34 @@ class _StationaritySystem:
 
     The polygons asked for are evaluated together: their vertices are the
     rows of one (S m, d) array, so every body query is one row call and
-    the Jacobians are one (S, m k, m k) array.
+    the Jacobians are one (S, m k, m k) array.  Each evaluation also keeps,
+    for each of its polygons, the state at that point (``x``, the vertices
+    ``q``, the boundary gradients ``grad``, the touching-point differences
+    ``w`` and ``degenerate``), so the orbits of a solve are read from the
+    system, not evaluated again.
     """
 
-    def __init__(self, K, T, frames):
+    def __init__(self, K, T, frames, count, m):
         self.K, self.T = K, T
         self.frames = frames  # (S, m, 3, 3), one chart frame per vertex; None in the plane
         self.min_gap = 1e-9 * K.diameter()
+        d = K.dim
+        # the state of each polygon at its last evaluated point (NaN: none yet)
+        self.x = np.full((count, m * (d - 1)), np.nan)
+        self.q, self.grad, self.w = (np.empty((count, m, d)) for _ in range(3))
+        self.degenerate = np.zeros(count, dtype=bool)
 
     def evaluate(self, x, rows):
         """Vertices, charts and gradients of the polygons ``rows`` at the
-        chart angles x (a row per polygon), kept on the system.  A polygon
-        with consecutive vertices closer than the distinctness threshold
-        is degenerate: its gradient is NaN."""
+        chart angles x (a row per polygon); their state is kept on the
+        system.  A polygon with consecutive vertices closer than the
+        distinctness threshold is degenerate: its gradient is NaN.  Returns
+        the vertex rows J, q, <grad F, q>, nu, rho, w, U, U2, the gradient
+        rows, the chords q_{i+1} - q_i and the degeneracy of the polygons."""
         K = self.K
         d = K.dim
-        phi = np.reshape(x, (-1, d - 1))
-        S = len(rows)
-        m = len(phi) // S
+        S, m = len(rows), self.x.shape[1] // (d - 1)
+        phi = x.reshape(-1, d - 1)
         frames = None if self.frames is None else self.frames[rows].reshape(-1, d, d)
         u, U, U2 = _sphere_chart(phi, frames)
         q = K._boundary_in_direction(u)
@@ -221,19 +238,23 @@ class _StationaritySystem:
         gq = _dot(grad, q)
         nu = grad / gq[:, None]
         J = rho[:, None, None] * (U - q[:, :, None] * (nu[:, None, :] @ U))
-        diffs = _chords(q.reshape(S, m, d)).reshape(-1, d)
-        self.degenerate = (np.sqrt(_dot(diffs, diffs)) < self.min_gap).reshape(S, m).any(axis=1)
-        # the vertex rows of the nondegenerate polygons
-        live = np.repeat(~self.degenerate, m) if self.degenerate.any() else slice(None)
-        touch = self.T.support_point(diffs[live]).reshape(-1, m, d)
-        w = (touch[:, np.arange(m) - 1] - touch).reshape(-1, d)
-        if self.degenerate.any():
-            w_live, w = w, np.full((S * m, d), np.nan)
-            w[live] = w_live
-        self.r = (np.swapaxes(J, 1, 2) @ w[:, :, None])[:, :, 0]
-        self.q, self.rho, self.grad, self.gq, self.nu, self.J = q, rho, grad, gq, nu, J
-        self.U, self.U2, self.diffs, self.w, self.live = U, U2, diffs, w, live
-        self.shape = (S, m)
+        nxt, prv = _cyclic(S, m)
+        diffs = q[nxt] - q
+        degenerate = (np.sqrt(_dot(diffs, diffs)) < self.min_gap).reshape(S, m).any(axis=1)
+        if degenerate.any():
+            # touching points of the nondegenerate polygons only
+            live = np.repeat(~degenerate, m)
+            touch = self.T.support_point(diffs[live])
+            w = np.full((S * m, d), np.nan)
+            w[live] = touch[_cyclic(len(touch) // m, m)[1]] - touch
+        else:
+            touch = self.T.support_point(diffs)
+            w = touch[prv] - touch
+        r = (J.transpose(0, 2, 1) @ w[:, :, None])[:, :, 0]
+        self.x[rows], self.degenerate[rows] = x, degenerate
+        self.q[rows], self.grad[rows], self.w[rows] = (
+            a.reshape(S, m, d) for a in (q, grad, w))
+        return J, q, gq, nu, rho, w, U, U2, r, diffs, degenerate
 
     def __call__(self, x, rows):
         """Gradient rows of the action at x (NaN for degenerate polygons)
@@ -245,49 +266,62 @@ class _StationaritySystem:
         with H_i the support Hessian of T at q_{i+1} - q_i.  Degenerate
         polygons get zeros.
         """
-        self.evaluate(x, rows)
-        live = self.live
-        S, m = self.shape
-        J, q, gq, nu, rho, w, U, U2, r = (
-            a[live] for a in (self.J, self.q, self.gq, self.nu, self.rho, self.w, self.U,
-                              self.U2, self.r))
+        J, q, gq, nu, rho, w, U, U2, r, diffs, degenerate = self.evaluate(x, rows)
+        S, n = len(rows), x.shape[1]
+        m = len(q) // S
+        some_degenerate = degenerate.any()
+        if some_degenerate:
+            live = np.repeat(~degenerate, m)
+            J, q, gq, nu, rho, w, U, U2, r_live, diffs = (
+                a[live] for a in (J, q, gq, nu, rho, w, U, U2, r, diffs))
+        else:
+            r_live = r
         d, k = J.shape[1:]
-        Jt = np.swapaxes(J, 1, 2)
-        a = (np.swapaxes(U, 1, 2) @ nu[:, :, None])[:, :, 0]
+        Jt = J.transpose(0, 2, 1)
+        a = U.transpose(0, 2, 1) @ nu[:, :, None]
         wq = _dot(w, q)
         # second derivative of the chart s -> s / g_K(s) contracted with w:
         # the gauge Hessian term -rho^2 <w, q> U^T G_K U, where
         # G_K = Q^T H_K Q / <grad F, q> with Q = I - q nu^T and J = rho Q U,
         # so it is -(<w, q> / <grad F, q>) J^T H_K J; the nu-coupling term;
         # and the curvature of the angle chart itself
-        ar = rho[:, None, None] * (a[:, :, None] * r[:, None, :])
+        ar = rho[:, None, None] * (a * r_live[:, None, :])
         tilt = rho[:, None] * (w - wq[:, None] * nu)
         curv = ((-wq / gq)[:, None, None] * (Jt @ self.K.implicit_hess(q) @ J)
-                - ar - np.swapaxes(ar, 1, 2) + (U2 @ tilt[:, None, :, None])[..., 0])
-        H = self.T.support_hess(self.diffs[live]).reshape(-1, m, d, d)
+                - ar - ar.transpose(0, 2, 1) + (U2 @ tilt[:, None, :, None])[..., 0])
+        H = self.T.support_hess(diffs)
+        nxt, prv = _cyclic(len(H) // m, m)
+        H_prev = H[prv]
+        # blocks[s, i, j] is block (i, j) of polygon s; the off-diagonal
+        # blocks are 0 - X, the bits of subtracting X from a zero block
         i = np.arange(m)
-        nxt = (i + 1) % m
-        H_prev = H[:, i - 1]
-        J, Jt = J.reshape(-1, m, d, k), Jt.reshape(-1, m, k, d)
-        # jac[s, i, :, j, :] is block (i, j) of polygon s; degenerate
-        # polygons keep zeros
-        jac = np.zeros((S, m, k, m, k))
-        blocks = np.zeros((len(H), m, k, m, k)) if self.degenerate.any() else jac
-        by_block = blocks.transpose(0, 1, 3, 2, 4)
-        by_block[:, i, i] = Jt @ (H_prev + H) @ J + curv.reshape(-1, m, k, k)
-        by_block[:, i, nxt] -= Jt @ H @ J[:, nxt]
-        by_block[:, i, i - 1] -= Jt @ H_prev @ J[:, i - 1]
-        if blocks is not jac:
-            jac[~self.degenerate] = blocks
-        return self.r.reshape(S, -1), jac.reshape(S, m * k, m * k)
+        i_next, i_prev = _cyclic(1, m)
+        blocks = np.zeros((len(H) // m, m, m, k, k))
+        blocks[:, i, i] = (Jt @ (H_prev + H) @ J + curv).reshape(-1, m, k, k)
+        ahead = 0.0 - Jt @ H @ J[nxt]
+        behind = Jt @ H_prev @ J[prv]
+        if m == 2:  # blocks (i, i + 1) and (i, i - 1) are one block
+            blocks[:, i, i_next] = (ahead - behind).reshape(-1, m, k, k)
+        else:
+            blocks[:, i, i_next] = ahead.reshape(-1, m, k, k)
+            blocks[:, i, i_prev] = (0.0 - behind).reshape(-1, m, k, k)
+        jac = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n, n)
+        if some_degenerate:
+            jac_live, jac = jac, np.zeros((S, n, n))
+            jac[~degenerate] = jac_live
+        return r.reshape(S, n), jac
 
-    def reflection_defect(self):
-        """max_i |P_i (t_{i-1} - t_i)| of each polygon, P_i the projection
-        onto the tangent plane of K at q_i: zero exactly when every vertex
-        obeys the T-billiard reflection law."""
-        ns = self.grad / np.linalg.norm(self.grad, axis=1)[:, None]
-        tangential = self.w - np.einsum("ij,ij->i", self.w, ns)[:, None] * ns
-        return np.linalg.norm(tangential, axis=1).reshape(self.shape).max(axis=1)
+    def reflection_defect(self, rows):
+        """max_i |P_i (t_{i-1} - t_i)| of each polygon ``rows`` at its last
+        evaluated point, P_i the projection onto the tangent plane of K at
+        q_i: zero exactly when every vertex obeys the T-billiard reflection
+        law."""
+        d = self.K.dim
+        grad, w = self.grad[rows].reshape(-1, d), self.w[rows].reshape(-1, d)
+        # |v| as np.linalg.norm takes it along an axis: sqrt of the sum of v * v
+        ns = grad / np.sqrt((grad * grad).sum(axis=1))[:, None]
+        tangential = w - np.einsum("ij,ij->i", w, ns)[:, None] * ns
+        return np.sqrt((tangential * tangential).sum(axis=1)).reshape(len(rows), -1).max(axis=1)
 
 
 def _seed_charts(points):
@@ -297,15 +331,15 @@ def _seed_charts(points):
     In the plane the chart is the global angle, which needs no frame
     (frames is None); in space each vertex gets an (azimuth, polar) chart
     centered on its direction, at (0, pi/2), far from the chart's poles,
-    with frames (S, m, 3, 3).
+    with frames (S, m, 3, 3): the direction and its tangent frame as
+    columns.
     """
     S, m, d = points.shape
     dirs = _unit(points.reshape(-1, d))
     if d == 2:
-        return None, np.array([math.atan2(s[1], s[0]) for s in dirs]).reshape(S, m)
-    frames = np.array([np.column_stack([s, tangent_frame(s).T])
-                       for s in dirs]).reshape(S, m, 3, 3)
-    return frames, np.tile([0.0, math.pi / 2.0], (S, m))
+        return None, np.array([math.atan2(y, x) for x, y in dirs.tolist()]).reshape(S, m)
+    frames = np.concatenate([dirs[:, :, None], np.swapaxes(tangent_frame(dirs), 1, 2)], axis=2)
+    return frames.reshape(S, m, 3, 3), np.tile([0.0, math.pi / 2.0], (S, m))
 
 
 def _seed_polygons(K, m, multistarts, seed):
@@ -374,16 +408,25 @@ def _solve_seeds(K, T, points):
     """Stationary polygons from the seed polygons with vertices ``points``
     (S, m, dim), solved together by one batched Levenberg-Marquardt call:
     the final chart angles (S, m (dim - 1)) and a closed Orbit per seed,
-    None for a degenerate polygon."""
+    None for a degenerate polygon.  The orbits are read from the state the
+    system kept at each polygon's last evaluated point; only a polygon
+    whose last evaluation was a rejected step is evaluated again, at its
+    final point."""
     S, m = points.shape[:2]
     frames, x0 = _seed_charts(points)
-    system = _StationaritySystem(K, T, frames)
+    system = _StationaritySystem(K, T, frames, S, m)
     x = least_squares(system, x0, max_nfev=ORBIT_MAX_NFEV).x
-    system.evaluate(x, np.arange(S))
+    # compared bit for bit: a zero of the other sign gives other vertex bits
+    stale = np.flatnonzero((system.x.view(np.int64) != x.view(np.int64)).any(axis=1))
+    if stale.size:
+        system.evaluate(x[stale], stale)
     live = np.flatnonzero(~system.degenerate)
-    qs = system.q.reshape(S, m, K.dim)[live]
-    lengths, directions = _lengths_of(T, qs), _directions_of(qs)
-    defects = system.reflection_defect()[live]
+    qs = system.q[live]
+    q = qs.reshape(-1, K.dim)
+    chords = q[_cyclic(len(live), m)[0]] - q
+    lengths = finsler_length(T, chords).reshape(-1, m)
+    directions = _unit(chords).reshape(qs.shape)
+    defects = system.reflection_defect(live)
     orbits = [None] * S
     for j, idx in enumerate(live):
         orbits[idx] = Orbit(qs[j], directions[j], lengths[j], float(sum(lengths[j])),
@@ -463,16 +506,6 @@ def closed_orbit_search(K: ConvexBody, T: ConvexBody, m, multistarts=32,
     return best
 
 
-def _directions_of(qs):
-    chords = _chords(qs)
-    return _unit(chords.reshape(-1, chords.shape[-1])).reshape(chords.shape)
-
-
-def _lengths_of(T, qs):
-    chords = _chords(qs)
-    return finsler_length(T, chords.reshape(-1, chords.shape[-1])).reshape(chords.shape[:-1])
-
-
 @dataclass
 class CapacityReport:
     """Minimal action over bounce counts, with the per-m table."""
@@ -521,8 +554,9 @@ def mahler_product(K):
     return K.volume() * polar_dual(K).volume()
 
 
-def viterbo_ratio(K: ConvexBody, T: ConvexBody, m_max=5, **kw):
-    """Exploration quantity capacity^n / (n! vol(K) vol(T))."""
+def viterbo_ratio(K: ConvexBody, T: ConvexBody, m_max=None, **kw):
+    """Exploration quantity capacity^n / (n! vol(K) vol(T)), with the
+    capacity of ``capacity_estimate`` (m_max defaults to n + 1 there)."""
     n = K.dim
     cap = capacity_estimate(K, T, m_max, **kw).value
     return cap ** n / (math.factorial(n) * K.volume() * T.volume())

@@ -33,12 +33,12 @@ LM_DAMPING = 1e-3
 
 def _dot(a, b):
     """Inner products along the last axis, as np.dot gives them for two
-    vectors; b may be one vector against the rows of a.  numpy's matmul
-    takes the same BLAS kernel for each row of a stack as for a single
-    vector, so every row gets the bits of its one-vector product."""
+    vectors; b may be one vector against the rows of a.  numpy's vecdot
+    takes the kernel of np.dot for each row, so every row gets the bits of
+    its one-vector product."""
     if a.ndim == 1:
         return a @ b
-    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def find_root(f, lo, hi, x0=None, xtol=0.0, f_lo=None, f_hi=None):
@@ -215,29 +215,30 @@ def levenberg_marquardt(fun, x0, max_nfev):
     cost = _dot(f, f)
     evals = 1  # residual evaluations so far of each system still searching
     while True:
-        Jt = np.swapaxes(J, -1, -2)
+        Jt = J.transpose(0, 2, 1)
         A = Jt @ J
         g = (Jt @ f[:, :, None])[:, :, 0]
-        col2 = A.reshape(len(A), n * n)[:, ::n + 1]  # squared column norms of J
-        d2 = np.where(col2 > 0.0, col2, 1.0) if d2 is None else np.maximum(d2, col2)
+        diag = A.reshape(len(A), n * n)[:, ::n + 1]  # squared column norms of J
+        d2 = np.where(diag > 0.0, diag, 1.0) if d2 is None else np.maximum(d2, diag)
         damping = lam[:, None] * d2
-        M = A.copy()
-        M.reshape(len(M), n * n)[:, ::n + 1] += damping
+        diag += damping  # A becomes the damped matrix J^T J + lam D^2
         try:
-            p = -np.linalg.solve(M, g[:, :, None])[:, :, 0]
+            p = -np.linalg.solve(A, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # a singular row takes no step, so it stops below
             p = np.zeros_like(g)
-            for i in range(len(M)):
+            for i in range(len(A)):
                 try:
-                    p[i] = -np.linalg.solve(M[i], g[i, :, None])[:, 0]
+                    p[i] = -np.linalg.solve(A[i], g[i, :, None])[:, 0]
                 except np.linalg.LinAlgError:
                     pass
         # predicted decrease of |f|^2 on the linear model: p^T (lam D^2 p - g)
         predicted = _dot(p, damping * p - g)
-        stop = ((abs(g) <= LM_GTOL).all(axis=1)
-                | (predicted <= k * EPS * cost)
-                | (np.sqrt(_dot(p, p)) <= LM_XTOL * (LM_XTOL + np.sqrt(_dot(xr, xr))))
-                | (evals >= max_nfev))
+        if evals >= max_nfev:
+            stop = np.ones(len(rows), dtype=bool)
+        else:
+            stop = ((abs(g) <= LM_GTOL).all(axis=1)
+                    | (predicted <= k * EPS * cost)
+                    | (np.sqrt(_dot(p, p)) <= LM_XTOL * (LM_XTOL + np.sqrt(_dot(xr, xr)))))
         if stop.any():
             x[rows[stop]], nfev[rows[stop]] = xr[stop], evals
             keep = ~stop

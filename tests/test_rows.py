@@ -378,3 +378,18 @@ def test_exactly_tangent_rows_are_flagged(name):
     for sign in (1.0, -1.0):
         B, tangential = body.chord_second_intersections(P, sign * T)
         assert tangential.all() and np.array_equal(B, P)
+
+
+def test_row_tangent_frames_are_the_one_vector_frames():
+    # one stacked QR factorization gives each row the bits of its
+    # one-vector frame: random unit vectors, the axes, and ties of |u_i|
+    rng = np.random.default_rng(25)
+    for dim in (2, 3, 4):
+        ties = [np.ones(dim), np.r_[1.0, -1.0, np.zeros(dim - 2)],
+                np.r_[0.5, 0.5, -0.5 * np.ones(dim - 2)], np.r_[0.0, -np.ones(dim - 1)]]
+        U = np.concatenate([unit_rows(rng, 1000, dim), np.eye(dim), -np.eye(dim),
+                            np.array(ties) / np.linalg.norm(ties, axis=1, keepdims=True)])
+        frames = bl.bodies.tangent_frame(U)
+        assert frames.shape == (len(U), dim - 1, dim)
+        for u, frame in zip(U, frames):
+            assert frame.tobytes() == bl.bodies.tangent_frame(u).tobytes()
