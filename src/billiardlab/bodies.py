@@ -34,6 +34,10 @@ one-row case: a root solve is one ``find_root`` over rows, whose callback
 indexes the rows still searching, so one vector takes the kernel's scalar
 path.  A row's bits do not depend on the other rows of the call: each
 closed-orbit multistart is solved as if alone, each chord as if alone.
+One vector keeps its scalar bookkeeping in Python floats where IEEE gives
+one answer (comparisons, abs, min/max, selections, and + - * / and sqrt of
+rounded floats); powers, exp, log, trig, arctan2, inner products and sums
+stay in numpy, whose array kernels may round otherwise.
 
 Bodies are immutable after construction and all queries are pure
 functions of (body, arguments), so instances are safe to share between
@@ -91,12 +95,12 @@ def _apply(M, v):
 def _unit(v):
     """v / |v| for one vector, or for each row of an (N, d) array."""
     v = np.asarray(v, dtype=float)
-    n = np.sqrt(_dot(v, v))
     if v.ndim > 1:
-        n = n[:, None]
+        n = np.sqrt(_dot(v, v))[:, None]
         zero = not n.all()
     else:
-        zero = n == 0.0  # a scalar: cheaper than all()
+        n = math.sqrt(v.dot(v))
+        zero = n == 0.0
     if zero:
         raise DomainError("zero vector has no direction")
     return v / n
@@ -124,7 +128,8 @@ def _halley_slope(g, g1, g2):
     it makes the root kernel's Newton step Halley's (at most twice the
     Newton step); g1 = 0 gives slope 0."""
     q = g1 * g1
-    return g1 * np.maximum(0.5, 1.0 - 0.5 * g * g2 / (q + (q == 0.0)))
+    r = 1.0 - 0.5 * g * g2 / (q + (q == 0.0))
+    return g1 * (np.maximum(0.5, r) if getattr(r, "ndim", 0) else max(r, 0.5))  # max keeps a NaN r
 
 
 def _even_interior_start(c, x0, hi):
@@ -253,11 +258,16 @@ class ConvexBody:
         boundary; the first one that is not raises.  A caller that has F(p)
         and its gradient may pass them."""
         p = np.asarray(p, dtype=float)
-        r = np.abs(self.implicit(p) if f is None else f)
+        f = self.implicit(p) if f is None else f
         bound = BOUNDARY_TOL * max(1.0, self.bounding_radius())
-        if (r > bound).any():  # the bound scales by max(1, |grad F|) >= 1
+        # a NaN residual fails every comparison, so "not <=" takes it off the
+        # boundary; one vector is tested on a Python float
+        if p.ndim == 1 and abs(float(f)) <= bound:
+            return p
+        r = np.abs(f)
+        if not (r <= bound).all():  # the bound scales by max(1, |grad F|) >= 1
             g = self.implicit_grad(p) if grad is None else grad
-            off = r > bound * np.maximum(1.0, np.sqrt((g * g).sum(-1)))
+            off = ~(r <= bound * np.maximum(1.0, np.sqrt((g * g).sum(-1))))
             if off.any():
                 i = np.flatnonzero(off)[0]
                 raise BoundaryMembershipError(
@@ -381,11 +391,13 @@ class ConvexBody:
     def _sphere_chord(self, p, v):
         """Parameters (t0 < t1) where the line p + t v, or each row's line,
         meets the bounding sphere padded to radius^2 = 1.1 R^2."""
-        b = _dot(p, v)
-        disc = b * b + 1.1 * self.bounding_radius() ** 2 - _dot(p, p)
-        if (disc <= 0.0).any():
+        b, pp = _dot(p, v), _dot(p, p)
+        if p.ndim == 1:
+            b, pp = float(b), float(pp)
+        disc = b * b + 1.1 * self.bounding_radius() ** 2 - pp
+        if (disc <= 0.0).any() if p.ndim > 1 else disc <= 0.0:
             raise DomainError("line misses the body")
-        r = np.sqrt(disc)
+        r = np.sqrt(disc) if p.ndim > 1 else math.sqrt(disc)
         return -b - r, -b + r
 
     def _exit(self, p, v, f_p):
@@ -402,20 +414,24 @@ class ConvexBody:
         not positive).  A ray that never leaves raises ConvergenceError.
         """
         T = self._sphere_chord(p, v)[1]
-        x = p + T[..., None] * v
-        f_hi, slope = self.implicit(x), _dot(self.implicit_grad(x), v)
-        if (f_hi < 0.0).any():
-            raise ConvergenceError("ray never leaves the body")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x0 = T - f_hi / slope  # outside (0, T) for a slope <= 0 or not finite
         xtol = EPS * self.bounding_radius()
         if p.ndim == 1:
             def jet(t):
                 x = p + t * v
                 return float(self.implicit(x)), float(self.implicit_grad(x) @ v)
 
-            return find_root(jet, 0.0, float(T), x0=float(x0), xtol=xtol, f_lo=f_p,
-                             f_hi=float(f_hi))
+            f_hi, slope = jet(T)
+            if f_hi < 0.0:
+                raise ConvergenceError("ray never leaves the body")
+            # no start (the midpoint) for a zero slope
+            x0 = T - f_hi / slope if slope != 0.0 else None
+            return find_root(jet, 0.0, T, x0=x0, xtol=xtol, f_lo=f_p, f_hi=f_hi)
+        x = p + T[:, None] * v
+        f_hi, slope = self.implicit(x), _dot(self.implicit_grad(x), v)
+        if (f_hi < 0.0).any():
+            raise ConvergenceError("ray never leaves the body")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x0 = T - f_hi / slope  # outside (0, T) for a slope <= 0 or not finite
 
         def jets(t, i):
             x = p[i] + t[:, None] * v[i]
@@ -639,6 +655,7 @@ class Superellipse(ConvexBody):
         if self._even:
             m = int(self.m)
             self._binomial = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+            self._powers = (m - np.arange(m + 1), np.arange(m + 1))  # of p / a and v / a
         else:
             # binom(m, k), k = 1..4: the Taylor coefficients of |1 + x|^m
             self._binomial = np.cumprod([(self.m - k) / (k + 1.0) for k in range(4)]).tolist()
@@ -646,7 +663,7 @@ class Superellipse(ConvexBody):
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
-        return np.sum(np.abs(x / self.a) ** self.m, axis=-1) - 1.0
+        return (np.abs(x / self.a) ** self.m).sum(-1) - 1.0
 
     def implicit_grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -734,9 +751,8 @@ class Superellipse(ConvexBody):
                 t[on] = self._deflated_exit(p[on], v[on], am[on])
             return t
         m = int(self.m)
-        k = np.arange(m + 1)
-        c = (self._binomial * (p / self.a)[..., None] ** (m - k)
-             * (v / self.a)[..., None] ** k).sum(-2)
+        c = (self._binomial * (p / self.a)[..., None] ** self._powers[0]
+             * (v / self.a)[..., None] ** self._powers[1]).sum(-2)
         c = c.tolist() if p.ndim == 1 else list(c.T)  # floats for the scalar kernel
         c[0] -= 1.0
         deflate = ((f_p == -1.0) & (c[0] > -0.5)) | (c[0] >= 0.0)
@@ -751,12 +767,13 @@ class Superellipse(ConvexBody):
                 x0 = _increasing_cubic_root(c1, c2, c3, c[4]) if m == 4 else x0
             else:
                 x0 = _even_interior_start(c, x0, hi)
+            f_lo = min(c1, 0.0) if deflate else f_p
         else:
             if m == 4 and deflate.any():
                 x0 = np.where(deflate, _increasing_cubic_root(c1, c2, c3, c[4]), x0)
             if not deflate.all():
                 x0 = np.where(deflate, x0, _even_interior_start(c, x0, hi))
-        f_lo = np.where(deflate, np.minimum(c1, 0.0), f_p)
+            f_lo = np.where(deflate, np.minimum(c1, 0.0), f_p)
         coeffs = c[::-1]  # c_m, ..., c_0
         if p.ndim > 1:
             hi, coeffs = np.full(len(p), hi), np.array(coeffs)
@@ -770,7 +787,7 @@ class Superellipse(ConvexBody):
             r = c0 / t
             return value + r, slope - r / t
 
-        return find_root(jet, 0.0, hi, x0=x0, f_lo=f_lo[()], f_hi=1.0)
+        return find_root(jet, 0.0, hi, x0=x0, f_lo=f_lo, f_hi=1.0)
 
     def _deflated_exit(self, p, v, am):
         """The exit of the ray p + t v from the boundary point p (or of each
@@ -1009,7 +1026,7 @@ class RadialBody2D(ConvexBody):
 
     def implicit(self, x):
         x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
+        rho = np.sqrt((x * x).sum(-1))  # np.linalg.norm's sum, without its wrapper
         theta = np.arctan2(x[..., 1], x[..., 0])
         return rho - self.radial(theta)
 
@@ -1060,15 +1077,20 @@ class RadialBody2D(ConvexBody):
         v does not enter there, the ray leaves at once.  On the origin line
         the exit is r e at arg v.  So f_p is not needed.
         """
-        px, py, vx, vy = p[..., 0], p[..., 1], v[..., 0], v[..., 1]
+        one = p.ndim == 1
+        if one:  # Python floats, without numpy's 0-d dispatch
+            (px, py), (vx, vy) = p.tolist(), v.tolist()
+        else:
+            px, py, vx, vy = p[..., 0], p[..., 1], v[..., 0], v[..., 1]
         phi_p, phi_v = np.arctan2(py, px), np.arctan2(vy, vx)
         c = px * vy - py * vx  # p x v = -<p, nu>
-        sigma = np.sign(c)
+        sigma = (c > 0.0) - (c < 0.0) if one else np.sign(c)
+        sqrt = math.sqrt if one else np.sqrt
         r, r1, r2 = self.radial.jet(phi_p)
         cos, sin = np.cos(phi_p), np.sin(phi_p)
         en, ev = sin * vx - cos * vy, cos * vx + sin * vy  # <e, nu>, <e, v>
         pp, b = px * px + py * py, px * vx + py * vy
-        on = np.sqrt(pp) - r >= -BOUNDARY_TOL * max(1.0, self._radius)
+        on = sqrt(pp) - r >= -BOUNDARY_TOL * max(1.0, self._radius)
         slope = r1 * en + r * ev  # s'(phi_p) = sqrt(r^2 + r'^2) <n, v>, n the unit normal
         leaves = on & (slope >= 0.0)
         # masks by arithmetic (exact, and cheaper than where on one vector);
@@ -1081,12 +1103,12 @@ class RadialBody2D(ConvexBody):
         # start at the exit through the osculating circle at a boundary start,
         # else through the circle of radius r(phi_p) about the origin
         t0 = (w * (-2.0 * slope * (r * r + r1 * r1) / (r * r + 2.0 * r1 * r1 - r * r2))
-              + (1.0 - w) * (np.sqrt(abs(b * b + r * r - pp)) - b))
+              + (1.0 - w) * (sqrt(abs(b * b + r * r - pp)) - b))
         tau0 = sigma * (np.arctan2(py + t0 * vy, px + t0 * vx) - phi_p)
         tau0 = tau0 + 2.0 * math.pi * (tau0 < 0.0)
         args = (phi_p, sigma, c, vx, vy, w * sigma * (r * en + c), w)
         phi = lw * phi_p + (1.0 - lw) * phi_v
-        if p.ndim == 1:
+        if one:
             if solve:
                 phi = phi_p + sigma * self._exit_angle(args, 0.0, length, tau0)
         elif solve.any():
@@ -1295,7 +1317,7 @@ class LinearImageBody(ConvexBody):
         # the ray is the image of the ray from B^-1 p along w = B^-1 v in K
         w = _apply(self.B_inv, v)
         n = np.sqrt(_dot(w, w))
-        return self.base._exit(_apply(self.B_inv, p), w / np.expand_dims(n, -1), f_p) / n
+        return self.base._exit(_apply(self.B_inv, p), w / n[..., None], f_p) / n
 
     def volume(self):
         return abs(float(np.linalg.det(self.B))) * self.base.volume()

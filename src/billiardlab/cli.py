@@ -332,7 +332,7 @@ def cmd_capacity(cfg: ExperimentConfig):
     """Minimal-action table over bounce counts plus the best orbit."""
     K = cfg.body("body_k")
     T = cfg.body("body_t")
-    m_max = _count(cfg, "m_max", 5, least=2)
+    m_max = _count(cfg, "m_max", K.dim + 1, least=2)
     multistarts = _count(cfg, "multistarts", 16)
     report = capacity_estimate(K, T, m_max, multistarts=multistarts,
                                seed=cfg.seed)

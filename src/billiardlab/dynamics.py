@@ -111,10 +111,10 @@ def iterate_t_billiard(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     closed = False
     if len(points) >= 3:
         tol = 1e-9 * K.diameter()
-        gaps = np.linalg.norm(points[1:] - points[0], axis=1)
-        closed = bool(np.any(gaps < tol))
+        gaps = points[1:] - points[0]
+        closed = bool((np.sqrt((gaps * gaps).sum(1)) < tol).any())  # np.linalg.norm's |gap|
     return Orbit(points, np.asarray(directions), lengths,
-                 float(np.sum(lengths)), closed=closed, status=status)
+                 float(lengths.sum()), closed=closed, status=status)
 
 
 def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):

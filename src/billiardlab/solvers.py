@@ -37,7 +37,7 @@ def _dot(a, b):
     takes the kernel of np.dot for each row, so every row gets the bits of
     its one-vector product."""
     if a.ndim == 1:
-        return a @ b
+        return a.dot(b)  # the kernel of a @ b, without matmul's dispatch
     return np.vecdot(a, b)
 
 

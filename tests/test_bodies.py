@@ -56,6 +56,22 @@ def test_normal_requires_boundary_point(disk):
         disk.exterior_normal([0.3, 0.1])
 
 
+@pytest.mark.parametrize("body", [bl.Ball(), bl.Superellipse(4.0),
+                                  bl.RadialBody2D([1.0, 0.0, 0.08, 0.02], [0.0, 0.0, 0.0, 0.02])],
+                         ids=["ball", "superellipse4", "radial"])
+def test_a_nan_point_is_not_on_the_boundary(body):
+    # F(nan) is NaN, which compares false against the bound: it must raise,
+    # not return a NaN normal or chord end
+    nan = np.array([math.nan, 0.0])
+    rows = np.array([body.gauss_inverse([1.0, 0.0]), nan])
+    for query in (lambda: body.exterior_normal(nan),
+                  lambda: body.chord_second_intersection(nan, [1.0, 0.0]),
+                  lambda: body.exterior_normal(rows),
+                  lambda: body.chord_second_intersections(rows, [0.0, 1.0])):
+        with pytest.raises(BoundaryMembershipError):
+            query()
+
+
 # ---------------------------------------------------------------------------
 # gauss_inverse
 # ---------------------------------------------------------------------------

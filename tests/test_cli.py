@@ -133,6 +133,16 @@ def test_capacity_command_prints_value(tmp_path, capsys):
     assert abs(float(rows[1][1]) - 4.0) <= 1e-4
 
 
+def test_capacity_without_m_max_searches_up_to_n_plus_one(tmp_path):
+    # as capacity_estimate: the shortest orbit has at most n + 1 bounces
+    write(tmp_path, "disk.body", DISK)
+    cfg = write(tmp_path, "c.cfg", "experiment = capacity\nbody_k = disk.body\n"
+                "body_t = disk.body\nmultistarts = 4\n")
+    assert main(["capacity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = read_rows(tmp_path / "out" / "capacity.csv")
+    assert [r[0] for r in rows[1:]] == ["2", "3"]
+
+
 def test_osculate_command_planar_and_surface(tmp_path):
     planar = write(tmp_path, "g2.body",
                    "kind = graph_germ\ndim = 2\nc[2] = 0.5\nc[5] = 0.01\n")

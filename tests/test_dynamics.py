@@ -90,19 +90,26 @@ def test_lifted_diameter_orbit_has_four_segments_per_period(disk):
     assert np.allclose(lift.segments[3].p_end, [1.0, 0.0], atol=1e-12)
 
 
-def test_lift_projection_matches_iterate(ellipse, ellipse_rot):
-    rng = np.random.default_rng(52)
-    K, T = ellipse, ellipse_rot
-    worst = 0.0
-    for _ in range(100):
-        line = random_line(rng, spread=0.2)
-        steps = 4
-        orbit = bl.iterate_t_billiard(K, T, line, steps)
-        lift = bl.lift_kt_orbit(K, T, line, steps)
-        if orbit.status != "ok" or lift.status != "ok":
-            continue
-        worst = max(worst, float(np.max(np.abs(orbit.points - lift.q_polygon()))))
-    assert worst <= 1e-9
+def test_lift_projection_matches_iterate(ellipse, ellipse_rot, radial_blob, superellipse):
+    # the lift reaches each bounce point by other queries (exterior_normal
+    # of T, chords of T from p) than the map's reflection; the non-quadric
+    # pairs take the generic and deflated exits on both sides
+    se35 = bl.Superellipse(3.5)
+    for K, T in ((ellipse, ellipse_rot), (radial_blob, superellipse),
+                 (superellipse, superellipse), (superellipse, se35), (radial_blob, se35)):
+        rng = np.random.default_rng(52)
+        worst, compared = 0.0, 0
+        for _ in range(100):
+            line = random_line(rng, spread=0.2)
+            steps = 4
+            orbit = bl.iterate_t_billiard(K, T, line, steps)
+            lift = bl.lift_kt_orbit(K, T, line, steps)
+            if orbit.status != "ok" or lift.status != "ok":
+                continue
+            compared += 1
+            worst = max(worst, float(np.max(np.abs(orbit.points - lift.q_polygon()))))
+        assert compared >= 90, (type(K).__name__, type(T).__name__)
+        assert worst <= 1e-9, (type(K).__name__, type(T).__name__)
 
 
 def test_lift_segment_structure(ellipse, disk):
@@ -566,6 +573,78 @@ def test_searches_keep_their_pinned_bits(name, m, digest):
     orbit = bl.closed_orbit_search(K, bl.polar_dual(K), m, multistarts=4, seed=5)
     assert orbit.status == "ok"
     assert _orbit_digest(orbit)[:32] == digest
+
+
+def _billiard_bodies():
+    """A body of each family that the T-billiard map bounces in."""
+    return {
+        "ellipse": bl.Ellipsoid(np.array([[0.4, 0.1], [0.1, 1.2]])),
+        "superellipse4": bl.Superellipse(4.0),
+        "superellipse35": bl.Superellipse(3.5),
+        "radial": bl.RadialBody2D([1.0, 0.0, 0.06, 0.01], [0.0, 0.02, 0.0, 0.01]),
+        "support": bl.SupportBody2D([1.0, 0.0, 0.06, 0.0], [0.0, 0.0, 0.02, 0.01]),
+        "linear": bl.LinearImageBody(bl.Superellipse(4.0),
+                                     np.array([[1.1, 0.25], [0.05, 0.9]])),
+    }
+
+
+def _billiard_lines(count, seed):
+    """Lines through points of the disk of radius 0.3, which every K contains."""
+    rng = np.random.default_rng(seed)
+    return [bl.OrientedLine(0.3 * math.sqrt(rng.uniform()) * unit(rng.normal(size=2)),
+                            unit(rng.normal(size=2))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("query, bodies, digest", [
+    ("orbit", "ellipse/ball", "f3f8a36eeb82a9519278d17ad03f8d1f"),
+    ("orbit", "ellipse/superellipse4", "fa503fb5f9bafa89c4e551922d8bd6c7"),
+    ("orbit", "superellipse4/ball", "6f7a7592fc6f4f30c7493e88bb846783"),
+    ("orbit", "superellipse4/superellipse4", "0d868a66afcadb9fa8bd3fe2ffe7fd61"),
+    ("orbit", "superellipse35/ball", "d6919c8919d8ee5abe160b2d3452fbbb"),
+    ("orbit", "superellipse35/superellipse4", "3f9abc496cde5efd7b2dbf56dc2d1c87"),
+    ("orbit", "radial/ball", "a359f69f0dacbfa3dc0f151fbaf00124"),
+    ("orbit", "radial/superellipse4", "7338a47a3b23e6b6b74cb7c29e8cb97a"),
+    ("orbit", "support/ball", "ccea06a1493a48118c48a772187da6ba"),
+    ("orbit", "support/superellipse4", "80ace73a0cc1b5833bedcc68c6a749f8"),
+    ("orbit", "linear/ball", "5c15623b487dd8829dfe5677f9fbafae"),
+    ("orbit", "linear/superellipse4", "19da8d06a5c4ca12b7aedbe5357c0822"),
+    ("lift", "superellipse4/ball", "112e6275139a95666709ac91de025376"),
+    ("lift", "superellipse4/superellipse4", "c55b31e1229a3dd1c232a8482e25763e"),
+    ("finsler", "ellipse", "85c6ebbd96e8e1d059c6378bf9ad7c33"),
+    ("finsler", "radial", "638066de201116262be783ad44f40400"),
+    ("finsler", "ellipsoid3", "80c47cfc21b1dcb9ad1c9fc348d52c8e"),
+])
+def test_orbits_keep_their_pinned_bits(query, bodies, digest):
+    # a bounce is a chain of one-vector body queries; a change to their
+    # bookkeeping must not move an orbit by a bit.  Digests of the points and
+    # directions of three 6-bounce orbits per K/T, of a lifted orbit's
+    # q-polygon per K/T, and of both Finsler laws at four (hyperplane,
+    # incidence) pairs per indicatrix
+    h = hashlib.sha256()
+    if query == "finsler":
+        I = {"ellipse": bl.Ellipsoid(np.array([[1.4, 0.2], [0.2, 0.7]])),
+             "radial": bl.RadialBody2D([1.0, 0.0, 0.08, 0.0, 0.02], [0.0, 0.0, 0.02]),
+             "ellipsoid3": bl.Ellipsoid(np.diag([0.8, 1.3, 0.6]))}[bodies]
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            m, u = unit(rng.normal(size=I.dim)), I._boundary_in_direction(rng.normal(size=I.dim))
+            for law in (bl.finsler_reflect_legendre, bl.finsler_reflect_concurrency):
+                h.update(law(I, m, u).tobytes())
+    else:
+        K_name, T_name = bodies.split("/")
+        K = _billiard_bodies()[K_name]
+        T = {"ball": bl.Ball(), "superellipse4": bl.Superellipse(4.0)}[T_name]
+        if query == "lift":
+            (line,) = _billiard_lines(1, 23)
+            lift = bl.lift_kt_orbit(K, T, line, 6)
+            assert lift.status == "ok"
+            h.update(lift.q_polygon().tobytes())
+        else:
+            for line in _billiard_lines(3, 21):
+                orbit = bl.iterate_t_billiard(K, T, line, 6)
+                assert orbit.status == "ok"
+                h.update(orbit.points.tobytes() + orbit.directions.tobytes())
+    assert h.hexdigest()[:32] == digest
 
 
 @pytest.mark.parametrize("name", ["ellipse", "superellipse4_polar", "ellipsoid3"])
