@@ -276,18 +276,20 @@ class ConvexBody:
         return p
 
     def _boundary_grad(self, p):
-        """(p, grad F(p)) once p (or each row) is checked to be on the boundary."""
-        p = self._require_boundary(p)
-        return p, self.implicit_grad(p)
+        """(p, F(p), grad F(p)) once p (or each row) is checked to be on the
+        boundary."""
+        p = np.asarray(p, dtype=float)
+        f = self.implicit(p)
+        return self._require_boundary(p, f), f, self.implicit_grad(p)
 
     def exterior_normal(self, p):
         """Unit exterior normal at a boundary point (or at each row)."""
-        return _unit(self._boundary_grad(p)[1])
+        return _unit(self._boundary_grad(p)[2])
 
     def second_fundamental_form(self, p):
         """Symmetric matrix of the second fundamental form in an
         orthonormal tangent frame; raises if not positive definite."""
-        p, g = self._boundary_grad(p)
+        p, _, g = self._boundary_grad(p)
         H = self.implicit_hess(p)
         frame = tangent_frame(g)
         II = frame @ H @ frame.T / np.linalg.norm(g)
@@ -341,7 +343,7 @@ class ConvexBody:
         tangential chord (|t| below the tangency threshold) raises
         DegenerateChordError.
         """
-        a, g = self._boundary_grad(a)
+        a, _, g = self._boundary_grad(a)
         d = _unit(d)
         return self._chord_end(a, d, float(np.dot(g, d)))
 
@@ -353,7 +355,7 @@ class ConvexBody:
         instead of raising, and keep b = a.  Generic chords are one row
         ``_exit``; the closed forms also take a single chord (the one-row case).
         """
-        a, g = self._boundary_grad(a)
+        a, _, g = self._boundary_grad(a)
         d = np.broadcast_to(_unit(d), a.shape)
         return self._chord_end(a, d, _dot(g, d))
 
@@ -439,15 +441,16 @@ class ConvexBody:
 
         return find_root(jets, 0.0, T, x0=x0, xtol=xtol, f_lo=f_p, f_hi=f_hi)
 
-    def _inside_on(self, p, v):
+    def _inside_on(self, p, v, f):
         """(t, f) with f < 0 standing for F at the point p + t v of the line:
         (0, F(p)) for an interior p, (0, -1) for a boundary p (the deflated
         start of ``_exit``, which leaves at once along a v that does not
         enter), else the minimum of F along the line; a line that misses
         the body raises DomainError.  A p whose F rounds below zero by at
         most BOUNDARY_ROUNDING max(1, R), as at the bounce points that
-        exits return, is a boundary p."""
-        f = float(self.implicit(p))
+        exits return, is a boundary p.  f is F(p) when the caller has it,
+        else None."""
+        f = float(self.implicit(p) if f is None else f)
         scale = max(1.0, self.bounding_radius())
         if f < -BOUNDARY_ROUNDING * scale:
             return 0.0, f
@@ -469,14 +472,19 @@ class ConvexBody:
     def line_intersections(self, line: OrientedLine):
         """Entry and exit parameters (t_enter < t_exit) of an oriented line."""
         p, v = line.point, line.direction
-        t, f = self._inside_on(p, v)
+        t, f = self._inside_on(p, v, None)
         q = p + t * v
         return t - self._exit(q, -v, f), t + self._exit(q, v, f)
 
     def last_intersection(self, line: OrientedLine):
         """Last boundary point met by the oriented line (its exit point)."""
-        p, v = line.point, line.direction
-        t, f = self._inside_on(p, v)
+        return self._last_point(line.point, line.direction, None)
+
+    def _last_point(self, p, v, f):
+        """last_intersection of the line through p along the unit v, where f
+        is F(p) when the caller has it (a billiard bounce point carries the
+        F of its boundary check), else None."""
+        t, f = self._inside_on(p, v, f)
         q = p + t * v
         return q + self._exit(q, v, f) * v
 
@@ -587,7 +595,9 @@ class Ellipsoid(ConvexBody):
         return np.where(tangential[:, None], u, _unit(u - c[:, None] * Ad))
 
     def line_intersections(self, line: OrientedLine):
-        p, v = line.point, line.direction
+        return self._crossings(line.point, line.direction)
+
+    def _crossings(self, p, v):
         qa = float(v @ self.A @ v)
         qb = float(p @ self.A @ v)
         qc = float(p @ self.A @ p) - 1.0
@@ -597,8 +607,8 @@ class Ellipsoid(ConvexBody):
         r = math.sqrt(disc)
         return (-qb - r) / qa, (-qb + r) / qa
 
-    def last_intersection(self, line: OrientedLine):
-        return line.at(self.line_intersections(line)[1])
+    def _last_point(self, p, v, f):
+        return p + self._crossings(p, v)[1] * v
 
     def volume(self):
         unit_ball = math.pi ** (self.dim / 2.0) / math.gamma(self.dim / 2.0 + 1.0)
@@ -1236,7 +1246,8 @@ class SupportBody2D(ConvexBody):
         # one normal-angle solve of the polar, not one for F and one for grad F
         p = np.asarray(p, dtype=float)
         g = self.implicit_grad(p)
-        return self._require_boundary(p, _dot(p, g) - 1.0, g), g
+        f = _dot(p, g) - 1.0
+        return self._require_boundary(p, f, g), f, g
 
     def bounding_radius(self):
         return self._radius
@@ -1268,9 +1279,9 @@ class SupportBody2D(ConvexBody):
         theta = find_root(offset, lo, hi, f_lo=np.minimum(s_lo, 0.0), f_hi=np.maximum(s_hi, 0.0))
         return _dot(self.support_point(np.stack([np.cos(theta), np.sin(theta)], -1)) - p, v)
 
-    def last_intersection(self, line: OrientedLine):
+    def _last_point(self, p, v, f):
         # the exit needs no interior point of the line
-        return line.at(self._exit(line.point, line.direction))
+        return p + self._exit(p, v) * v
 
 
 class LinearImageBody(ConvexBody):

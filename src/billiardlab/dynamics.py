@@ -1,9 +1,12 @@
 """Orbit iteration, minimal-action closed orbits, capacities, Mahler products.
 
-Orbit segments are measured with the support function of the reflecting
-body T: the length of the step q -> q' is h_T(q' - q), evaluated on the
-directed chord.  The minimal action of a closed orbit over all bounce
-counts is the capacity estimate for the product body.
+The T-billiard orbit is the q-projection of the (K, T) lift, and one
+bounce loop, ``reflection._bounces``, gives both: an ellipsoid T
+transports the direction in closed form, any other T carries the end of
+its chord.  Orbit segments are measured with the support function of the
+reflecting body T: the length of the step q -> q' is h_T(q' - q),
+evaluated on the directed chord.  The minimal action of a closed orbit
+over all bounce counts is the capacity estimate for the product body.
 
 Closed orbits are zeros of the action gradient over m-tuples of boundary
 points.  Each point moves in a radial chart of K (the boundary point on
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +39,7 @@ from .bodies import (
     unit_vector,
 )
 from .errors import DomainError, GrazingError, PreconditionError
-from .reflection import GRAZING_ANGLE, _require_same_dimension, t_billiard_reflect
+from .reflection import _bounces, _require_same_dimension
 from .solvers import _dot, levenberg_marquardt as least_squares
 
 ORBIT_MAX_NFEV = 500  # residual evaluations per closed_orbit_search polygon
@@ -88,24 +92,29 @@ class KTOrbit:
         return np.array([s.q_end for s in self.segments if s.kind == "q"])
 
 
+def _require_steps(steps):
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+        raise DomainError(f"steps must be a non-negative integer, not {steps!r}")
+    return int(steps)
+
+
 def iterate_t_billiard(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
     """Iterate the T-billiard map, recording bounce points and lengths.
 
-    Grazing incidence truncates the orbit and marks its status.
+    The orbit is the q-projection of ``lift_kt_orbit``.  Grazing incidence
+    truncates the orbit and marks its status.
     """
+    steps = _require_steps(steps)
     _require_same_dimension(K, T, line)
     points = []
     directions = [line.direction]
-    current = line
     status = "ok"
-    for _ in range(int(steps)):
-        try:
-            current = t_billiard_reflect(K, T, current)
-        except GrazingError:
-            status = "grazing"
-            break
-        points.append(current.point)
-        directions.append(current.direction)
+    try:
+        for _, (q, _, v, _) in zip(range(steps), _bounces(K, T, line, None)):
+            points.append(q)
+            directions.append(v)
+    except GrazingError:
+        status = "grazing"
     points = np.asarray(points).reshape(-1, K.dim)
     lengths = finsler_length(T, points[1:] - points[:-1])
     closed = False
@@ -122,28 +131,26 @@ def lift_kt_orbit(K: ConvexBody, T: ConvexBody, line: OrientedLine, steps):
 
     q moves along the exterior normal of dT at the current p; when q
     reaches dK, p moves along the interior normal of dK at the bounce
-    point until it reaches dT again.
+    point until it reaches dT again.  The q-polygon is the
+    ``iterate_t_billiard`` orbit, bit for bit; for an ellipsoid T, p is the
+    ``gauss_inverse`` of each direction.
     """
+    steps = _require_steps(steps)
     _require_same_dimension(K, T, line)
     if not K.contains(line.point):
         raise PreconditionError("lifted orbit starts at an interior point of K")
     orbit = KTOrbit()
     q = np.asarray(line.point, dtype=float)
     p = T.gauss_inverse(line.direction)
-    for _ in range(int(steps)):
-        direction = T.exterior_normal(p)
-        try:
-            q_next = K.last_intersection(OrientedLine(q, direction))
-            n_K = K.exterior_normal(q_next)
-            if float(np.dot(direction, n_K)) <= GRAZING_ANGLE:
-                raise GrazingError("grazing in lifted orbit")
-            p_next = T.chord_second_intersection(p, n_K)
-        except GrazingError:
-            orbit.status = "grazing"
-            break
-        orbit.segments.append(KTSegment("q", q, p, q_next, p))
-        orbit.segments.append(KTSegment("p", q_next, p, q_next, p_next))
-        q, p = q_next, p_next
+    try:
+        for _, (q_next, _, v, p_next) in zip(range(steps), _bounces(K, T, line, p)):
+            if p_next is None:
+                p_next = T.gauss_inverse(v)
+            orbit.segments.append(KTSegment("q", q, p, q_next, p))
+            orbit.segments.append(KTSegment("p", q_next, p, q_next, p_next))
+            q, p = q_next, p_next
+    except GrazingError:
+        orbit.status = "grazing"
     return orbit
 
 

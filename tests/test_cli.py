@@ -439,7 +439,7 @@ DEMOS = CONFIGS.parent
 # SHA-256 of what each demo script prints, pinned like the demo CSVs.
 DEMO_STDOUT_SHA256 = {
     "01_reflection_laws.py":
-        "a632070f32fc48773c73fa496283dc0d08f72ee1039e7d77b70a97eb68d6b91a",
+        "77722e76105b3e74b93299a6a9eddb02effee839a7899d6d5d45f930bab426ca",
     "02_projectivity_of_reflections.py":
         "43fe53e2a24e99962be8397386a3bc591496214de6305c396c7f942dd09bc1c7",
     "03_osculating_conics_and_quadrics.py":

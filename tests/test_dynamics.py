@@ -1,5 +1,6 @@
 """Orbit iteration, lifted orbits, closed-orbit search, capacities."""
 
+import collections
 import hashlib
 import math
 import struct
@@ -91,9 +92,7 @@ def test_lifted_diameter_orbit_has_four_segments_per_period(disk):
 
 
 def test_lift_projection_matches_iterate(ellipse, ellipse_rot, radial_blob, superellipse):
-    # the lift reaches each bounce point by other queries (exterior_normal
-    # of T, chords of T from p) than the map's reflection; the non-quadric
-    # pairs take the generic and deflated exits on both sides
+    # the non-quadric pairs take the generic and deflated exits on both sides
     se35 = bl.Superellipse(3.5)
     for K, T in ((ellipse, ellipse_rot), (radial_blob, superellipse),
                  (superellipse, superellipse), (superellipse, se35), (radial_blob, se35)):
@@ -110,6 +109,66 @@ def test_lift_projection_matches_iterate(ellipse, ellipse_rot, radial_blob, supe
             worst = max(worst, float(np.max(np.abs(orbit.points - lift.q_polygon()))))
         assert compared >= 90, (type(K).__name__, type(T).__name__)
         assert worst <= 1e-9, (type(K).__name__, type(T).__name__)
+    # the orbit and the lift run one bounce loop, so the q-polygon is the
+    # orbit bit for bit: for a ball T, which transports directions, and for
+    # a Superellipse(4) T, which carries its chord end
+    for name, K in _billiard_bodies().items():
+        for T in (bl.Ball(), bl.Superellipse(4.0)):
+            for line in _billiard_lines(3, 21):
+                orbit = bl.iterate_t_billiard(K, T, line, 6)
+                lift = bl.lift_kt_orbit(K, T, line, 6)
+                assert lift.status == orbit.status, (name, type(T).__name__)
+                assert lift.q_polygon().reshape(-1, K.dim).tobytes() == orbit.points.tobytes(), (
+                    name, type(T).__name__)
+
+
+@pytest.mark.parametrize("entry", [bl.iterate_t_billiard, bl.lift_kt_orbit],
+                         ids=["iterate", "lift"])
+def test_steps_must_be_a_non_negative_integer(entry, disk):
+    line = bl.OrientedLine([0.0, 0.0], [1.0, 0.2])
+    for steps in (-3, 2.7, math.nan, 2.0, True, "3", None):
+        with pytest.raises(DomainError, match="steps must be a non-negative integer"):
+            entry(disk, disk, line, steps)
+    assert entry(disk, disk, line, 0).status == "ok"
+    two = entry(disk, disk, line, np.int64(2))
+    assert len(two.points if entry is bl.iterate_t_billiard else two.q_polygon()) == 2
+
+
+def _counted(monkeypatch, body, tag, counts):
+    """Count the calls of body's implicit, implicit_grad and gauss_inverse,
+    its own internal calls included, under "tag.name" in counts."""
+    for name in ("implicit", "implicit_grad", "gauss_inverse"):
+        def counted(*args, _real=getattr(body, name), _key=f"{tag}.{name}"):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(body, name, counted)
+
+
+@pytest.mark.parametrize("entry", [bl.iterate_t_billiard, bl.lift_kt_orbit],
+                         ids=["iterate", "lift"])
+def test_evaluations_per_bounce(entry, monkeypatch):
+    # T carries its chord end, so gauss_inverse runs once per orbit; the
+    # chord end takes one boundary check and two gradients (at the end and
+    # at its Newton step onto dT), and each bounce point one F, whose value
+    # its next exit reuses.  Counted per bounce as the difference between a
+    # 6-bounce and a 2-bounce orbit of the same line, whose first bounces
+    # (an exit from an interior point) are the same
+    K, T = bl.Superellipse(3.5), bl.Superellipse(4.0)
+    counts = collections.Counter()
+    _counted(monkeypatch, K, "K", counts)
+    _counted(monkeypatch, T, "T", counts)
+    for line in _billiard_lines(3, 23):
+        runs = []
+        for steps in (2, 6):
+            counts.clear()
+            assert entry(K, T, line, steps).status == "ok"
+            runs.append(dict(counts))
+        short, long = runs
+        assert short["T.gauss_inverse"] == long["T.gauss_inverse"] == 1
+        per_bounce = {key: (long[key] - short.get(key, 0)) / 4 for key in long}
+        assert per_bounce == {"K.implicit": 1, "K.implicit_grad": 1, "T.gauss_inverse": 0,
+                              "T.implicit": 1, "T.implicit_grad": 2}
 
 
 def test_lift_segment_structure(ellipse, disk):
@@ -597,19 +656,19 @@ def _billiard_lines(count, seed):
 
 @pytest.mark.parametrize("query, bodies, digest", [
     ("orbit", "ellipse/ball", "f3f8a36eeb82a9519278d17ad03f8d1f"),
-    ("orbit", "ellipse/superellipse4", "fa503fb5f9bafa89c4e551922d8bd6c7"),
+    ("orbit", "ellipse/superellipse4", "ab0a01669f9bf0ab317c1097ea09c8f1"),
     ("orbit", "superellipse4/ball", "6f7a7592fc6f4f30c7493e88bb846783"),
-    ("orbit", "superellipse4/superellipse4", "0d868a66afcadb9fa8bd3fe2ffe7fd61"),
+    ("orbit", "superellipse4/superellipse4", "2f5d973464e3880bb3285413ee632b88"),
     ("orbit", "superellipse35/ball", "d6919c8919d8ee5abe160b2d3452fbbb"),
-    ("orbit", "superellipse35/superellipse4", "3f9abc496cde5efd7b2dbf56dc2d1c87"),
+    ("orbit", "superellipse35/superellipse4", "573597273fdd500d12147f5e7554a354"),
     ("orbit", "radial/ball", "a359f69f0dacbfa3dc0f151fbaf00124"),
-    ("orbit", "radial/superellipse4", "7338a47a3b23e6b6b74cb7c29e8cb97a"),
+    ("orbit", "radial/superellipse4", "ce91266414f5bfa0366134981ce9baea"),
     ("orbit", "support/ball", "ccea06a1493a48118c48a772187da6ba"),
-    ("orbit", "support/superellipse4", "80ace73a0cc1b5833bedcc68c6a749f8"),
+    ("orbit", "support/superellipse4", "91e707b893dd906a076a8053009b3601"),
     ("orbit", "linear/ball", "5c15623b487dd8829dfe5677f9fbafae"),
-    ("orbit", "linear/superellipse4", "19da8d06a5c4ca12b7aedbe5357c0822"),
-    ("lift", "superellipse4/ball", "112e6275139a95666709ac91de025376"),
-    ("lift", "superellipse4/superellipse4", "c55b31e1229a3dd1c232a8482e25763e"),
+    ("orbit", "linear/superellipse4", "d014b99fd3d22967e6b4c64bd3e190c9"),
+    ("lift", "superellipse4/ball", "a04ad2305322e19b765677178a59994d"),
+    ("lift", "superellipse4/superellipse4", "d5f84a6802bb1bb6aa866d2c98b586b2"),
     ("finsler", "ellipse", "85c6ebbd96e8e1d059c6378bf9ad7c33"),
     ("finsler", "radial", "638066de201116262be783ad44f40400"),
     ("finsler", "ellipsoid3", "80c47cfc21b1dcb9ad1c9fc348d52c8e"),
@@ -645,6 +704,76 @@ def test_orbits_keep_their_pinned_bits(query, bodies, digest):
                 assert orbit.status == "ok"
                 h.update(orbit.points.tobytes() + orbit.directions.tobytes())
     assert h.hexdigest()[:32] == digest
+
+
+def _mp_superellipse_t_orbit(mp, K_name, line, steps):
+    """Bounce points of the T-billiard orbit of ``line`` in the K of
+    _billiard_bodies() named K_name (its ellipse or Superellipse(4)), with
+    T = Superellipse(4), in mpmath arithmetic at its working precision.
+    Every exit is the largest real root of its line polynomial, both bodies'
+    normals are their normalized gradients, and the orbit starts at T's
+    closed-form gauss_inverse of the line's direction."""
+    A = [[mp.mpf(0.4), mp.mpf(0.1)], [mp.mpf(0.1), mp.mpf(1.2)]]
+
+    def quartic(x, v):  # sum (x_i + t v_i)^4 - 1, highest power first
+        c = [mp.fsum(mp.binomial(4, k) * a ** (4 - k) * b ** k for a, b in zip(x, v))
+             for k in range(5)]
+        c[0] -= 1
+        return c[::-1]
+
+    def quadric(x, v):  # <A(x + t v), x + t v> - 1
+        Ax, Av = ([mp.fsum(r[j] * y[j] for j in range(2)) for r in A] for y in (x, v))
+        return [mp.fsum(a * b for a, b in zip(v, Av)), 2 * mp.fsum(a * b for a, b in zip(x, Av)),
+                mp.fsum(a * b for a, b in zip(x, Ax)) - 1]
+
+    def exit_t(coeffs):
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        return max(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30)
+
+    def unit(x):
+        r = mp.sqrt(mp.fsum(a * a for a in x))
+        return [a / r for a in x]
+
+    K_poly, K_grad = {
+        "ellipse": (quadric, lambda x: [2 * mp.fsum(r[j] * x[j] for j in range(2)) for r in A]),
+        "superellipse4": (quartic, lambda x: [4 * a ** 3 for a in x]),
+    }[K_name]
+    q, v = ([mp.mpf(float(a)) for a in x] for x in (line.point, line.direction))
+    w = [mp.sign(a) * abs(a) ** (mp.mpf(1) / 3) for a in v]
+    scale = mp.fsum(a ** 4 for a in w) ** (mp.mpf(1) / 4)
+    p = [a / scale for a in w]
+    points = []
+    for _ in range(steps):
+        t = exit_t(K_poly(q, v))
+        q = [a + t * b for a, b in zip(q, v)]
+        n = unit(K_grad(q))
+        s = exit_t(quartic(p, [-a for a in n]))
+        p = [a - s * b for a, b in zip(p, n)]
+        v = unit([4 * a ** 3 for a in p])
+        points.append(q)
+    return points
+
+
+@pytest.mark.parametrize("K_name, bound", [("ellipse", 4.5e-14), ("superellipse4", 1.5e-13)])
+def test_superellipse_t_orbits_match_high_precision(K_name, bound):
+    # the three 6-bounce orbits of the pinned "orbit-*/superellipse4" digests
+    # against the same orbits in 50-digit arithmetic.  Worst point error
+    # (largest coordinate) while every bounce took gauss_inverse of its
+    # direction: 4.58e-14 (ellipse) and 1.50e-13 (Superellipse(4)), the
+    # bounds; with T's chord end carried and moved onto dT by one Newton
+    # step: 2.15e-15 and 7.89e-14.  An orbit amplifies its early errors
+    # (the worst one 20-fold between its fourth and fifth bounce)
+    mp = pytest.importorskip("mpmath")
+    K, T = _billiard_bodies()[K_name], bl.Superellipse(4.0)
+    worst = 0.0
+    with mp.workdps(50):
+        for line in _billiard_lines(3, 21):
+            orbit = bl.iterate_t_billiard(K, T, line, 6)
+            assert orbit.status == "ok"
+            exact = _mp_superellipse_t_orbit(mp, K_name, line, 6)
+            worst = max(worst, max(float(abs(mp.mpf(float(a)) - b))
+                                   for q, r in zip(orbit.points, exact) for a, b in zip(q, r)))
+    assert worst <= bound
 
 
 @pytest.mark.parametrize("name", ["ellipse", "superellipse4_polar", "ellipsoid3"])
