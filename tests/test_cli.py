@@ -206,6 +206,25 @@ def test_rerun_is_byte_identical(tmp_path):
         a = (tmp_path / command / "a" / artifact).read_bytes()
         b = (tmp_path / command / "b" / artifact).read_bytes()
         assert a == b, command
+    # a shorter rerun into a used --out directory leaves no stale tail
+    shorter = {
+        "projtest": (configs["projtest"][0], ("classes = 4", "classes = 1"),
+                     ["projtest.csv"]),
+        "sweep": ("experiment = sweep\nexponents = 2.0 3.0 4.0\nclasses = 3\n"
+                  "patch_scale = 0.3\nseed = 2\n", ("2.0 3.0 4.0", "2.0"),
+                  ["sweep.csv", "sweep.svg"]),
+    }
+    for command, (text, (long, short), artifacts) in shorter.items():
+        x, y = tmp_path / command / "x", tmp_path / command / "y"
+        long_cfg = write(tmp_path, f"{command}_long.cfg", text)
+        short_cfg = write(tmp_path, f"{command}_short.cfg", text.replace(long, short))
+        assert main([command, "--config", str(long_cfg), "--out", str(x)]) == 0
+        sizes = {a: (x / a).stat().st_size for a in artifacts}
+        assert main([command, "--config", str(short_cfg), "--out", str(x)]) == 0
+        assert main([command, "--config", str(short_cfg), "--out", str(y)]) == 0
+        for artifact in artifacts:
+            assert (y / artifact).stat().st_size < sizes[artifact], (command, artifact)
+            assert (x / artifact).read_bytes() == (y / artifact).read_bytes(), (command, artifact)
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -230,6 +249,16 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert f"config error: line {line}: bad value for '{key}'" in err
+    # a negative seed used to end in numpy's ValueError traceback
+    cfg = write(tmp_path, "negative.cfg",
+                "experiment = projtest\nbody = disk.body\nseed = -1\nclasses = 1\n")
+    assert main(["projtest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: line 3: bad value for 'seed'" in capsys.readouterr().err
+    cfg = write(tmp_path, "flag.cfg", "experiment = projtest\nbody = disk.body\nclasses = 1\n")
+    assert main(["projtest", "--config", str(cfg), "--seed", "-5",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "config error: --seed is -5, less than 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment, line, rc, message", [
@@ -363,6 +392,45 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
         cli._parser.cache_clear()
 
 
+def test_outputs_are_never_truncated_to_zero(tmp_path, monkeypatch, capsys):
+    # an open that truncates an existing file to zero makes ext4 start
+    # writeback at close (auto_da_alloc), about 0.3 ms per output;
+    # Path.write_text opens through io.open, the object builtins.open names
+    import builtins
+    import io
+
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    runs = {"projtest": "experiment = projtest\nbody = s.body\nclasses = 2\n",
+            "sweep": "experiment = sweep\nexponents = 2.0 4.0\nclasses = 2\n"}
+    for command, text in runs.items():
+        cfg = write(tmp_path, f"{command}.cfg", text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # the outputs exist before the checked run
+    opened, truncating = [], []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opened.append(Path(path).name)
+        if flags & os.O_TRUNC:
+            truncating.append((str(path), "O_TRUNC"))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            truncating.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+    for command in runs:
+        assert main([command, "--config", str(tmp_path / f"{command}.cfg"),
+                     "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert truncating == []
+    assert sorted(opened) == ["projtest.csv", "sweep.csv", "sweep.svg"]
+
+
 @pytest.mark.parametrize("argv", [["nope", "--config", "x.cfg"], ["sweep"], []],
                          ids=["unknown command", "no config", "no command"])
 def test_bad_command_line_exits_two(argv, capsys):
@@ -398,9 +466,10 @@ def test_numeric_failures_exit_two(tmp_path, capsys):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
-# SHA-256 of every CSV that the demo configs write.  A change that moves a
-# digit of a demo output updates this table and says so in CHANGES.md.
-DEMO_CSV_SHA256 = {
+# SHA-256 of every file (CSV and SVG) that the demo configs write.  A change
+# that moves a digit of a demo output updates this table and says so in
+# CHANGES.md.
+DEMO_OUTPUT_SHA256 = {
     ("capacity_disk.cfg", "capacity.csv"):
         "644e2c899f1e1211a09dd27da4cdcc89e160acdbc79e8b8d5e4e78fb832a9cd1",
     ("capacity_disk.cfg", "orbit.csv"):
@@ -415,28 +484,32 @@ DEMO_CSV_SHA256 = {
         "bae15a37e544b1c3b900343191334dff6b882a46664df0317f59a03b60e94f50",
     ("sweep_family.cfg", "sweep.csv"):
         "702aa87e655e79127be538baa87f8dd7814ac4a80e053fca09326f8c9dab849b",
+    ("sweep_family.cfg", "sweep.svg"):
+        "f6526342984fc64f2bdbc72bfeb2a5c219f0d4232e07777718b71a6841e20600",
     ("trace_ellipse.cfg", "orbit.csv"):
         "956ad22fb0462634bd38727624d31aac35e95a07b995c515c8f6dfdfa7206314",
+    ("trace_ellipse.cfg", "orbit.svg"):
+        "e46acf63f09fb591c8a9677d0f11ab2b290ec5e9a2d6294d89743cccbc14c32d",
 }
 
 
-@pytest.mark.parametrize("config", sorted({c for c, _ in DEMO_CSV_SHA256}))
+@pytest.mark.parametrize("config", sorted({c for c, _ in DEMO_OUTPUT_SHA256}))
 def test_demo_config_csvs_are_byte_identical(config, tmp_path, capsys):
     text = (CONFIGS / config).read_text(encoding="utf-8")
     experiment = next(line.split("=", 1)[1].strip() for line in text.splitlines()
                       if line.startswith("experiment"))
     assert main([experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
     written = {(config, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.glob("*.csv")}
-    pinned = {key: h for key, h in DEMO_CSV_SHA256.items() if key[0] == config}
-    # on a mismatch, show the text of each CSV whose hash moved, for review
+               for path in tmp_path.iterdir()}
+    pinned = {key: h for key, h in DEMO_OUTPUT_SHA256.items() if key[0] == config}
+    # on a mismatch, show the text of each file whose hash moved, for review
     assert written == pinned, "".join(
         f"\n--- {name} ---\n" + (tmp_path / name).read_text(encoding="utf-8")
         for (_, name), h in sorted(written.items()) if pinned.get((config, name)) != h)
 
 
 DEMOS = CONFIGS.parent
-# SHA-256 of what each demo script prints, pinned like the demo CSVs.
+# SHA-256 of what each demo script prints, pinned like the demo outputs.
 DEMO_STDOUT_SHA256 = {
     "01_reflection_laws.py":
         "77722e76105b3e74b93299a6a9eddb02effee839a7899d6d5d45f930bab426ca",
