@@ -361,8 +361,9 @@ class ConvexBody:
 
     def _chord_end(self, a, d, g):
         """chord_second_intersection(s) from the boundary point a, or rows,
-        along the unit d, where g = <normal at a, d> (one per row): the chord
-        enters the body along -sign(g) d, so F < 0 just after a."""
+        along the unit d (or its rows), where g = <normal at a, d> (one per
+        row): the chord enters the body along -sign(g) d, so F < 0 just
+        after a."""
         if a.ndim == 1:
             sign = -1.0 if g > 0.0 else 1.0
             t = sign * self._exit(a, sign * d, -1.0)
@@ -378,9 +379,10 @@ class ConvexBody:
     def _chord_normal(self, u, d):
         """The exterior normal at the far end of the chord along the unit d
         from the boundary point a = gauss_inverse(u) of unit normal u, or for
-        each row of u: the parallel-chord transport of normals, whose chord
-        takes its sign from <u, d>.  A tangential chord raises
-        DegenerateChordError for one vector; a tangential row maps to itself."""
+        each row of u (and of d, if d has rows): the parallel-chord
+        transport of normals, whose chord takes its sign from <u, d>.  A
+        tangential chord raises DegenerateChordError for one vector; a
+        tangential row maps to itself."""
         a = self._require_boundary(self.gauss_inverse(u))
         if u.ndim == 1:
             return self.exterior_normal(self._chord_end(a, d, float(u @ d)))
@@ -584,7 +586,7 @@ class Ellipsoid(ConvexBody):
         # t = -2 <u, d> / (s <d, A d>), and the normal at its end is
         # A (a + t d) = (u - 2 <u, d> / <d, A d> A d) / s: the projective
         # reflection with the transversal field A d
-        Ad = self.A @ d
+        Ad = _apply(self.A, d)
         c = 2.0 * _dot(u, d) / _dot(d, Ad)
         tangential = abs(c) / np.sqrt(_dot(u, _apply(self.A_inv, u))) < (
             TANGENCY_FRACTION * self.diameter())

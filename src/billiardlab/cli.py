@@ -37,7 +37,7 @@ from .bodies import (
     parse_body_text,
 )
 from .dynamics import capacity_estimate, iterate_t_billiard
-from .errors import GeometryError, IndistinguishableError, PrecisionError
+from .errors import GeometryError
 from .jets import dyadic_grid
 from .osculation import (
     ConicGraphBranch,
@@ -52,8 +52,9 @@ from .projectivity import (
     SphereInvolutionSampler,
     deviation_exponent,
     projectivity_residual,
+    residual_directions,
 )
-from .reflection import t_billiard_reflect
+from .reflection import ParallelClass, parallel_chord_involution, t_billiard_reflect
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,6 +73,14 @@ def _seed(text):
     if seed < 0:
         raise ValueError(f"negative seed {seed}")
     return seed
+
+
+def _tol(text):
+    """A config tolerance: a bound on a gap, so neither negative nor NaN."""
+    tol = float(text)
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance {tol} is negative or NaN")
+    return tol
 
 
 @dataclass
@@ -99,7 +108,9 @@ class ExperimentConfig:
         cfg_seed = _get(values, "seed", _seed, default=0)
         if seed is not None and seed < 0:
             raise BodyFileError(f"--seed is {seed}, less than 0")
-        cfg_tol = _get(values, "tol", float, default=1e-7)
+        cfg_tol = _get(values, "tol", _tol, default=1e-7)
+        if tol is not None and not tol >= 0.0:
+            raise BodyFileError(f"--tol is {tol}, not a non-negative number")
         return cls(
             experiment=experiment,
             values=values,
@@ -261,29 +272,66 @@ def _direction_classes(rng, dim, count):
     return [_unit(v) for v in vecs]
 
 
-def _conic_deviation_fit(body, sampler):
-    """Deviation exponent of the involution from its osculating-conic twin.
-
-    Both involutions act in the slope chart of the tangent frame at the
-    fixed boundary point.  The conic twin is the osculating conic's
-    parallel-chord involution, a harmonic homology in closed form
-    (``SphereInvolutionSampler.from_conic_branch``), so the fitted power
-    is the order of contact with projectivity (four for a generic
-    non-quadric body by the fourth-order deviation law).
-    """
+def _conic_twin(body, sampler):
+    """The tangent frame (T, N) at the boundary point whose normal is the
+    sampler's fixed vector, and the osculating conic's parallel-chord
+    involution there, a harmonic homology in closed form
+    (``SphereInvolutionSampler.from_conic_branch``)."""
     u0 = sampler.fixed_vector
     if isinstance(body, RadialBody2D):  # its jets take the polar angle, not the normal's
         u0 = body.gauss_inverse(u0)
-    theta = math.atan2(u0[1], u0[0])
-    germ, _, T, N = germ_at(body, theta, with_frame=True)
-    conic = osculating_conic(germ)
-    twin = SphereInvolutionSampler.from_conic_branch(ConicGraphBranch(conic))
+    germ, _, T, N = germ_at(body, math.atan2(u0[1], u0[0]), with_frame=True)
+    twin = SphereInvolutionSampler.from_conic_branch(ConicGraphBranch(osculating_conic(germ)))
+    return T, N, twin
+
+
+def _chart_directions(frame, t):
+    """The unit normals of slope t in the tangent frame (T, N, twin)."""
+    T, N, _ = frame
+    return _unit(t[:, None] * T - N)
+
+
+def _conic_deviation_fit(sampler, frame, grid):
+    """Deviation exponent of the involution from its osculating-conic twin.
+
+    Both involutions act in the slope chart of the tangent frame at the
+    fixed boundary point (``_conic_twin``), so the fitted power is the
+    order of contact with projectivity (four for a generic non-quadric
+    body by the fourth-order deviation law).
+    """
+    T, N, twin = frame
 
     def chart(t):  # the grid in one sampler call
-        v = sampler(_unit(t[:, None] * T - N))
+        v = sampler(_chart_directions(frame, t))
         return -_dot(v, T) / _dot(v, N)
 
-    return deviation_exponent(chart, twin.chart_map(), dyadic_grid(4, 12))
+    return deviation_exponent(chart, twin.chart_map(), grid)
+
+
+def _answering(body, classes, samplers, rows):
+    """The samplers of the ParallelClass list ``classes`` of body, each
+    answering the row arrays ``rows(k)`` of its class k from one
+    ``parallel_chord_involution`` call over every class's rows; a row's
+    bits do not depend on the other rows of the call.  Where drawing the
+    rows or that call raises GeometryError, the live samplers are
+    returned, and each class maps its rows in its own calls, which fail
+    where they failed before.
+    """
+    try:
+        parts = [rows(k) for k in range(len(classes))]
+        counts = [sum(len(r) for r in own) for own in parts]
+        images = parallel_chord_involution(
+            body, np.repeat([pc.direction for pc in classes], counts, axis=0),
+            np.concatenate([r for own in parts for r in own]))
+    except GeometryError:
+        return samplers
+    answered, start = [], 0
+    for sampler, own in zip(samplers, parts):
+        for r in own:
+            sampler = sampler.answering(r, images[start:start + len(r)])
+            start += len(r)
+        answered.append(sampler)
+    return answered
 
 
 def cmd_projtest(cfg: ExperimentConfig):
@@ -298,17 +346,33 @@ def cmd_projtest(cfg: ExperimentConfig):
         n_points=_get(cfg.values, "points", int, default=60),
     )
     rng = np.random.default_rng(cfg.seed)
+    dirs = _direction_classes(rng, body.dim, classes)
+    pcs = [ParallelClass(d) for d in dirs]
+    samplers = [SphereInvolutionSampler.from_parallel_chord(body, pc) for pc in pcs]
+    plans = [SamplePlan(seed=cfg.seed + 1000 + k, **plan_base) for k in range(classes)]
+    frames = [None] * classes
+    grid = dyadic_grid(4, 12)
+    if body.dim == 2 and hasattr(body, "position_jet"):
+        for k, sampler in enumerate(samplers):
+            try:
+                frames[k] = _conic_twin(body, sampler)
+            except GeometryError:
+                pass
+
+    def class_rows(k):
+        own = [residual_directions(samplers[k], plans[k])]
+        return own if frames[k] is None else own + [_chart_directions(frames[k], grid)]
+
     rows = []
-    for k, d in enumerate(_direction_classes(rng, body.dim, classes)):
-        sampler = SphereInvolutionSampler.from_parallel_chord(body, d)
-        plan = SamplePlan(seed=cfg.seed + 1000 + k, **plan_base)
+    for d, sampler, plan, frame in zip(dirs, _answering(body, pcs, samplers, class_rows),
+                                       plans, frames):
         residual = projectivity_residual(sampler, plan)
         exponent = coefficient = ""
-        if body.dim == 2 and hasattr(body, "position_jet"):
+        if frame is not None:
             try:
-                kfit, cfit = _conic_deviation_fit(body, sampler)
+                kfit, cfit = _conic_deviation_fit(sampler, frame, grid)
                 exponent, coefficient = _fmt(kfit), _fmt(cfit)
-            except (IndistinguishableError, PrecisionError, GeometryError):
+            except GeometryError:
                 pass
         rows.append([body_id, " ".join(_fmt(v) for v in d), _fmt(patch),
                      _fmt(residual), exponent, coefficient])
@@ -389,15 +453,17 @@ def cmd_sweep(cfg: ExperimentConfig):
     classes = _count(cfg, "classes", 8)
     patch = _get(cfg.values, "patch_scale", float, default=0.3)
     rng = np.random.default_rng(cfg.seed)
-    dirs = _direction_classes(rng, 2, classes)
+    pcs = [ParallelClass(d) for d in _direction_classes(rng, 2, classes)]
+    plans = [SamplePlan(patch_scale=patch, n_quadruples=20, seed=cfg.seed + 17 * k)
+             for k in range(classes)]
     rows = []
     for m in exponents:
         body = Ball(1.0) if abs(m - 2.0) < 1e-12 else Superellipse(float(m))
+        live = [SphereInvolutionSampler.from_parallel_chord(body, pc) for pc in pcs]
+        samplers = _answering(body, pcs, live,
+                              lambda k: [residual_directions(live[k], plans[k])])
         worst = 0.0
-        for k, d in enumerate(dirs):
-            sampler = SphereInvolutionSampler.from_parallel_chord(body, d)
-            plan = SamplePlan(patch_scale=patch, n_quadruples=20,
-                              seed=cfg.seed + 17 * k)
+        for sampler, plan in zip(samplers, plans):
             worst = max(worst, projectivity_residual(sampler, plan))
         rows.append([_fmt(m), _fmt(worst)])
     _write_csv(cfg.out_dir / "sweep.csv", ["exponent", "residual"], rows)

@@ -9,6 +9,7 @@ projectivity are quantified by power-law fits of chart differences.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -171,6 +172,19 @@ class SphereInvolutionSampler:
             return self.func(u[None, :])[0]
         return self.func(u)
 
+    def answering(self, rows, images):
+        """This involution with the images of the (N, dim) ``rows`` known:
+        a call on exactly those rows (array equality) returns a copy of
+        ``images``, any other call maps live."""
+        live = self.func
+
+        def f(u):
+            return images.copy() if np.array_equal(u, rows) else live(u)
+
+        twin = copy.copy(self)  # not a new instance: that would normalize fixed_vector again
+        twin.func = f
+        return twin
+
     @classmethod
     def from_parallel_chord(cls, body: ConvexBody, cls_or_direction, name=""):
         """The involution R of normal directions defined by chords of a
@@ -277,19 +291,55 @@ def _separated_quadruples(rng, scale, count):
     doubles in the same order as one draw of four at a time.
     """
     gap = QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0
-    kept, run = [], 0  # run: rejected draws since the last kept one
+    kept, missing, run = [], count, 0  # run: rejected draws since the last kept one
     while True:
         block = np.sort(rng.uniform(-scale, scale, size=(4 * count, 4)), axis=1)
-        for t, separated in zip(block, np.min(np.diff(block, axis=1), axis=1) >= gap):
-            if not separated:
-                run += 1
-                if run == 200:
-                    raise SamplePlanError("could not sample a separated quadruple")
-                continue
-            kept.append(t)
-            if len(kept) == count:
-                return np.array(kept)
-            run = 0
+        separated = (block[:, 1:] - block[:, :-1] >= gap).all(axis=1)
+        idx = np.flatnonzero(separated)[:missing].tolist()
+        missing -= len(idx)
+        # the rejected runs before each kept draw, and after the last one
+        # while draws are still missing
+        stops = [-1 - run, *idx] + ([len(block)] if missing else [])
+        runs = [b - a - 1 for a, b in zip(stops, stops[1:])]
+        if max(runs) >= 200:
+            raise SamplePlanError("could not sample a separated quadruple")
+        kept.append(block[idx])
+        if not missing:
+            return np.concatenate(kept)
+        run = runs[-1]
+
+
+def residual_directions(sampler: SphereInvolutionSampler, plan: SamplePlan):
+    """The (N, dim) unit directions that ``projectivity_residual`` maps for
+    this sampler and plan: on S^1 the angle quadruples in the patch, four
+    rows each; in higher dimension the plan's points of the tangent patch.
+    Raises SamplePlanError for a plan that cannot be drawn.
+
+    The plan keeps its last draw, read-only: a second call for the same
+    fixed vector (a batch of the rows, then the residual that maps them)
+    returns that array instead of drawing again.
+    """
+    key = (sampler.dim, sampler.fixed_vector.tobytes())
+    last = plan.__dict__.get("_last_draw")
+    if last is not None and last[0] == key:
+        return last[1]
+    if plan.n_quadruples < 1 or plan.n_points < 6:
+        raise SamplePlanError("sample plan too small")
+    if not 0.0 < plan.patch_scale < 0.5 * math.pi:
+        raise SamplePlanError("patch_scale must lie in (0, pi/2)")
+    rng = np.random.default_rng(plan.seed)
+    u0 = sampler.fixed_vector
+    if sampler.dim == 2:
+        angles = _separated_quadruples(rng, plan.patch_scale, plan.n_quadruples)
+        angles = angles.reshape(-1, 1)
+        us = np.cos(angles) * u0 + np.sin(angles) * rot90(u0)
+    else:
+        spread = math.tan(plan.patch_scale)
+        t = rng.uniform(-spread, spread, size=(plan.n_points, sampler.dim - 1))
+        us = _unit(u0 + t @ tangent_frame(u0))
+    us.flags.writeable = False
+    object.__setattr__(plan, "_last_draw", (key, us))  # not a field: eq and hash ignore it
+    return us
 
 
 def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
@@ -301,28 +351,17 @@ def projectivity_residual(sampler: SphereInvolutionSampler, plan: SamplePlan):
     involution is projectively liftable on the sampled patch.  The patch
     half-width must lie in (0, pi/2): wider angles wrap the circle, and
     the 3D patch is the tangent-plane square of half-side tan(patch_scale).
-    Every sample is drawn first (the angle quadruples in blocks of
-    separated draws), then the sampler maps them all in one call.
+    Every sample is drawn first (``residual_directions``: the angle
+    quadruples in blocks of separated draws), then the sampler maps them
+    all in one call.
     """
-    if plan.n_quadruples < 1 or plan.n_points < 6:
-        raise SamplePlanError("sample plan too small")
-    if not 0.0 < plan.patch_scale < 0.5 * math.pi:
-        raise SamplePlanError("patch_scale must lie in (0, pi/2)")
-    rng = np.random.default_rng(plan.seed)
-    u0 = sampler.fixed_vector
+    us = residual_directions(sampler, plan)
     if sampler.dim == 2:
-        w = rot90(u0)
-        angles = _separated_quadruples(rng, plan.patch_scale, plan.n_quadruples)[..., None]
-        us = np.cos(angles) * u0 + np.sin(angles) * w
-        vs = sampler(us.reshape(-1, 2)).reshape(us.shape)
-        return float(np.max(np.abs(cross_ratio_rp1(us) - cross_ratio_rp1(vs))))
+        return float(np.max(np.abs(cross_ratio_rp1(us.reshape(-1, 4, 2))
+                                   - cross_ratio_rp1(sampler(us).reshape(-1, 4, 2)))))
     if sampler.axis_normal is None:
         raise SamplePlanError("higher-dimensional residual needs the fixed "
                               "hyperplane of the direction class")
-    frame = tangent_frame(u0)
-    spread = math.tan(plan.patch_scale)
-    t = rng.uniform(-spread, spread, size=(plan.n_points, sampler.dim - 1))
-    us = _unit(u0 + t @ frame)
     _, residual = fit_projective_involution(np.stack([us, sampler(us)], axis=1),
                                             sampler.axis_normal)
     return residual

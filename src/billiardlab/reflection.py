@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import (ConvexBody, OrientedLine, _unit, legendre_point,
+from .bodies import (ConvexBody, OrientedLine, _dot, _unit, legendre_point,
                      mirror_symmetric, polar_dual)
 from .errors import (
     ConvergenceError,
@@ -66,7 +66,7 @@ def euclidean_reflect(normal, v):
     return v - 2.0 * float(np.dot(v, normal)) * normal
 
 
-def parallel_chord_involution(T: ConvexBody, cls: ParallelClass, u):
+def parallel_chord_involution(T: ConvexBody, cls, u):
     """Sphere involution transporting normals of dT along chords of class cls.
 
     Sends the exterior normal at one end of a chord parallel to
@@ -74,28 +74,36 @@ def parallel_chord_involution(T: ConvexBody, cls: ParallelClass, u):
     to the class are fixed.  A near-tangential chord raises
     DegenerateChordError (callers may treat those directions as fixed).
     u may also be an (N, d) array of directions, mapped in one pass of
-    the body's row forms; there the tangential rows map to themselves.
-    An ellipsoid T {<Ap, p> <= 1} is answered in closed form, as the
-    projective reflection u -> unit(u - 2 <u, d> / <d, A d> A d).
+    the body's row forms; there the tangential rows map to themselves,
+    and cls may be an (N, d) array of unit class directions (such as
+    ParallelClass directions), one for each row of u.  A row gets the
+    bits of its one-class call.  An ellipsoid T {<Ap, p> <= 1} is
+    answered in closed form, as the projective reflection
+    u -> unit(u - 2 <u, d> / <d, A d> A d).
     """
     u = _unit(u)
-    if not u.shape[-1] == len(cls.direction) == T.dim:
+    d = cls.direction if isinstance(cls, ParallelClass) else np.asarray(cls, dtype=float)
+    if not u.shape[-1] == d.shape[-1] == T.dim:
         raise DomainError(f"directions of dimension {u.shape[-1]} and a class of "
-                          f"dimension {len(cls.direction)} for a body of dimension {T.dim}")
-    return _chord_involution(T, cls.direction, u)
+                          f"dimension {d.shape[-1]} for a body of dimension {T.dim}")
+    if d.ndim > 1 and d.shape != u.shape:
+        raise DomainError(f"class directions of shape {d.shape} for directions "
+                          f"of shape {u.shape}")
+    return _chord_involution(T, d, u)
 
 
 def _chord_involution(T, d, u):
     """parallel_chord_involution for the unit class direction d (either
-    sign: the chords along d and -d are the same) and the unit u."""
+    sign: the chords along d and -d are the same), or the unit rows of d,
+    and the unit u."""
     if u.ndim == 1:  # without the row bookkeeping, which each billiard bounce would pay
         if abs(float(np.dot(u, d))) < _PERP_TOL:
             return u
         return T._chord_normal(u, d)
     out = u.copy()
-    live = abs(u @ d) >= _PERP_TOL
+    live = abs(_dot(u, d)) >= _PERP_TOL
     if live.any():
-        out[live] = T._chord_normal(u[live], d)
+        out[live] = T._chord_normal(u[live], d if d.ndim == 1 else d[live])
     return out
 
 

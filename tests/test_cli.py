@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import billiardlab
@@ -261,6 +262,25 @@ def test_bad_seed_or_tol_in_config_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "-0.001"])
+def test_negative_or_nan_tol_is_a_config_error(tol, tmp_path, capsys):
+    # is_sextactic compares the quintic gap with tol: a gap of 0 read "not
+    # sextactic" at a negative or NaN tol, with exit 0
+    write(tmp_path, "g.body", "kind = graph_germ\ndim = 2\nc[2] = 0.5\n")
+    cfg = write(tmp_path, "o.cfg", f"experiment = osculate\ngerm = g.body\ntol = {tol}\n")
+    assert main(["osculate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: line 3: bad value for 'tol'" in capsys.readouterr().err
+    cfg = write(tmp_path, "f.cfg", "experiment = osculate\ngerm = g.body\n")
+    assert main(["osculate", "--config", str(cfg), "--tol", tol,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: --tol is {float(tol)}, not a non-negative number" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert main(["osculate", "--config", str(cfg), "--tol", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert read_rows(tmp_path / "out" / "fits.csv")[1] == ["quintic_gap", "0", "sextactic"]
+
+
 @pytest.mark.parametrize("experiment, line, rc, message", [
     ("sweep", "classes = 0", 1, "config error: 'classes' is 0, less than 1"),
     ("sweep", "exponents =", 1, "config error: 'exponents' is empty"),
@@ -319,6 +339,126 @@ def test_projtest_conic_twin_needs_no_root_solve(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
     fitted = [r[4:] for r in read_rows(tmp_path / "out" / "projtest.csv")[1:]]
     assert len(fitted) == 4 and all(k and c for k, c in fitted)
+
+
+def involution_calls(monkeypatch, fault=None):
+    """The row counts of the parallel_chord_involution calls that the CLI
+    makes, in one batch or per class; ``fault(u)`` may raise first."""
+    from billiardlab import cli, projectivity
+
+    calls, real = [], billiardlab.reflection.parallel_chord_involution
+
+    def counted(T, cls, u):
+        calls.append(len(u))
+        if fault is not None:
+            fault(u)
+        return real(T, cls, u)
+
+    monkeypatch.setattr(cli, "parallel_chord_involution", counted)
+    monkeypatch.setattr(projectivity, "parallel_chord_involution", counted)
+    return calls
+
+
+def test_a_run_maps_each_body_in_one_involution_call(tmp_path, monkeypatch):
+    # a projtest class maps 40 quadruples and a 9-row fit grid, a sweep
+    # class 20 quadruples: one call per projtest run and per sweep exponent
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    calls = involution_calls(monkeypatch)
+    cfg = write(tmp_path, "p.cfg", "experiment = projtest\nbody = s.body\nclasses = 4\n")
+    assert main(["projtest", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    assert calls == [4 * (160 + 9)]
+    calls.clear()
+    cfg = write(tmp_path, "w.cfg", "experiment = sweep\nexponents = 2 3 4\nclasses = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+    assert calls == [2 * 80] * 3
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("body, text, csv_name, per_class", [
+    (SUPERELLIPSE, "experiment = projtest\nbody = b.body\nclasses = 4\n",
+     "projtest.csv", [160, 9] * 4),
+    ("kind = superellipse\ndim = 3\nexponent = 4\n",
+     "experiment = projtest\nbody = b.body\nclasses = 3\n", "projtest.csv", [60] * 3),
+    (DISK, "experiment = sweep\nexponents = 2 3 4\nclasses = 3\n", "sweep.csv", [80] * 9),
+], ids=["planar", "3d", "sweep"])
+def test_per_class_fallback_writes_the_same_bytes(seed, body, text, csv_name, per_class,
+                                                  tmp_path, monkeypatch):
+    # when the one call over every class raises, each class maps each of
+    # its row sets in its own call, and every row keeps its bits
+    from billiardlab import cli
+    from billiardlab.errors import ConvergenceError
+
+    write(tmp_path, "b.body", body)
+    cfg = write(tmp_path, "c.cfg", text)
+    argv = [text.split()[2], "--config", str(cfg), "--seed", str(seed), "--out"]
+    assert main(argv + [str(tmp_path / "batched")]) == 0
+    calls = involution_calls(monkeypatch)
+
+    def refuse(*args):
+        raise ConvergenceError("no batch")
+
+    monkeypatch.setattr(cli, "parallel_chord_involution", refuse)
+    assert main(argv + [str(tmp_path / "per_class")]) == 0
+    assert calls == per_class
+    assert ((tmp_path / "per_class" / csv_name).read_bytes()
+            == (tmp_path / "batched" / csv_name).read_bytes())
+
+
+def marked_rows(seed, classes):
+    """Class k's residual rows and fit rows in a default projtest run of
+    Superellipse(4) at ``seed``."""
+    from billiardlab import cli
+    from billiardlab.jets import dyadic_grid
+
+    body = billiardlab.Superellipse(4.0)
+    samplers = [billiardlab.SphereInvolutionSampler.from_parallel_chord(body, d)
+                for d in cli._direction_classes(np.random.default_rng(seed), 2, classes)]
+    return ([billiardlab.projectivity.residual_directions(s, billiardlab.SamplePlan(
+                seed=seed + 1000 + k)) for k, s in enumerate(samplers)],
+            [cli._chart_directions(cli._conic_twin(body, s), dyadic_grid(4, 12))
+             for s in samplers])
+
+
+def raising_on(marked):
+    """A fault that raises ConvergenceError on a call mapping one of the
+    marked rows, named by the last such row of the dict."""
+    from billiardlab.errors import ConvergenceError
+
+    def fault(u):
+        hit = [name for name, row in marked.items() if (u == row).all(axis=-1).any()]
+        if hit:
+            raise ConvergenceError(hit[-1])
+    return fault
+
+
+def test_a_failed_fit_row_empties_only_its_class_cells(tmp_path, monkeypatch):
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    cfg = write(tmp_path, "p.cfg", "experiment = projtest\nbody = s.body\nclasses = 4\n")
+    argv = ["projtest", "--config", str(cfg), "--seed", "5", "--out"]
+    assert main(argv + [str(tmp_path / "clean")]) == 0
+    _, fits = marked_rows(5, 4)
+    involution_calls(monkeypatch, raising_on({"fit": fits[1][3]}))
+    assert main(argv + [str(tmp_path / "out")]) == 0
+    clean = read_rows(tmp_path / "clean" / "projtest.csv")
+    rows = read_rows(tmp_path / "out" / "projtest.csv")
+    assert rows[2][4:] == ["", ""] and clean[2][4] and clean[2][5]
+    assert rows[2][:4] == clean[2][:4]
+    assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+
+def test_a_failed_residual_row_exits_two_with_the_first_class_error(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the batched call meets class 2's row last; the classes, mapped one by
+    # one in their order, meet class 0's first
+    write(tmp_path, "s.body", SUPERELLIPSE)
+    cfg = write(tmp_path, "p.cfg", "experiment = projtest\nbody = s.body\nclasses = 4\n")
+    residuals, _ = marked_rows(5, 4)
+    involution_calls(monkeypatch, raising_on({"class 0": residuals[0][5],
+                                              "class 2": residuals[2][7]}))
+    assert main(["projtest", "--config", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "numeric failure: ConvergenceError: class 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment", ["reflect", "trace"])

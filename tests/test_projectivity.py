@@ -140,6 +140,38 @@ def test_residual_plan_validation(superellipse):
             bl.projectivity_residual(f, bl.SamplePlan(patch_scale=scale))
 
 
+def test_an_answering_sampler_maps_any_other_rows_live(superellipse):
+    f = bl.SphereInvolutionSampler.from_parallel_chord(superellipse, [0.6, 0.8])
+    rows = projectivity.residual_directions(f, bl.SamplePlan(n_quadruples=2, seed=4))
+    known = np.full(rows.shape, 7.0)  # not the involution: shows where answers come from
+    g = f.answering(rows, known)
+    assert np.array_equal(g(rows), known) and g(rows) is not known
+    for other in (rows[::-1], rows[:-1], rows[0]):
+        assert np.array_equal(g(other), f(other))
+    assert g.fixed_vector is f.fixed_vector and g.axis_normal is f.axis_normal
+
+
+@pytest.mark.parametrize("body", [bl.Superellipse(4.0), bl.Superellipse(4.0, dim=3)],
+                         ids=["planar", "3d"])
+def test_a_plan_keeps_its_last_draw(body):
+    # a batch draws a class's rows, then its residual maps them: the plan
+    # answers the second draw for the same fixed vector with the same array
+    d1, d2 = np.eye(body.dim)[:2]
+    f = bl.SphereInvolutionSampler.from_parallel_chord(body, d1)
+    g = bl.SphereInvolutionSampler.from_parallel_chord(body, d2)
+    plan = bl.SamplePlan(seed=3)
+    first = projectivity.residual_directions(f, plan)
+    assert projectivity.residual_directions(f, plan) is first
+    assert not first.flags.writeable
+    other = projectivity.residual_directions(g, plan)
+    assert not np.array_equal(other, first)
+    again = projectivity.residual_directions(f, plan)
+    assert again is not first and again.tobytes() == first.tobytes()
+    fresh = bl.SamplePlan(seed=3)
+    assert plan == fresh and hash(plan) == hash(fresh) and repr(plan) == repr(fresh)
+    assert bl.projectivity_residual(f, plan) == bl.projectivity_residual(f, fresh)
+
+
 def quadruples_one_at_a_time(rng, scale, count):
     # the per-quadruple loop that the block draw replaced, as its oracle
     def one():
@@ -179,6 +211,46 @@ def test_block_draw_counts_a_rejection_run_across_blocks(monkeypatch):
         assert np.array_equal(block, oracle)
         outcomes.add("drawn")
     assert outcomes == {"raised", "drawn"}
+
+
+def quadruples_block_loop(rng, scale, count):
+    # the keep/reject loop over each block that the vectorized selection
+    # replaced, as its oracle
+    gap = projectivity.QUADRUPLE_MIN_SEPARATION * 2.0 * scale / 4.0
+    kept, run = [], 0
+    while True:
+        block = np.sort(rng.uniform(-scale, scale, size=(4 * count, 4)), axis=1)
+        for t, separated in zip(block, np.min(np.diff(block, axis=1), axis=1) >= gap):
+            if not separated:
+                run += 1
+                if run == 200:
+                    raise SamplePlanError("could not sample a separated quadruple")
+                continue
+            kept.append(t)
+            if len(kept) == count:
+                return np.array(kept)
+            run = 0
+
+
+@pytest.mark.parametrize("separation", [0.15, 0.6, 0.9])
+def test_vectorized_selection_keeps_the_rows_of_the_block_loop(separation, monkeypatch):
+    # at separation 0.9 about 1 draw in 90 is kept, so some seeds meet 200
+    # rejections in a row, across the boundaries of the small blocks
+    monkeypatch.setattr(projectivity, "QUADRUPLE_MIN_SEPARATION", separation)
+    outcomes = set()
+    for seed in range(120):
+        count, scale = 1 + seed % 5, (0.05, 0.3, 1.2)[seed % 3]
+        try:
+            oracle = quadruples_block_loop(np.random.default_rng(seed), scale, count)
+        except SamplePlanError:
+            with pytest.raises(SamplePlanError):
+                projectivity._separated_quadruples(np.random.default_rng(seed), scale, count)
+            outcomes.add("raised")
+            continue
+        kept = projectivity._separated_quadruples(np.random.default_rng(seed), scale, count)
+        assert kept.tobytes() == oracle.tobytes(), seed
+        outcomes.add("kept")
+    assert outcomes == ({"raised", "kept"} if separation == 0.9 else {"kept"})
 
 
 class DrawStream:
@@ -457,11 +529,11 @@ def test_deviation_fit_stops_at_the_noise_floor():
     # for this Superellipse(3.5) class the chord solver's noise floor
     # (about 1e-12) is reached at t = 2^-10; fitting the points beyond
     # it read 2.7-3.0 instead of the fourth-order law
-    from billiardlab.cli import _conic_deviation_fit
+    from billiardlab.cli import _conic_deviation_fit, _conic_twin
     d = [0.831680156322, 0.555255002301]
     body = bl.Superellipse(3.5)
     sampler = bl.SphereInvolutionSampler.from_parallel_chord(body, d)
-    k, _ = _conic_deviation_fit(body, sampler)
+    k, _ = _conic_deviation_fit(sampler, _conic_twin(body, sampler), dyadic_grid(4, 12))
     assert abs(k - 4.0) <= 0.2
 
 

@@ -201,6 +201,40 @@ def test_ellipsoid_chord_involution_rows_keep_their_bits(ellipse_rot, ellipsoid3
             assert np.array_equal(bl.parallel_chord_involution(E, cls, w[None])[0], w)
 
 
+@pytest.mark.parametrize("body", [
+    bl.Ellipsoid(np.array([[0.6, 0.2], [0.2, 1.3]])),
+    bl.Superellipse(4.0),
+    bl.Superellipse(3.5),
+    bl.RadialBody2D([1.0, 0.0, 0.06, 0.01], [0.0, 0.02, 0.0, 0.01]),
+    bl.SupportBody2D([1.0, 0.0, 0.05], [0.0, 0.0, 0.02]),
+    bl.LinearImageBody(bl.Superellipse(4.0), [[1.1, 0.25], [0.05, 0.9]]),
+    bl.Ellipsoid(np.diag([0.25, 1.0, 0.5])),
+    bl.Superellipse(4.0, dim=3),
+], ids=["ellipse", "se4", "se35", "radial", "support", "linear", "ellipsoid3", "se4_3d"])
+def test_mixed_class_rows_keep_their_bits(body):
+    # one call over the rows of several classes gives each row the bits of
+    # its class's own call, tangential rows (mapped to themselves) included
+    rng = np.random.default_rng(35)
+    classes = [bl.ParallelClass(d) for d in rng.normal(size=(4, body.dim))]
+    parts = []
+    for cls in classes:
+        U = unit_rows(rng, 30, body.dim)
+        U[:2] = bodies.tangent_frame(cls.direction)[:2] if body.dim > 2 else [
+            bodies.rot90(cls.direction), -bodies.rot90(cls.direction)]
+        parts.append(U)
+    mixed = bl.parallel_chord_involution(
+        body, np.concatenate([np.repeat(c.direction[None], len(U), axis=0)
+                              for c, U in zip(classes, parts)]), np.concatenate(parts))
+    alone = np.concatenate([bl.parallel_chord_involution(body, c, U)
+                            for c, U in zip(classes, parts)])
+    assert mixed.tobytes() == alone.tobytes()
+    assert np.array_equal(mixed[:2], bodies._unit(parts[0][:2]))
+    D = np.repeat(classes[0].direction[None], 30, axis=0)
+    for bad in (D[:, :1], np.ones((30, body.dim + 1)), D[:29], D[0][None]):
+        with pytest.raises(DomainError):
+            bl.parallel_chord_involution(body, bad, parts[0])
+
+
 @pytest.mark.parametrize("fraction", [1e-8, 1e-4])
 def test_ellipsoid_tangential_chords_are_the_ones_the_chord_flags(fraction, ellipse_rot,
                                                                    ellipsoid3):

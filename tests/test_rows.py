@@ -240,7 +240,7 @@ def test_fractional_row_chords_take_few_kernel_calls(monkeypatch):
     # (0.8317, 0.5553) and the 9-row grid of a deviation fit (measured 3 and
     # 2; the generic exit took 12 and 17)
     from billiardlab import bodies
-    from billiardlab.cli import _conic_deviation_fit
+    from billiardlab.cli import _conic_deviation_fit, _conic_twin
     solves = []
     real = bodies.find_root
 
@@ -260,7 +260,7 @@ def test_fractional_row_chords_take_few_kernel_calls(monkeypatch):
     solves.clear()
     sampler = bl.SphereInvolutionSampler.from_parallel_chord(
         body, [0.831680156322, 0.555255002301])
-    _conic_deviation_fit(body, sampler)
+    _conic_deviation_fit(sampler, _conic_twin(body, sampler), dyadic_grid(4, 12))
     assert len(solves) == 1 and solves[0] <= 7
 
 
